@@ -4,11 +4,18 @@ Usage, from the root of a checkout:
 
     python3 perfbench/run.py --workload infer-vga-8p --seed 0 --seconds 20 --trace 0
 
-Set-up imports the library, generates the workload's scenes from
-``--seed`` (three times; the median counts) and runs one warm-up image. The timed loop
-then processes one image at a time, cycling through the scenes, until
-``--seconds`` of image time have passed and every scene ran at least
-once. Each image's output is checked outside the timed region.
+Set-up imports the library, then three times generates the workload's
+scenes from ``--seed`` and runs one warm-up image; the median of the three
+counts. The timed loop then processes one image at a time, cycling through
+the scenes, until ``--seconds`` of image time have passed and every scene
+ran at least once. Each image's output is checked outside the timed
+region.
+
+Times that are gated are the process's CPU seconds, which other load on
+the machine moves far less than wall time; wall times are printed on the
+``#`` lines. BLAS runs one thread: idle OpenBLAS workers spin between
+calls, so with more threads the CPU time counts that spinning, and how
+much of it depends on the machine's other load.
 
 With ``--trace 0`` the last stdout line is one JSON object holding the
 end-to-end metrics; with ``--trace 1`` every other image is traced and
@@ -20,18 +27,19 @@ program exits with code 2, printing no result, when the checkout holds
 no ``src/planarseg``.
 """
 
-import time
+import os
 
-T_START = time.perf_counter()
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads BLAS
 
 import argparse  # noqa: E402
 import json  # noqa: E402
-import os  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -89,36 +97,36 @@ def blas_threads():
     return None
 
 
-def run(w, seed: int, seconds: float, trace: bool, import_s: float = 0.0):
+def run(w, seed: int, seconds: float, trace: bool, import_cpu_s: float = 0.0):
     """Run one workload; returns (result object, record of the run)."""
     import workloads as wl
     from spans import NullTracer, Tracer
 
     null = NullTracer()
     tracer = Tracer() if trace else None
-    # Set-up: generating the inputs is repeated and its median taken; the
-    # warm-up image, which pays first-call costs, runs once.
-    gen_times = []
+    # Set-up, repeated: generate the inputs, then one warm-up image, which
+    # pays first-call costs. The median CPU time of the repeats counts.
+    setup_cpu = []
     for _ in range(SETUP_REPEATS):
         items = None  # so only one copy is alive at a time
-        t0 = time.perf_counter()
+        c0 = time.process_time()
         items = wl.make_inputs(w, seed, tracer or null)
-        gen_times.append(time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    try:
-        wl.step(null, w, items[0])
-    except Exception:  # the same failure is counted when the loop runs this scene
-        pass
-    warmup_s = time.perf_counter() - t0
-    setup_s = import_s + statistics.median(gen_times) + warmup_s
+        try:
+            wl.step(null, w, items[0])
+        except Exception:  # the same failure is counted when the loop runs this scene
+            pass
+        setup_cpu.append(time.process_time() - c0)
+    setup_s = import_cpu_s + statistics.median(setup_cpu)
 
-    latencies, traced_latencies, untraced_latencies = [], [], []
+    latencies, cpu_times, traced_cpu, untraced_cpu = [], [], [], []
     first, failures, cache = {}, [], {}
     busy = 0.0
     i = 0
+    loop_start = time.perf_counter()
     while busy < seconds or i < len(items):
         k = i % len(items)
         traced = trace and i % 2 == 1
+        c0 = time.process_time()
         t0 = time.perf_counter()
         try:
             if traced:
@@ -130,15 +138,18 @@ def run(w, seed: int, seconds: float, trace: bool, import_s: float = 0.0):
         except Exception as exc:  # an image that raises is a counted failure
             out, error = None, f"raised {exc!r}"
         dt = time.perf_counter() - t0
+        dc = time.process_time() - c0
         busy += dt
         latencies.append(dt)
-        (traced_latencies if traced else untraced_latencies).append(dt)
+        cpu_times.append(dc)
+        (traced_cpu if traced else untraced_cpu).append(dc)
         if error is None:
             error = _check(wl, w, items[k], out, cache, first, k)
         if error is not None:
             failures.append(error)
             print(f"# image {i} (scene {k}) failed: {error}", file=sys.stderr)
         i += 1
+    loop_s = time.perf_counter() - loop_start
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     run_digest = wl.digest(items)
@@ -151,22 +162,24 @@ def run(w, seed: int, seconds: float, trace: bool, import_s: float = 0.0):
 
     scenes = [first[k][1] for k in sorted(first)]
 
-    def scene_mean(name):
+    def over_scenes(name, stat=np.mean):
         # With no scene scored the run is not correct; 0 keeps the JSON valid.
-        return float(np.mean([s[name] for s in scenes])) if scenes else 0.0
+        return float(stat([s[name] for s in scenes])) if scenes else 0.0
 
     if trace:
-        metrics = per_layer_metrics(tracer, traced_latencies, untraced_latencies, scene_mean)
+        metrics = per_layer_metrics(tracer, traced_cpu, untraced_cpu, over_scenes)
         consistent = reconciles(tracer)
     else:
         metrics = {
             "setup_s": (setup_s, "s"),
-            "images_per_s": (len(latencies) / busy, "1/s"),
-            "image_ms_p50": (1000.0 * statistics.median(latencies), "ms"),
+            "images_per_cpu_s": (len(cpu_times) / sum(cpu_times), "1/s"),
+            "image_cpu_ms_p50": (1000.0 * statistics.median(cpu_times), "ms"),
             "peak_rss_mb": (peak_rss_mb, "MiB"),
-            "rand_index": (scene_mean("rand_index"), "ratio"),
-            "plane_recall_0.10m": (scene_mean("plane_recall_0.10m"), "%"),
-            "depth_rel": (scene_mean("depth_rel"), "ratio"),
+            "rand_index": (over_scenes("rand_index"), "ratio"),
+            "plane_recall_0.10m": (over_scenes("plane_recall_0.10m"), "%"),
+            # A median: one scene with two planes merged can hold several
+            # times the others' error, which made the mean swing with the seed.
+            "depth_rel": (over_scenes("depth_rel", np.median), "ratio"),
         }
         consistent = True
     result = {
@@ -181,11 +194,12 @@ def run(w, seed: int, seconds: float, trace: bool, import_s: float = 0.0):
         "reference_digest": ref_digest,
         "reference_digest_ok": digest_ok,
         "fail_frac": len(failures) / len(latencies),
-        "generate_s": gen_times,
-        "warmup_s": warmup_s,
-        "import_s": import_s,
+        "setup_cpu_s": setup_cpu,
+        "import_cpu_s": import_cpu_s,
         "latencies_s": latencies,
+        "cpu_s": cpu_times,
         "busy_s": busy,
+        "loop_s": loop_s,
     }
     if trace:
         record["spans"] = tracer.as_records()
@@ -235,8 +249,12 @@ COUNTS = {
 }
 
 
-def per_layer_metrics(tracer, traced, untraced, scene_mean) -> dict:
-    """Median per-image self time of each layer call, counts, overheads."""
+def per_layer_metrics(tracer, traced_cpu, untraced_cpu, over_scenes) -> dict:
+    """Median per-image self time of each layer call, counts, overheads.
+
+    Self times are wall times of the traced images; the overhead compares
+    the median CPU time of traced and untraced images.
+    """
     images = tracer.self_times("image")
     setups = tracer.self_times("setup")
     metrics = {}
@@ -245,9 +263,9 @@ def per_layer_metrics(tracer, traced, untraced, scene_mean) -> dict:
     for name in SETUP_LAYERS:
         metrics[name + "_ms"] = (_median_ms(setups, name), "ms")
     for name, unit in COUNTS.items():
-        metrics[name] = (scene_mean(name), unit)
+        metrics[name] = (over_scenes(name), unit)
     metrics["image.self_ms"] = (_median_ms(images, "image"), "ms")
-    overhead = statistics.median(traced) / statistics.median(untraced) - 1.0
+    overhead = statistics.median(traced_cpu) / statistics.median(untraced_cpu) - 1.0
     metrics["trace.overhead_frac"] = (overhead, "ratio")
     return metrics
 
@@ -257,10 +275,21 @@ def _median_ms(rows, name) -> float:
 
 
 def reconciles(tracer) -> bool:
-    """Per traced image, the self times add up to the image's duration."""
-    rows = tracer.self_times("image")
-    totals = tracer.root_durations("image")
-    return all(abs(sum(r.values()) - t) <= 1e-9 for r, t in zip(rows, totals))
+    """Per traced image, the child spans lie within the image's span and do
+    not overlap one another, so the children's self times plus
+    ``image.self_ms`` (never negative) add up to the image's duration."""
+    roots = {sid: (start, end, []) for sid, parent, name, start, end in tracer.spans
+             if parent == -1 and name == "image"}
+    for _, parent, _, start, end in tracer.spans:
+        if parent in roots:
+            roots[parent][2].append((start, end))
+    for root_start, root_end, spans in roots.values():
+        t = root_start
+        for start, end in sorted(spans):
+            if start < t or end < start or end > root_end:
+                return False
+            t = end
+    return bool(roots)
 
 
 def main(argv=None) -> int:
@@ -278,7 +307,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(HERE))
     import workloads as wl
 
-    import_s = time.perf_counter() - T_START
+    import_cpu_s = time.process_time()  # CPU seconds since the process started
     if args.workload == "all":
         # One process per workload, so set-up and peak memory are its own.
         for name in wl.WORKLOADS:
@@ -294,12 +323,15 @@ def main(argv=None) -> int:
         return 2
     w = wl.WORKLOADS[args.workload]
     env = environment(args.seed, wl.scene_seeds(args.seed, w.scenes))
-    result, record = run(w, args.seed, args.seconds, bool(args.trace), import_s)
+    result, record = run(w, args.seed, args.seconds, bool(args.trace), import_cpu_s)
     print("# env " + json.dumps(env))
     lat = sorted(record["latencies_s"])
-    print(f"# {w.name}: {len(lat)} images, image ms min {1000 * lat[0]:.1f} "
-          f"p50 {1000 * statistics.median(lat):.1f} max {1000 * lat[-1]:.1f}, "
-          f"fail_frac {record['fail_frac']}")
+    cpu = record["cpu_s"]
+    print(f"# {w.name}: {len(lat)} images; wall: image_ms_p50 "
+          f"{1000 * statistics.median(lat):.1f} (min {1000 * lat[0]:.1f}, max "
+          f"{1000 * lat[-1]:.1f}), images_per_s {len(lat) / record['loop_s']:.4f} "
+          f"over the loop's {record['loop_s']:.1f} s; CPU: image ms p50 "
+          f"{1000 * statistics.median(cpu):.1f}; fail_frac {record['fail_frac']}")
     print(f"# {w.name}: inputs digest {record['digest']}; first scene of seed "
           f"{REFERENCE_SEED}: {record['reference_digest']}, matches "
           f"{DIGESTS.name}: {record['reference_digest_ok']}")

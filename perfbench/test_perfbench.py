@@ -58,6 +58,22 @@ def test_traced_self_times_add_up_to_each_image():
     assert run.reconciles(tracer)
 
 
+@pytest.mark.parametrize("children, ok", [
+    ([(1.0, 2.0), (2.0, 4.0)], True),
+    ([(1.0, 3.0), (2.0, 4.0)], False),  # siblings overlap
+    ([(1.0, 2.0), (1.5, 1.8)], False),  # one nested in another
+    ([(1.0, 6.0)], False),  # ends after the image
+    ([(-1.0, 2.0)], False),  # starts before the image
+    ([(5.5, 6.0)], False),  # runs after the image
+])
+def test_reconciles_rejects_spans_outside_or_overlapping(children, ok):
+    tracer = Tracer()
+    tracer.spans = [[0, -1, "image", 0.0, 5.0]] + [
+        [1 + j, 0, f"call{j}", start, end] for j, (start, end) in enumerate(children)
+    ]
+    assert run.reconciles(tracer) is ok
+
+
 @pytest.mark.parametrize("name", list(wl.WORKLOADS))
 def test_one_seed_reproduces_identical_inputs(name):
     w = tiny(wl.WORKLOADS[name])
