@@ -11,11 +11,15 @@ the scenes, until ``--seconds`` of image time have passed and every scene
 ran at least once. Each image's output is checked outside the timed
 region.
 
-Times that are gated are the process's CPU seconds, which other load on
-the machine moves far less than wall time; wall times are printed on the
-``#`` lines. BLAS runs one thread: idle OpenBLAS workers spin between
-calls, so with more threads the CPU time counts that spinning, and how
-much of it depends on the machine's other load.
+Times that are gated are the process's CPU seconds, scaled to a machine
+of nominal speed: a fixed probe (``calibrate.py``) runs before every image
+and every set-up repeat, and the run's CPU times are multiplied by the
+nominal probe time over the run's mean probe time. On a shared host
+the raw CPU time of the same image drifts by a third over minutes; the
+probe drifts with it. Raw CPU and wall times are printed on the ``#``
+lines. BLAS runs one thread: idle OpenBLAS workers spin between calls, so
+with more threads the CPU time counts that spinning, and how much of it
+depends on the machine's other load.
 
 With ``--trace 0`` the last stdout line is one JSON object holding the
 end-to-end metrics; with ``--trace 1`` every other image is traced and
@@ -43,6 +47,8 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
+
+import calibrate  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -106,9 +112,10 @@ def run(w, seed: int, seconds: float, trace: bool, import_cpu_s: float = 0.0):
     tracer = Tracer() if trace else None
     # Set-up, repeated: generate the inputs, then one warm-up image, which
     # pays first-call costs. The median CPU time of the repeats counts.
-    setup_cpu = []
+    setup_cpu, probes = [], []
     for _ in range(SETUP_REPEATS):
         items = None  # so only one copy is alive at a time
+        probes.append(calibrate.probe())
         c0 = time.process_time()
         items = wl.make_inputs(w, seed, tracer or null)
         try:
@@ -116,7 +123,6 @@ def run(w, seed: int, seconds: float, trace: bool, import_cpu_s: float = 0.0):
         except Exception:  # the same failure is counted when the loop runs this scene
             pass
         setup_cpu.append(time.process_time() - c0)
-    setup_s = import_cpu_s + statistics.median(setup_cpu)
 
     latencies, cpu_times, traced_cpu, untraced_cpu = [], [], [], []
     first, failures, cache = {}, [], {}
@@ -126,6 +132,7 @@ def run(w, seed: int, seconds: float, trace: bool, import_cpu_s: float = 0.0):
     while busy < seconds or i < len(items):
         k = i % len(items)
         traced = trace and i % 2 == 1
+        probes.append(calibrate.probe())
         c0 = time.process_time()
         t0 = time.perf_counter()
         try:
@@ -150,6 +157,10 @@ def run(w, seed: int, seconds: float, trace: bool, import_cpu_s: float = 0.0):
             print(f"# image {i} (scene {k}) failed: {error}", file=sys.stderr)
         i += 1
     loop_s = time.perf_counter() - loop_start
+    speed = calibrate.speed_factor(probes)
+    # Per scene, the median of its passes, so scenes that the last partial
+    # pass ran twice do not weigh more than the others.
+    scene_cpu = [statistics.median(cpu_times[k::len(items)]) for k in range(len(items))]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     run_digest = wl.digest(items)
@@ -171,9 +182,9 @@ def run(w, seed: int, seconds: float, trace: bool, import_cpu_s: float = 0.0):
         consistent = reconciles(tracer)
     else:
         metrics = {
-            "setup_s": (setup_s, "s"),
-            "images_per_cpu_s": (len(cpu_times) / sum(cpu_times), "1/s"),
-            "image_cpu_ms_p50": (1000.0 * statistics.median(cpu_times), "ms"),
+            "setup_s": (speed * (import_cpu_s + statistics.median(setup_cpu)), "s"),
+            "images_per_norm_s": (len(scene_cpu) / (speed * sum(scene_cpu)), "1/s"),
+            "image_norm_ms_p50": (1000.0 * speed * statistics.median(scene_cpu), "ms"),
             "peak_rss_mb": (peak_rss_mb, "MiB"),
             "rand_index": (over_scenes("rand_index"), "ratio"),
             "plane_recall_0.10m": (over_scenes("plane_recall_0.10m"), "%"),
@@ -198,6 +209,9 @@ def run(w, seed: int, seconds: float, trace: bool, import_cpu_s: float = 0.0):
         "import_cpu_s": import_cpu_s,
         "latencies_s": latencies,
         "cpu_s": cpu_times,
+        "scene_cpu_s": scene_cpu,
+        "probe_cpu_s": probes,
+        "speed_factor": speed,
         "busy_s": busy,
         "loop_s": loop_s,
     }
@@ -331,7 +345,12 @@ def main(argv=None) -> int:
           f"{1000 * statistics.median(lat):.1f} (min {1000 * lat[0]:.1f}, max "
           f"{1000 * lat[-1]:.1f}), images_per_s {len(lat) / record['loop_s']:.4f} "
           f"over the loop's {record['loop_s']:.1f} s; CPU: image ms p50 "
-          f"{1000 * statistics.median(cpu):.1f}; fail_frac {record['fail_frac']}")
+          f"{1000 * statistics.median(cpu):.1f}, scene median "
+          f"{1000 * statistics.median(record['scene_cpu_s']):.1f}; probe ms p50 "
+          f"{1000 * statistics.median(record['probe_cpu_s']):.2f} (mean "
+          f"{1000 * statistics.fmean(record['probe_cpu_s']):.2f}) over "
+          f"{len(record['probe_cpu_s'])} probes, speed factor "
+          f"{record['speed_factor']:.4f}; fail_frac {record['fail_frac']}")
     print(f"# {w.name}: inputs digest {record['digest']}; first scene of seed "
           f"{REFERENCE_SEED}: {record['reference_digest']}, matches "
           f"{DIGESTS.name}: {record['reference_digest_ok']}")

@@ -129,3 +129,13 @@ def test_exits_nonzero_without_the_library(tmp_path):
     )
     assert done.returncode != 0
     assert '"correct"' not in done.stdout
+
+
+def test_speed_factor_scales_to_the_nominal_probe():
+    import calibrate
+
+    assert calibrate.probe() > 0.0
+    nominal = calibrate.NOMINAL_PROBE_S
+    assert calibrate.speed_factor([nominal] * 3) == pytest.approx(1.0)
+    # A machine half as fast doubles the probe, and halves the factor.
+    assert calibrate.speed_factor([1.5 * nominal, 2.5 * nominal]) == pytest.approx(0.5)
