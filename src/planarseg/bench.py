@@ -103,8 +103,10 @@ def bench_clustering(
 ) -> List[BenchResult]:
     """Time both variants over problem sizes and (k, T) settings.
 
-    ``iter_ms`` times a single shift pass (anchors for the fast variant,
-    every point for the baseline); ``total_ms`` times the whole call.
+    ``iter_ms`` times a single exact, unweighted shift pass over all N
+    points (anchors for the fast variant, every point for the baseline),
+    so it scales as N and N^2; :func:`cluster` itself shifts anchors
+    against weighted bin centroids. ``total_ms`` times the whole call.
     The baseline runs ``vanilla_iters`` iterations in its total so large
     sizes stay affordable.
     """

@@ -265,10 +265,12 @@ def corrupt_probability(
 
     The logit noise scale is calibrated so that, in expectation, a
     ``flip_rate`` fraction of pixels crosses the 0.5 probability
-    threshold to the wrong side.
+    threshold to the wrong side. A noise scale sigma flips a pixel with
+    probability Phi(-2 / sigma), which stays below 0.5 for every finite
+    sigma, so ``flip_rate`` must lie in [0, 0.5).
     """
-    if not 0.0 <= flip_rate < 1.0:
-        raise ValueError("flip_rate must lie in [0, 1)")
+    if not 0.0 <= flip_rate < 0.5:
+        raise ValueError(f"flip_rate must lie in [0, 0.5), got {flip_rate}")
     rng = np.random.default_rng(seed)
     base_logit = 2.0
     logits = np.where(scene.segmentation.labels > 0, base_logit, -base_logit)

@@ -112,6 +112,16 @@ class TestSynthCommand:
         assert code == 1
         assert "plane_count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["0.5", "0.7"])
+    def test_unreachable_flip_rate_exits_one(self, tmp_path, capsys, rate):
+        out = tmp_path / "x"
+        code = main(SYNTH_ARGS + ["--flip-rate", rate, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: flip_rate must lie in [0, 0.5)")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestClusterCommand:
     def test_full_run_outputs(self, tmp_path):

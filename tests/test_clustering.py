@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarseg import clustering
 from planarseg.clustering import (
+    BIN_SIDE,
     AnchorState,
     ClusterSet,
     MeanShiftConfig,
@@ -20,6 +22,7 @@ from planarseg.clustering import (
     soft_assign,
     vanilla_mean_shift,
 )
+from planarseg.clustering import _bin_points, _gaussian_shift
 from planarseg.core import EmbeddingMap, ImageGrid, PlanarMask, SoftAssignment
 
 
@@ -172,6 +175,91 @@ class TestShiftAnchors:
             state = shift_anchors(state, emb, mask, config)
             assert np.all(state.positions >= values.min(axis=0) - 1e-12)
             assert np.all(state.positions <= values.max(axis=0) + 1e-12)
+
+
+def anchor_grid(values, k=10):
+    lo, hi = values.min(axis=0), values.max(axis=0)
+    axes = [np.linspace(lo[a], hi[a], k) for a in range(values.shape[1])]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, values.shape[1])
+
+
+class TestBinning:
+    def test_shift_error_is_second_order_in_cell_side(self):
+        # Each cell's centroid cancels the first-order term of the kernel's
+        # Taylor expansion, so the binned step moves anchors by O(c^2 * b)
+        # against the exact per-pixel step. Stated bound: c^2 * b / 4 on
+        # positions (measured 0.05-0.15 c^2 * b) and c^2 / 2 relative on
+        # densities (measured 0.06-0.16 c^2); halving c must at least halve
+        # the position error.
+        rng = np.random.default_rng(0)
+        centers = np.array([[1.0, 1.0], [4.0, 1.5], [2.5, 5.0], [2.6, 2.4]])
+        values = np.concatenate(
+            [c + rng.normal(0.0, 0.2, size=(3000, 2)) for c in centers]
+            + [rng.uniform(0.0, 6.0, size=(600, 2))]
+        )
+        b = 0.5
+        anchors = anchor_grid(values)
+        exact, exact_dens = _gaussian_shift(anchors, values, b)
+        errors = []
+        for c in (0.1, 0.05, 0.025):
+            centroids, counts = _bin_points(values, c * b)
+            assert centroids.shape[0] < values.shape[0]
+            binned, binned_dens = _gaussian_shift(anchors, centroids, b, weights=counts)
+            error = np.abs(binned - exact).max()
+            assert error <= c * c * b / 4.0
+            assert np.max(np.abs(binned_dens - exact_dens) / exact_dens) <= c * c / 2.0
+            errors.append(error)
+        assert errors[1] <= errors[0] / 2.0
+        assert errors[2] <= errors[1] / 2.0
+
+    def test_exact_when_every_point_sits_alone(self):
+        # Points at least 0.2 apart never share a cell of side 0.025, so each
+        # centroid is its point and each weight is 1: only the summation
+        # order differs from the exact per-pixel step.
+        rng = np.random.default_rng(1)
+        lattice = np.stack(np.meshgrid(np.arange(12), np.arange(9), indexing="ij"), -1)
+        values = 0.3 * lattice.reshape(-1, 2) + rng.uniform(-0.05, 0.05, size=(108, 2))
+        emb, mask = embedding_fixture(values)
+        config = MeanShiftConfig(bandwidth=0.5)
+        centroids, counts = _bin_points(values, BIN_SIDE * config.bandwidth)
+        np.testing.assert_array_equal(counts, np.ones(108))
+        np.testing.assert_array_equal(
+            centroids[np.lexsort(centroids.T)], values[np.lexsort(values.T)]
+        )
+        state = init_anchors(emb, mask, config)
+        exact, exact_dens = _gaussian_shift(state.positions, values, config.bandwidth)
+        np.testing.assert_allclose(state.densities, exact_dens, rtol=1e-12)
+        shifted = shift_anchors(state, emb, mask, config)
+        np.testing.assert_allclose(shifted.positions, exact, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(shifted.densities, exact_dens, rtol=1e-12)
+
+    def test_sparse_key_fallback_matches_dense_counting(self, monkeypatch):
+        # d = 8 spread over 5-6 cells per axis: about 5.6e5 cells, far above
+        # 4 * N, so the occupied keys are sorted instead of counted densely.
+        rng = np.random.default_rng(2)
+        values = rng.uniform(0.0, 0.125, size=(2000, 8))
+        values[1000:] = values[:1000] + 1e-4  # shared cells, counts > 1
+        sparse = _bin_points(values, 0.025)
+        monkeypatch.setattr(clustering, "_DENSE_KEYS_PER_POINT", 1000)
+        dense = _bin_points(values, 0.025)
+        np.testing.assert_array_equal(sparse[0], dense[0])
+        np.testing.assert_array_equal(sparse[1], dense[1])
+        assert sparse[1].sum() == 2000 and sparse[1].max() >= 2
+
+    def test_key_space_beyond_int64_bins_by_sorting(self):
+        # 8 axes of ~4e7 cells: the key space (~1e61) overflows int64.
+        rng = np.random.default_rng(3)
+        values = rng.uniform(0.0, 1e6, size=(300, 8))
+        values[150:] = values[:150] + 1e-3
+        centroids, counts = _bin_points(values, 0.025)
+        keys = np.floor((values - values.min(axis=0)) / 0.025)
+        groups = {}
+        for key, row in zip(map(tuple, keys), values):
+            groups.setdefault(key, []).append(row)
+        assert counts.tolist() == [len(groups[k]) for k in sorted(groups)]
+        np.testing.assert_allclose(
+            centroids, [np.mean(groups[k], axis=0) for k in sorted(groups)], rtol=1e-15
+        )
 
 
 class TestFilterLowDensity:

@@ -235,6 +235,12 @@ class TestCorruptProbability:
         with pytest.raises(ValueError, match="flip_rate"):
             corrupt_probability(scene, flip_rate=1.0)
 
+    @pytest.mark.parametrize("rate", [0.5, 0.7, -0.1])
+    def test_unreachable_rates_rejected(self, rate):
+        scene = generate_scene(spec())
+        with pytest.raises(ValueError, match=r"\[0, 0\.5\)"):
+            corrupt_probability(scene, flip_rate=rate)
+
     def test_deterministic_per_seed(self):
         scene = generate_scene(spec())
         a = corrupt_probability(scene, flip_rate=0.05, seed=9)
