@@ -88,8 +88,7 @@ class MeanShiftConfig:
             raise ValueError("anchors_per_dim must be >= 2")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not self.bandwidth > 0.0:
-            raise ValueError("bandwidth must be > 0")
+        _check_bandwidth(self.bandwidth)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0.0 <= self.density_fraction < 1.0:
@@ -186,10 +185,18 @@ class UnionFind:
         return list(by_root.values())
 
 
+def _check_bandwidth(bandwidth: float) -> None:
+    """Reject a bandwidth the Gaussian kernel cannot use: not positive, or
+    so small that the exponent's denominator 2 * b * b underflows to 0."""
+    if not 2.0 * bandwidth * bandwidth > 0.0:
+        raise ValueError(
+            f"bandwidth must be > 0 and large enough that 2*b*b > 0, got {bandwidth!r}"
+        )
+
+
 def pairwise_potential(anchor: np.ndarray, embedding: np.ndarray, b: float) -> float:
     """Gaussian potential between one anchor and one embedding."""
-    if not b > 0.0:
-        raise ValueError("bandwidth must be > 0")
+    _check_bandwidth(b)
     anchor = np.asarray(anchor, dtype=np.float64)
     embedding = np.asarray(embedding, dtype=np.float64)
     m2 = float(np.sum((anchor - embedding) ** 2))
@@ -289,9 +296,9 @@ def _bin_points(values: np.ndarray, side: float) -> Tuple[np.ndarray, np.ndarray
     cell and how many points it holds (as float64 kernel weights), with
     cells ordered lexicographically by their integer coordinates. Small
     key spaces are counted densely with ``np.bincount``; larger ones
-    (high dimensions, wide spreads) sort the keys instead, so no array
-    outgrows O(N). Keys stay floats until the dense path has shown that
-    they fit, so they cannot overflow int64.
+    (high dimensions, wide spreads) sort the keys with ``np.lexsort``
+    instead, so no array outgrows O(N). Keys stay floats until the dense
+    path has shown that they fit, so they cannot overflow int64.
     """
     n, d = values.shape
     lo, hi = _bounds(values)
@@ -303,8 +310,14 @@ def _bin_points(values: np.ndarray, side: float) -> Tuple[np.ndarray, np.ndarray
         occupied = np.bincount(flat, minlength=math.prod(shape)) > 0
         inverse = (np.cumsum(occupied) - 1)[flat]
     else:
-        _, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        order = np.lexsort(keys.T[::-1])
+        starts = np.zeros(n, dtype=bool)
+        starts[0] = True
+        for column in keys.T:
+            ordered = column[order]
+            starts[1:] |= ordered[1:] != ordered[:-1]
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = np.cumsum(starts) - 1
     bins = int(inverse.max()) + 1
     counts = np.bincount(inverse, minlength=bins).astype(np.float64)
     sums = np.stack(
@@ -585,8 +598,7 @@ def vanilla_mean_shift(
     displacement drops below ``tol`` or ``max_iters`` passes, then modes
     within one bandwidth merge into clusters.
     """
-    if not bandwidth > 0.0:
-        raise ValueError("bandwidth must be > 0")
+    _check_bandwidth(bandwidth)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     values = _masked_values(embeddings, mask)

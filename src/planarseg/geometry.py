@@ -79,6 +79,32 @@ def _ray_directions(grid: ImageGrid, intr: CameraIntrinsics) -> np.ndarray:
     return rays
 
 
+def _render(
+    grid: ImageGrid, intr: CameraIntrinsics, labels: np.ndarray, normals: np.ndarray
+) -> DepthMap:
+    """Depth where each pixel's ray meets its own plane, in one gather.
+
+    Pixel i lies on the plane in row ``labels[i]`` of the (K, 3)
+    ``normals``. Depth is 1 / (ray . n) where that denominator exceeds
+    ``EPS_RAY``; elsewhere the ray is (near-)parallel to the plane or
+    meets it behind the camera, and the pixel is invalid. An all-zero
+    row therefore renders its pixels invalid. The ray coordinates come
+    per column and per row, and each plane coefficient is gathered per
+    pixel, so the cost is O(N) whatever K is.
+    """
+    x = (np.arange(grid.width) - intr.cx) / intr.fx
+    y = (np.arange(grid.height) - intr.cy) / intr.fy
+    nx, ny, nz = (
+        np.ascontiguousarray(column).take(labels).reshape(grid.height, grid.width)
+        for column in normals.T
+    )
+    denom = (nx * x + ny * y[:, None] + nz).reshape(-1)
+    valid = denom > EPS_RAY
+    depth = np.zeros(grid.n_pixels, dtype=np.float64)
+    np.divide(1.0, denom, out=depth, where=valid)
+    return DepthMap(grid, depth, valid)
+
+
 def backproject(depth: DepthMap, intr: CameraIntrinsics) -> PointMap:
     """Lift a depth map to camera-frame 3D points along pixel rays."""
     rays = _ray_directions(depth.grid, intr)
@@ -95,12 +121,9 @@ def depth_from_plane(
     it behind the camera are marked invalid instead of producing huge or
     negative depths.
     """
-    rays = _ray_directions(grid, intr)
-    denom = rays @ plane.n
-    valid = denom > EPS_RAY
-    depth = np.zeros(grid.n_pixels, dtype=np.float64)
-    depth[valid] = 1.0 / denom[valid]
-    return DepthMap(grid, depth, valid)
+    return _render(
+        grid, intr, np.zeros(grid.n_pixels, dtype=np.int64), plane.n[None, :]
+    )
 
 
 def render_segment_depth(
@@ -110,23 +133,18 @@ def render_segment_depth(
 ) -> DepthMap:
     """Compose per-instance plane depths over a segmentation.
 
-    Pixels labeled 0 or falling on an invalid ray are invalid.
+    Every pixel is rendered on its own instance's plane in one gather,
+    so the cost is O(N) whatever the plane count. Pixels labeled 0 or
+    falling on an invalid ray are invalid.
     """
     if len(planes) != segments.n_instances:
         raise ValueError(
             f"need one plane per instance: {len(planes)} planes for "
             f"{segments.n_instances} instances"
         )
-    depth = np.zeros(segments.grid.n_pixels, dtype=np.float64)
-    valid = np.zeros(segments.grid.n_pixels, dtype=bool)
-    for idx, plane in enumerate(planes, start=1):
-        member = segments.labels == idx
-        if not member.any():
-            continue
-        rendered = depth_from_plane(plane, segments.grid, intr)
-        depth[member] = rendered.depth[member]
-        valid[member] = rendered.validity[member]
-    return DepthMap(segments.grid, depth, valid)
+    unlabeled = np.zeros((1, 3))  # a zero denominator: never a valid depth
+    normals = np.concatenate([unlabeled] + [plane.n[None, :] for plane in planes])
+    return _render(segments.grid, intr, segments.labels, normals)
 
 
 def pool_instance_params(

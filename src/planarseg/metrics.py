@@ -13,12 +13,12 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
 from .core import CameraIntrinsics, DepthMap, InstanceSegmentation
-from .geometry import Plane, depth_from_plane, normal_angle
+from .geometry import Plane, normal_angle, render_segment_depth
 
 __all__ = [
     "RecallCurve",
@@ -104,7 +104,11 @@ def iou_matrix(
     pred: InstanceSegmentation, gt: InstanceSegmentation
 ) -> np.ndarray:
     """Intersection-over-union per (pred, gt) instance pair, label 0 excluded."""
-    table = _contingency(pred, gt)
+    return _iou(_contingency(pred, gt))
+
+
+def _iou(table: np.ndarray) -> np.ndarray:
+    """IOU per (pred, gt) instance pair from a (pred, gt) contingency table."""
     inter = table[1:, 1:].astype(np.float64)
     pred_sizes = table[1:, :].sum(axis=1, dtype=np.float64)
     gt_sizes = table[:, 1:].sum(axis=0, dtype=np.float64)
@@ -114,41 +118,38 @@ def iou_matrix(
     return out
 
 
-def _match_instances(
-    pred: InstanceSegmentation, gt: InstanceSegmentation
-) -> List[Tuple[int, int]]:
-    """(gt_id, pred_id) pairs with IOU > 0.5; at most one pred per gt."""
-    iou = iou_matrix(pred, gt)
-    pairs = []
-    for g in range(gt.n_instances):
+def _match_instances(table: np.ndarray) -> Dict[int, int]:
+    """gt_id -> pred_id for pairs with IOU > 0.5; at most one pred per gt.
+
+    ``table`` is the (pred, gt) contingency table.
+    """
+    iou = _iou(table)
+    pairs = {}
+    for g in range(iou.shape[1]):
         winners = np.nonzero(iou[:, g] > 0.5)[0]
         if winners.shape[0]:
-            pairs.append((g + 1, int(winners[0]) + 1))
+            pairs[g + 1] = int(winners[0]) + 1
     return pairs
 
 
 def _recall_curve(
-    pred: InstanceSegmentation,
-    gt: InstanceSegmentation,
+    table: np.ndarray,
     scores: Mapping[int, float],
     matched_pred: Mapping[int, int],
     thresholds: Sequence[float],
 ) -> RecallCurve:
     """Fold per-gt-instance scores into plane and pixel recall curves.
 
-    ``scores[g]`` is the geometric error of matched gt instance g; gt
-    instances missing from ``scores`` never count as correct.
+    ``table`` is the (pred, gt) contingency table; ``scores[g]`` is the
+    geometric error of matched gt instance g; gt instances missing from
+    ``scores`` never count as correct.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    n_gt = gt.n_instances
-    gt_sizes = np.bincount(gt.labels, minlength=n_gt + 1)[1:]
-    total_planar = int(gt_sizes.sum())
+    n_gt = table.shape[1] - 1
+    total_planar = int(table[:, 1:].sum())
     plane = np.zeros(thresholds.size)
     pixel = np.zeros(thresholds.size)
-    overlap = {
-        g: int(((gt.labels == g) & (pred.labels == p)).sum())
-        for g, p in matched_pred.items()
-    }
+    overlap = {g: int(table[p, g]) for g, p in matched_pred.items()}
     for t_idx, t in enumerate(thresholds):
         correct = [g for g, err in scores.items() if err <= t]
         plane[t_idx] = 100.0 * len(correct) / n_gt if n_gt else 0.0
@@ -171,28 +172,33 @@ def recall_depth(
     A reference instance is correct at threshold t when a predicted
     instance overlaps it with IOU > 0.5 and the mean absolute difference
     between the predicted plane's rendered depth and the reference depth
-    over their valid overlap is at most t.
+    over their valid overlap is at most t; a matched pair with no such
+    pixel gets no score.
+
+    The predicted depth is rendered once over all predicted labels, and
+    the per-pair error sums and pixel counts come from two bincounts
+    over the jointly valid pixels, so the cost is O(N) whatever the
+    plane count.
     """
     if pred_seg.grid != gt_seg.grid or gt_seg.grid != gt_depth.grid:
         raise ValueError("prediction, reference, and depth grids must match")
     if len(pred_planes) != pred_seg.n_instances:
         raise ValueError("need one plane per predicted instance")
-    matched = dict(_match_instances(pred_seg, gt_seg))
-    scores: Dict[int, float] = {}
-    for g, p in matched.items():
-        rendered = depth_from_plane(pred_planes[p - 1], pred_seg.grid, intr)
-        region = (
-            (gt_seg.labels == g)
-            & (pred_seg.labels == p)
-            & gt_depth.validity
-            & rendered.validity
-        )
-        if not region.any():
-            continue
-        scores[g] = float(
-            np.mean(np.abs(rendered.depth[region] - gt_depth.depth[region]))
-        )
-    return _recall_curve(pred_seg, gt_seg, scores, matched, thresholds)
+    table = _contingency(pred_seg, gt_seg)
+    matched = _match_instances(table)
+    rendered = render_segment_depth(pred_seg, pred_planes, intr)
+    both = np.flatnonzero(rendered.validity & gt_depth.validity)
+    cols = table.shape[1]
+    key = pred_seg.labels[both] * cols + gt_seg.labels[both]
+    error = np.abs(rendered.depth[both] - gt_depth.depth[both])
+    sums = np.bincount(key, error, minlength=table.size).reshape(table.shape)
+    counts = np.bincount(key, minlength=table.size).reshape(table.shape)
+    scores = {
+        g: float(sums[p, g] / counts[p, g])
+        for g, p in matched.items()
+        if counts[p, g]
+    }
+    return _recall_curve(table, scores, matched, thresholds)
 
 
 def recall_normal(
@@ -209,12 +215,13 @@ def recall_normal(
         raise ValueError("need one plane per predicted instance")
     if len(gt_planes) != gt_seg.n_instances:
         raise ValueError("need one plane per reference instance")
-    matched = dict(_match_instances(pred_seg, gt_seg))
+    table = _contingency(pred_seg, gt_seg)
+    matched = _match_instances(table)
     scores = {
         g: normal_angle(pred_planes[p - 1], gt_planes[g - 1])
         for g, p in matched.items()
     }
-    return _recall_curve(pred_seg, gt_seg, scores, matched, thresholds)
+    return _recall_curve(table, scores, matched, thresholds)
 
 
 def _restricted(
@@ -336,7 +343,7 @@ def plane_count_histogram(
     """Images per distinct-instance count (label 0 excluded)."""
     hist: Dict[int, int] = {}
     for seg in segmentations:
-        count = int(np.unique(seg.labels[seg.labels > 0]).size)
+        count = int(np.count_nonzero(np.bincount(seg.labels)[1:]))
         hist[count] = hist.get(count, 0) + 1
     return hist
 

@@ -222,6 +222,25 @@ class TestClusterCommand:
         assert "PLANAR_WORKERS" in capsys.readouterr().err
 
 
+    def test_underflowing_bandwidth_exits_one(self, tmp_path, capsys):
+        scene = run_synth(tmp_path)
+        out = tmp_path / "pred"
+        code = main(
+            [
+                "cluster",
+                str(scene / "embeddings.pten"),
+                str(scene / "probs.pten"),
+                "--bandwidth", "1e-300",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bandwidth must be > 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestEvalCommand:
     def eval_args(self, scene, out, pred_labels=None, params_path=None):
         manifest = json.loads((scene / "manifest.json").read_text())

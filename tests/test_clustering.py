@@ -61,6 +61,7 @@ class TestConfig:
             {"density_fraction": -0.1},
             {"merge_radius": 0.0},
             {"dim": 0},
+            {"bandwidth": 1e-300},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -86,6 +87,10 @@ class TestPairwisePotential:
     def test_requires_positive_bandwidth(self):
         with pytest.raises(ValueError):
             pairwise_potential(np.zeros(1), np.zeros(1), 0.0)
+
+    def test_rejects_bandwidth_whose_square_underflows(self):
+        with pytest.raises(ValueError, match="2\\*b\\*b > 0, got 1e-300"):
+            pairwise_potential(np.zeros(1), np.zeros(1), 1e-300)
 
 
 class TestInitAnchors:
@@ -450,6 +455,11 @@ class TestVanilla:
             vanilla_mean_shift(emb, mask, bandwidth=0.0)
         with pytest.raises(ValueError):
             vanilla_mean_shift(emb, mask, bandwidth=0.5, max_iters=0)
+
+    def test_rejects_bandwidth_whose_square_underflows(self):
+        emb, mask = embedding_fixture([[0.0]])
+        with pytest.raises(ValueError, match="2\\*b\\*b > 0"):
+            vanilla_mean_shift(emb, mask, bandwidth=1e-300)
 
 
 class TestHardLabels:

@@ -131,6 +131,36 @@ class TestRenderSegmentDepth:
         np.testing.assert_allclose(depth.depth[:3], [2.0, 2.0, 1.0])
         assert not depth.validity[3]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_plane_composition(self, seed):
+        # Oracle: render every plane over the full grid with
+        # depth_from_plane, then copy each label's pixels from its plane.
+        rng = np.random.default_rng(seed)
+        grid = ImageGrid(7, 9)
+        intr = CameraIntrinsics(fx=5.0, fy=5.0, cx=4.0, cy=3.0)
+        n_instances = 6
+        labels = rng.integers(0, 5, grid.n_pixels)  # IDs 5 and 6 own no pixel
+        labels[:2] = [0, 1]
+        planes = [
+            Plane(rng.uniform(-0.5, 0.5, 3) + [0.0, 0.0, 0.6])
+            for _ in range(n_instances)
+        ]
+        # faces away from the columns left of x = -0.1 (x spans [-0.8, 0.8])
+        planes[0] = Plane([1.0, 0.0, 0.1])
+        depth = np.zeros(grid.n_pixels)
+        valid = np.zeros(grid.n_pixels, dtype=bool)
+        for idx, plane in enumerate(planes, start=1):
+            member = labels == idx
+            rendered = depth_from_plane(plane, grid, intr)
+            depth[member] = rendered.depth[member]
+            valid[member] = rendered.validity[member]
+        got = render_segment_depth(
+            InstanceSegmentation(grid, labels, n_instances), planes, intr
+        )
+        assert (~valid & (labels == 1)).any() and (valid & (labels == 1)).any()
+        np.testing.assert_array_equal(got.validity, valid)
+        np.testing.assert_allclose(got.depth, depth, rtol=1e-12, atol=0.0)
+
     def test_plane_count_must_match(self):
         grid = ImageGrid(1, 4)
         seg = InstanceSegmentation(grid, np.array([1, 1, 2, 0]))

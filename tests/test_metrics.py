@@ -409,6 +409,29 @@ class TestRecallDepth:
             100.0 * matched / gt_seg.n_instances
         )
 
+    @pytest.mark.parametrize("hole", ["reference", "rendered"])
+    def test_pair_without_jointly_valid_pixels_is_unscored(self, hole):
+        # band 1 is matched, but no pixel of it is valid in both depth maps
+        planes = [Plane([0, 0, 0.5]), Plane([0, 0, 0.4])]
+        grid, gt_seg, gt_depth = banded_scene([4, 4], planes)
+        pred_planes = planes
+        if hole == "reference":
+            gt_depth = DepthMap(
+                grid, gt_depth.depth, gt_depth.validity & (gt_seg.labels != 1)
+            )
+        else:
+            pred_planes = [Plane([0, 0, -0.5]), planes[1]]  # behind the camera
+        curve = recall_depth(
+            gt_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds=[1e9]
+        )
+        np.testing.assert_array_equal(curve.plane_recall, [50.0])
+        np.testing.assert_array_equal(curve.pixel_recall, [50.0])
+        plane, pixel = oracle_recall_depth(
+            gt_seg, pred_planes, gt_seg, gt_depth, INTR, [1e9]
+        )
+        np.testing.assert_array_equal(curve.plane_recall, plane)
+        np.testing.assert_array_equal(curve.pixel_recall, pixel)
+
     def test_plane_list_length_checked(self):
         planes = [Plane([0, 0, 0.5]), Plane([0, 0, 0.4])]
         _, gt_seg, gt_depth = banded_scene([4, 4], planes)
