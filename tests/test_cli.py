@@ -221,7 +221,6 @@ class TestClusterCommand:
         assert code == 2
         assert "PLANAR_WORKERS" in capsys.readouterr().err
 
-
     def test_underflowing_bandwidth_exits_one(self, tmp_path, capsys):
         scene = run_synth(tmp_path)
         out = tmp_path / "pred"
