@@ -187,10 +187,16 @@ class UnionFind:
 
 def _check_bandwidth(bandwidth: float) -> None:
     """Reject a bandwidth the Gaussian kernel cannot use: not positive, or
-    so small that the exponent's denominator 2 * b * b underflows to 0."""
-    if not 2.0 * bandwidth * bandwidth > 0.0:
+    so small that the exponent's scale 1 / (2 * b * b) is not finite (the
+    square underflows to 0 or to a subnormal whose reciprocal overflows)."""
+    if not (
+        bandwidth > 0.0
+        and 2.0 * bandwidth * bandwidth > 0.0
+        and math.isfinite(1.0 / (2.0 * bandwidth * bandwidth))
+    ):
         raise ValueError(
-            f"bandwidth must be > 0 and large enough that 2*b*b > 0, got {bandwidth!r}"
+            "bandwidth must be > 0 and large enough that 1/(2*b*b) is finite, "
+            f"got {bandwidth!r}"
         )
 
 

@@ -221,7 +221,8 @@ class TestClusterCommand:
         assert code == 2
         assert "PLANAR_WORKERS" in capsys.readouterr().err
 
-    def test_underflowing_bandwidth_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bandwidth", ["1e-300", "1e-160", "-0.5"])
+    def test_unusable_bandwidth_exits_one(self, tmp_path, capsys, bandwidth):
         scene = run_synth(tmp_path)
         out = tmp_path / "pred"
         code = main(
@@ -229,7 +230,7 @@ class TestClusterCommand:
                 "cluster",
                 str(scene / "embeddings.pten"),
                 str(scene / "probs.pten"),
-                "--bandwidth", "1e-300",
+                f"--bandwidth={bandwidth}",
                 "--out", str(out),
             ]
         )

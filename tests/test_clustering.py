@@ -61,7 +61,9 @@ class TestConfig:
             {"density_fraction": -0.1},
             {"merge_radius": 0.0},
             {"dim": 0},
+            {"bandwidth": -0.5},
             {"bandwidth": 1e-300},
+            {"bandwidth": 1e-160},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -85,12 +87,10 @@ class TestPairwisePotential:
         assert pairwise_potential(np.zeros(1), np.array([1e4]), 0.5) == 0.0
 
     def test_requires_positive_bandwidth(self):
-        with pytest.raises(ValueError):
-            pairwise_potential(np.zeros(1), np.zeros(1), 0.0)
-
-    def test_rejects_bandwidth_whose_square_underflows(self):
-        with pytest.raises(ValueError, match="2\\*b\\*b > 0, got 1e-300"):
-            pairwise_potential(np.zeros(1), np.zeros(1), 1e-300)
+        # 1e-300 squares to 0 and 1e-160 to a subnormal whose reciprocal is inf
+        for bandwidth in (0.0, -0.5, 1e-300, 1e-160):
+            with pytest.raises(ValueError, match=f"bandwidth must be > 0.*got {bandwidth!r}"):
+                pairwise_potential(np.zeros(1), np.zeros(1), bandwidth)
 
 
 class TestInitAnchors:
@@ -451,15 +451,11 @@ class TestVanilla:
 
     def test_validates_arguments(self):
         emb, mask = embedding_fixture([[0.0]])
-        with pytest.raises(ValueError):
-            vanilla_mean_shift(emb, mask, bandwidth=0.0)
+        for bandwidth in (0.0, -0.5, 1e-300, 1e-160):
+            with pytest.raises(ValueError, match="bandwidth must be > 0"):
+                vanilla_mean_shift(emb, mask, bandwidth=bandwidth)
         with pytest.raises(ValueError):
             vanilla_mean_shift(emb, mask, bandwidth=0.5, max_iters=0)
-
-    def test_rejects_bandwidth_whose_square_underflows(self):
-        emb, mask = embedding_fixture([[0.0]])
-        with pytest.raises(ValueError, match="2\\*b\\*b > 0"):
-            vanilla_mean_shift(emb, mask, bandwidth=1e-300)
 
 
 class TestHardLabels:
