@@ -54,6 +54,12 @@ ZERO_DENSITY = 1e-300
 # problem sizes (which keeps timing scalings clean).
 _CHUNK_TARGET = 1 << 21
 
+# Masked pixels per soft-assignment span: each span's (C, span) block
+# stays a few MiB for the usual cluster counts, and the per-center calls
+# of a span cost little beside its work (8192 ran about 1.3x slower at
+# 480x640).
+_ASSIGN_SPAN = 1 << 16
+
 # Side of a binning cell as a fraction of the bandwidth. Binning at each
 # cell's centroid cancels the first-order error term, so anchor positions
 # move by O(BIN_SIDE^2 * bandwidth); 0.1 is faster but changed labels on
@@ -295,6 +301,27 @@ def _bounds(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.array([c.min() for c in columns]), np.array([c.max() for c in columns])
 
 
+def _group_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal rows of a float key array by one lexicographic sort.
+
+    Returns (inverse, order, starts): each row's group index, with groups
+    numbered in lexicographic key order; the sorting permutation; and a
+    mask over the sorted rows marking where each run of equal keys
+    starts. Keys stay floats, so no cast can wrap them however large
+    they grow.
+    """
+    n = keys.shape[0]
+    order = np.lexsort(keys.T[::-1])
+    starts = np.zeros(n, dtype=bool)
+    starts[:1] = True
+    for column in keys.T:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return inverse, order, starts
+
+
 def _bin_points(values: np.ndarray, side: float) -> Tuple[np.ndarray, np.ndarray]:
     """Group points into cubic cells of the given side, in one O(N) pass.
 
@@ -316,14 +343,7 @@ def _bin_points(values: np.ndarray, side: float) -> Tuple[np.ndarray, np.ndarray
         occupied = np.bincount(flat, minlength=math.prod(shape)) > 0
         inverse = (np.cumsum(occupied) - 1)[flat]
     else:
-        order = np.lexsort(keys.T[::-1])
-        starts = np.zeros(n, dtype=bool)
-        starts[0] = True
-        for column in keys.T:
-            ordered = column[order]
-            starts[1:] |= ordered[1:] != ordered[:-1]
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = np.cumsum(starts) - 1
+        inverse, _, _ = _group_rows(keys)
     bins = int(inverse.max()) + 1
     counts = np.bincount(inverse, minlength=bins).astype(np.float64)
     sums = np.stack(
@@ -427,14 +447,14 @@ def _merge_union(positions: np.ndarray, radius: float) -> UnionFind:
     # Spatial hash for large point sets: cells small enough that any two
     # points sharing a cell are strictly within the radius, so whole
     # cells union directly and only nearby cell pairs need exact checks.
+    # Keys stay floats, so a radius tiny against the coordinates cannot
+    # wrap them; below 2**53 they are exact integers.
     d = positions.shape[1]
     cell = radius / (math.sqrt(d) * (1.0 + 1e-9))
-    keys = np.floor(positions / cell).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
-    breaks = np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
-    buckets: Dict[Tuple[int, ...], np.ndarray] = {}
-    for span in np.split(order, breaks):
+    keys = np.floor(positions / cell)
+    _, order, starts = _group_rows(keys)
+    buckets: Dict[Tuple[float, ...], np.ndarray] = {}
+    for span in np.split(order, np.flatnonzero(starts)[1:]):
         buckets[tuple(keys[span[0]])] = span
         first = int(span[0])
         for other in span[1:]:
@@ -528,28 +548,44 @@ def soft_assign(
     Rows use exp(-distance) normalized per pixel, computed with the row
     minimum subtracted inside the exponent for stability (the shared
     factor cancels in the ratio). Non-planar rows are zero.
+
+    The kernel is cluster-major and O(N * C * d) with no (N, C, d)
+    temporary: per fixed span of ``_ASSIGN_SPAN`` masked pixels it
+    gathers each embedding column once, fills a (C, span) distance block
+    one center at a time, takes the softmax down each column of the
+    block and writes the block's transpose into the weights. Spans
+    depend only on the pixel count, so results do not depend on
+    ``workers``.
     """
     if embeddings.grid != mask.grid:
         raise ValueError("embedding and mask grids must match")
     if len(clusters) == 0:
         raise ValueError("cluster set is empty")
     n = embeddings.grid.n_pixels
-    weights = np.zeros((n, len(clusters)), dtype=np.float64)
-    idx = np.nonzero(mask.mask)[0]
-    values = embeddings.values
     centers = clusters.centers
+    weights = np.zeros((n, centers.shape[0]), dtype=np.float64)
+    idx = np.flatnonzero(mask.mask)
+    values = embeddings.values
 
     def run(start: int, stop: int) -> None:
         rows = idx[start:stop]
-        diff = values[rows, None, :] - centers[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        dist -= dist.min(axis=1, keepdims=True)
-        np.negative(dist, out=dist)
-        np.exp(dist, out=dist)
-        dist /= dist.sum(axis=1, keepdims=True)
-        weights[rows] = dist
+        columns = [values[:, a].take(rows) for a in range(values.shape[1])]
+        block = np.empty((centers.shape[0], stop - start))
+        term = np.empty(stop - start)
+        for dist, center in zip(block, centers):
+            np.subtract(columns[0], center[0], out=dist)
+            np.square(dist, out=dist)
+            for column, coord in zip(columns[1:], center[1:]):
+                np.subtract(column, coord, out=term)
+                np.square(term, out=term)
+                dist += term
+        np.sqrt(block, out=block)
+        np.subtract(block.min(axis=0), block, out=block)  # -(dist - min), exactly
+        np.exp(block, out=block)
+        block /= block.sum(axis=0)
+        weights[rows] = block.T
 
-    _run_chunks(run, _chunk_spans(idx.shape[0], 8192), workers)
+    _run_chunks(run, _chunk_spans(idx.shape[0], _ASSIGN_SPAN), workers)
     return SoftAssignment(embeddings.grid, weights)
 
 
@@ -632,10 +668,8 @@ def _collapse_duplicates(
     means weighted by group size, so the final cluster center is still
     the mean over every underlying seed.
     """
-    keys = np.round(seeds / cell).astype(np.int64)
-    _, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
-    )
+    inverse, _, _ = _group_rows(np.round(seeds / cell))
+    counts = np.bincount(inverse)
     reps = np.zeros((counts.shape[0], seeds.shape[1]), dtype=np.float64)
     np.add.at(reps, inverse, seeds)
     reps /= counts[:, None]
@@ -648,7 +682,7 @@ def hard_labels(assignment: SoftAssignment) -> InstanceSegmentation:
     Assigned pixels get labels 1..C aligned with assignment columns;
     unassigned (all-zero) rows get label 0.
     """
-    labels = np.zeros(assignment.grid.n_pixels, dtype=np.int64)
-    rows = assignment.assigned_rows
-    labels[rows] = np.argmax(assignment.weights[rows], axis=1) + 1
+    labels = np.argmax(assignment.weights, axis=1)
+    labels += 1
+    labels *= assignment.assigned_rows
     return InstanceSegmentation(assignment.grid, labels, assignment.clusters)

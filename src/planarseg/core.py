@@ -8,7 +8,7 @@ Internal arithmetic is 64-bit; narrower inputs are widened on entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -162,11 +162,14 @@ class SoftAssignment:
     """Per-pixel membership weights over clusters.
 
     Rows of assigned (planar) pixels sum to 1; unassigned pixels carry
-    all-zero rows so the grid shape survives end to end.
+    all-zero rows so the grid shape survives end to end. The row sums
+    are taken once at construction, and ``assigned_rows`` returns the
+    read-only mask of nonzero rows cached from them.
     """
 
     grid: ImageGrid
     weights: np.ndarray
+    _assigned: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = _frozen(self.weights, np.float64)
@@ -179,11 +182,14 @@ class SoftAssignment:
             raise ValueError("assignment needs at least one cluster column")
         if weights.min() < 0.0 or weights.max() > 1.0:
             raise ValueError("assignment weights must lie in [0, 1]")
-        sums = weights.sum(axis=1)
+        sums = weights @ np.ones(weights.shape[1])
         ok = (np.abs(sums - 1.0) <= ROW_SUM_TOL) | (sums == 0.0)
         if not np.all(ok):
             raise ValueError("assignment rows must sum to 1 or be all-zero")
+        assigned = sums > 0.0
+        assigned.flags.writeable = False
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_assigned", assigned)
 
     @property
     def clusters(self) -> int:
@@ -192,7 +198,7 @@ class SoftAssignment:
     @property
     def assigned_rows(self) -> np.ndarray:
         """Boolean mask of pixels with a nonzero assignment row."""
-        return self.weights.sum(axis=1) > 0.0
+        return self._assigned
 
 
 @dataclass(frozen=True)
@@ -259,10 +265,9 @@ class DepthMap:
             validity = np.array(self.validity, dtype=bool, copy=True)
         if validity.shape != depth.shape:
             raise ValueError("validity shape must match depth shape")
-        valid = depth[validity]
-        if valid.size and (not np.all(np.isfinite(valid)) or valid.min() <= 0.0):
+        depth[~validity] = 0.0  # only valid entries can fail the checks now
+        if not np.isfinite(depth).all() or np.any((depth <= 0.0) & validity):
             raise ValueError("valid depths must be finite and > 0")
-        depth[~validity] = 0.0
         depth.flags.writeable = False
         validity.flags.writeable = False
         object.__setattr__(self, "depth", depth)
@@ -309,9 +314,9 @@ class PointMap:
             validity = np.array(self.validity, dtype=bool, copy=True)
         if validity.shape != (self.grid.n_pixels,):
             raise ValueError("validity shape must match pixel count")
-        if not np.all(np.isfinite(points[validity])):
-            raise ValueError("valid points must be finite")
         points[~validity] = 0.0
+        if not np.isfinite(points).all():  # only valid rows can be non-finite now
+            raise ValueError("valid points must be finite")
         points.flags.writeable = False
         validity.flags.writeable = False
         object.__setattr__(self, "points", points)

@@ -69,6 +69,16 @@ class Plane:
         return float(1.0 / np.linalg.norm(self.n))
 
 
+def _ray_coords(
+    grid: ImageGrid, intr: CameraIntrinsics
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Viewing-ray coordinates x/z per column and y/z per row; the ray
+    of pixel (row, col) is (x[col], y[row], 1)."""
+    x = (np.arange(grid.width) - intr.cx) / intr.fx
+    y = (np.arange(grid.height) - intr.cy) / intr.fy
+    return x, y
+
+
 def _ray_directions(grid: ImageGrid, intr: CameraIntrinsics) -> np.ndarray:
     """Unnormalized viewing rays (x/z, y/z, 1) per pixel, row-major."""
     v, u = np.divmod(np.arange(grid.n_pixels), grid.width)
@@ -92,8 +102,7 @@ def _render(
     per column and per row, and each plane coefficient is gathered per
     pixel, so the cost is O(N) whatever K is.
     """
-    x = (np.arange(grid.width) - intr.cx) / intr.fx
-    y = (np.arange(grid.height) - intr.cy) / intr.fy
+    x, y = _ray_coords(grid, intr)
     nx, ny, nz = (
         np.ascontiguousarray(column).take(labels).reshape(grid.height, grid.width)
         for column in normals.T
@@ -106,10 +115,20 @@ def _render(
 
 
 def backproject(depth: DepthMap, intr: CameraIntrinsics) -> PointMap:
-    """Lift a depth map to camera-frame 3D points along pixel rays."""
-    rays = _ray_directions(depth.grid, intr)
-    points = rays * depth.depth[:, None]
-    return PointMap(depth.grid, points, depth.validity)
+    """Lift a depth map to camera-frame 3D points along pixel rays.
+
+    The point of pixel (row, col) is depth * (x[col], y[row], 1), with
+    the ray coordinates taken once per column and once per row, so no
+    per-pixel ray array is built.
+    """
+    grid = depth.grid
+    x, y = _ray_coords(grid, intr)
+    z = depth.depth.reshape(grid.height, grid.width)
+    points = np.empty((grid.height, grid.width, 3), dtype=np.float64)
+    np.multiply(x, z, out=points[:, :, 0])
+    np.multiply(y[:, None], z, out=points[:, :, 1])
+    points[:, :, 2] = z
+    return PointMap(grid, points.reshape(-1, 3), depth.validity)
 
 
 def depth_from_plane(
@@ -154,7 +173,7 @@ def pool_instance_params(
     if pixel_params.grid != assignment.grid:
         raise ValueError("pixel params and assignment grids must match")
     weights = assignment.weights
-    mass = weights.sum(axis=0)
+    mass = np.ones(weights.shape[0]) @ weights
     if np.any(mass <= 0.0):
         raise ValueError("empty instance")
     pooled = (weights.T @ pixel_params.params) / mass[:, None]
@@ -162,15 +181,15 @@ def pool_instance_params(
 
 
 def one_hot_assignment(segments: InstanceSegmentation) -> SoftAssignment:
-    """Indicator assignment putting each labeled pixel fully on its instance."""
+    """Indicator assignment putting each labeled pixel fully on its instance.
+
+    Each pixel takes row ``label`` of a (C + 1, C) table whose row 0 is
+    all-zero and whose row j is the indicator of instance j, in one gather.
+    """
     if segments.n_instances < 1:
         raise ValueError("segmentation has no instances")
-    weights = np.zeros(
-        (segments.grid.n_pixels, segments.n_instances), dtype=np.float64
-    )
-    labeled = segments.labels > 0
-    weights[np.nonzero(labeled)[0], segments.labels[labeled] - 1] = 1.0
-    return SoftAssignment(segments.grid, weights)
+    table = np.eye(segments.n_instances + 1, segments.n_instances, k=-1)
+    return SoftAssignment(segments.grid, table.take(segments.labels, axis=0))
 
 
 def fit_plane_lsq(

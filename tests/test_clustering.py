@@ -1,5 +1,8 @@
 """Anchor-based mean shift and its per-pixel oracle."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from planarseg.clustering import (
     soft_assign,
     vanilla_mean_shift,
 )
-from planarseg.clustering import _bin_points, _gaussian_shift
+from planarseg.clustering import _bin_points, _gaussian_shift, _group_rows, _merge_union
 from planarseg.core import EmbeddingMap, ImageGrid, PlanarMask, SoftAssignment
 
 
@@ -339,6 +342,34 @@ class TestUnionFind:
         assert sorted(map(sorted, groups)) == [[0, 2], [1], [3, 4]]
 
 
+class TestGroupRows:
+    def test_matches_dict_grouping(self):
+        rng = np.random.default_rng(4)
+        pool = np.array([0.0, -0.0, 1.0, -3.0, 2.0**60, -1e300, 1e300, 5e-324])
+        keys = rng.choice(pool, size=(500, 3))
+        inverse, order, starts = _group_rows(keys)
+        groups = {}
+        for i, key in enumerate(map(tuple, keys)):
+            groups.setdefault(key, []).append(i)
+        ranked = sorted(groups)
+        assert inverse.max() + 1 == len(ranked) == int(starts.sum())
+        for g, key in enumerate(ranked):
+            assert np.flatnonzero(inverse == g).tolist() == groups[key]
+        np.testing.assert_array_equal(np.sort(order), np.arange(500))
+        np.testing.assert_array_equal(np.flatnonzero(starts), np.searchsorted(
+            inverse[order], np.arange(len(ranked))))
+
+    def test_spatial_hash_with_tiny_radius_joins_only_duplicates(self):
+        # 3000 points take the spatial-hash path of _merge_union. Their cell
+        # keys near 1e154 overflowed the old int64 cast into one shared key.
+        base = np.random.default_rng(5).standard_normal((1500, 2))
+        positions = np.concatenate([base, base])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="invalid value encountered in cast")
+            groups = _merge_union(positions, 1e-154).groups()
+        assert sorted(map(sorted, groups)) == [[i, i + 1500] for i in range(1500)]
+
+
 class TestSoftAssign:
     def test_single_cluster_rows_are_one(self):
         emb, mask = embedding_fixture([[0.0, 0.0], [5.0, 5.0]])
@@ -374,6 +405,62 @@ class TestSoftAssign:
         clusters = ClusterSet(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1, 1]))
         sa = soft_assign(emb, mask, clusters)
         assert sa.weights[0].sum() == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def multi_chunk_input(d, c, monkeypatch):
+        # A 1000-pixel span puts the ~2800 masked pixels into 3 chunks.
+        monkeypatch.setattr(clustering, "_ASSIGN_SPAN", 1000)
+        rng = np.random.default_rng(10 * d + c)
+        grid = ImageGrid(50, 80)
+        emb = EmbeddingMap(grid, rng.normal(0.0, 2.0, size=(grid.n_pixels, d)))
+        mask = PlanarMask(grid, rng.random(grid.n_pixels) < 0.7)
+        assert mask.foreground_count > 2 * 1000
+        clusters = ClusterSet(rng.normal(0.0, 2.0, size=(c, d)), np.ones(c, dtype=np.int64))
+        return emb, mask, clusters
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("c", [1, 2, 9])
+    def test_matches_pixel_major_kernel(self, d, c, monkeypatch):
+        # The (N, C, d) difference kernel that the cluster-major one replaced.
+        emb, mask, clusters = self.multi_chunk_input(d, c, monkeypatch)
+        rows = np.nonzero(mask.mask)[0]
+        diff = emb.values[rows, None, :] - clusters.centers[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        soft = np.exp(-(dist - dist.min(axis=1, keepdims=True)))
+        expected = np.zeros((emb.grid.n_pixels, c))
+        expected[rows] = soft / soft.sum(axis=1, keepdims=True)
+        sa = soft_assign(emb, mask, clusters)
+        np.testing.assert_allclose(sa.weights, expected, rtol=0.0, atol=1e-12)
+        oracle = hard_labels(SoftAssignment(emb.grid, expected))
+        np.testing.assert_array_equal(hard_labels(sa).labels, oracle.labels)
+
+    def test_worker_count_is_bit_identical_across_chunks(self, monkeypatch):
+        emb, mask, clusters = self.multi_chunk_input(3, 9, monkeypatch)
+        serial = soft_assign(emb, mask, clusters, workers=1)
+        parallel = soft_assign(emb, mask, clusters, workers=2)
+        np.testing.assert_array_equal(serial.weights, parallel.weights)
+
+    def test_peak_memory_is_two_weight_arrays_and_one_span(self):
+        # 200k masked pixels, C = 8, d = 2. The result and its frozen copy
+        # are two N x C arrays; beyond them only one span's scratch, the
+        # masked-pixel index and per-row check vectors may be live. An
+        # (N, C, d) difference tensor alone would add 25.6 MB.
+        grid = ImageGrid(500, 500)
+        n, c, d = grid.n_pixels, 8, 2
+        rng = np.random.default_rng(0)
+        emb = EmbeddingMap(grid, rng.normal(size=(n, d)))
+        mask = PlanarMask(grid, np.arange(n) < 200_000)
+        clusters = ClusterSet(rng.normal(size=(c, d)), np.ones(c, dtype=np.int64))
+        span = clustering._ASSIGN_SPAN
+        weights = 2 * n * c * 8
+        scratch = span * (c + d + 2) * 8 + 200_000 * 8 + 4 * n * 8
+        tracemalloc.start()
+        try:
+            soft_assign(emb, mask, clusters)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert weights < peak <= weights + scratch
 
 
 class TestCluster:
@@ -448,6 +535,16 @@ class TestVanilla:
         emb, mask = embedding_fixture(np.array([[0.0], [1.5]]))
         clusters, _ = vanilla_mean_shift(emb, mask, bandwidth=0.5)
         assert len(clusters) == 2
+
+    @pytest.mark.parametrize("bandwidth", [1e-12, 1e-18, 1e-154])
+    def test_tiny_bandwidth_keeps_distinct_points_apart(self, bandwidth):
+        # Mode keys of 1e18 and more must not wrap into one shared key.
+        values = np.random.default_rng(0).standard_normal((20, 2))
+        emb, mask = embedding_fixture(values)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="invalid value encountered in cast")
+            clusters, _ = vanilla_mean_shift(emb, mask, bandwidth=bandwidth)
+        assert len(clusters) == 20
 
     def test_validates_arguments(self):
         emb, mask = embedding_fixture([[0.0]])

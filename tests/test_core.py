@@ -111,6 +111,36 @@ class TestSoftAssignment:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SoftAssignment(GRID, weights)
 
+    def test_assigned_rows_match_row_sums_and_are_read_only(self):
+        rng = np.random.default_rng(0)
+        for c in (1, 3, 8):
+            weights = rng.random((500, c))
+            weights /= weights.sum(axis=1, keepdims=True)
+            weights[rng.random(500) < 0.3] = 0.0
+            sa = SoftAssignment(ImageGrid(20, 25), weights)
+            np.testing.assert_array_equal(sa.assigned_rows, sa.weights.sum(axis=1) > 0)
+            assert not sa.assigned_rows.flags.writeable
+            with pytest.raises(ValueError):
+                sa.assigned_rows[0] = not sa.assigned_rows[0]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([np.nan, 0.5], "sum to 1"),
+            # these two sum to 1 within the tolerance; only the range check fails
+            ([-5e-10, 1.0], r"\[0, 1\]"),
+            ([1.0 + 5e-10, 0.0], r"\[0, 1\]"),
+            ([0.5, 0.5 + 2e-9], "sum to 1"),
+            ([0.5, 0.5 - 2e-9], "sum to 1"),
+        ],
+    )
+    def test_rejects_invalid_rows(self, row, message):
+        weights = np.zeros((6, 2))
+        weights[[0, 4]] = [0.25, 0.75]
+        weights[2] = row
+        with pytest.raises(ValueError, match=message):
+            SoftAssignment(GRID, weights)
+
 
 class TestParams:
     def test_pixel_params_shape(self):
@@ -142,6 +172,24 @@ class TestDepthAndPoints:
         points = np.ones((6, 3))
         pm = PointMap(GRID, points, np.array([1, 0, 1, 1, 1, 1], dtype=bool))
         assert pm.points[1].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
+    def test_only_valid_depths_are_checked(self, bad):
+        validity = np.array([1, 0, 1, 1, 1, 1], dtype=bool)
+        depth = np.full(6, 2.0)
+        depth[1] = bad
+        assert DepthMap(GRID, depth, validity).depth[1] == 0.0
+        with pytest.raises(ValueError, match="finite and > 0"):
+            DepthMap(GRID, depth)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_only_valid_points_are_checked(self, bad):
+        validity = np.array([1, 0, 1, 1, 1, 1], dtype=bool)
+        points = np.ones((6, 3))
+        points[1, 2] = bad
+        assert PointMap(GRID, points, validity).points[1].tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="finite"):
+            PointMap(GRID, points)
 
 
 class TestCameraIntrinsics:

@@ -68,6 +68,19 @@ class TestBackproject:
         assert not pm.validity[1]
         np.testing.assert_array_equal(pm.points[1], [0.0, 0.0, 0.0])
 
+    def test_matches_per_pixel_rays_exactly(self):
+        # Oracle: the (u, v) of every pixel from a divmod, one ray per pixel.
+        grid = ImageGrid(7, 5)
+        intr = CameraIntrinsics(fx=4.5, fy=3.7, cx=2.3, cy=3.1)
+        rng = np.random.default_rng(0)
+        depth = DepthMap(grid, rng.uniform(0.5, 9.0, grid.n_pixels), rng.random(35) < 0.8)
+        v, u = np.divmod(np.arange(grid.n_pixels), grid.width)
+        rays = np.stack([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy,
+                         np.ones(grid.n_pixels)], axis=1)
+        pm = backproject(depth, intr)
+        np.testing.assert_array_equal(pm.points, rays * depth.depth[:, None])
+        np.testing.assert_array_equal(pm.validity, depth.validity)
+
 
 class TestDepthFromPlane:
     def test_fronto_parallel_at_two_meters(self):
