@@ -3,11 +3,14 @@
 Two variants share one Gaussian-kernel shift step:
 
 * :func:`cluster` moves a small grid of anchors instead of every pixel.
-  One O(N) pass first bins the masked embeddings into cells of side
-  ``BIN_SIDE * bandwidth`` and keeps each occupied cell's centroid and
-  pixel count; anchor densities and every shift then run against those
-  B weighted centroids, so each iteration costs O(k^d * B) with B <= N
-  rather than O(N^2).
+  One O(N) pass first bins the masked embeddings, gathered once as d
+  columns, into cells of side ``BIN_SIDE * bandwidth`` and keeps each
+  occupied cell's centroid and pixel count; anchor densities and every
+  shift then run against those B weighted centroids. The Gaussian
+  factors over axes, so the k^d grid densities cost O(d * k * B) exps
+  plus a GEMM, and each shift of M anchors costs O(M * B) with B <= N
+  rather than O(N^2), over kernel tiles small enough for a core's L2
+  cache.
 * :func:`vanilla_mean_shift` is the classic per-pixel baseline used as a
   correctness oracle; it runs the exact, unweighted kernel on every
   pixel.
@@ -24,7 +27,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,10 +52,18 @@ __all__ = [
 # Densities below this are treated as numerically zero; the anchor stays put.
 ZERO_DENSITY = 1e-300
 
-# Rows per shift chunk are sized so each scratch buffer holds about this
-# many float64 entries, keeping per-chunk memory behavior uniform across
-# problem sizes (which keeps timing scalings clean).
+# Rows per shift chunk are sized so a chunk's rows against all points
+# span about this many float64 entries; the grid-density spans and the
+# pairwise merge blocks are bounded by it too, keeping per-chunk memory
+# behavior uniform across problem sizes.
 _CHUNK_TARGET = 1 << 21
+
+# Floats per kernel tile of one shift step: each chunk of seeds meets the
+# points in tiles this small, so the tile's clamp, scale and exp passes
+# run in a per-core L2 cache (a 2^21-float tile ran those passes about
+# 1.5-2x slower per element), and the per-element cost, hence the
+# per-iteration scaling, does not depend on the point count.
+_TILE_TARGET = 1 << 17
 
 # Masked pixels per soft-assignment span: each span's (C, span) block
 # stays a few MiB for the usual cluster counts, and the per-center calls
@@ -66,9 +77,14 @@ _ASSIGN_SPAN = 1 << 16
 # some scenes where 0.05 did not.
 BIN_SIDE = 0.05
 
-# The dense binning pass allocates one counter per cell of the key space;
-# above this many cells per point it sorts the occupied keys instead.
-_DENSE_KEYS_PER_POINT = 4
+# The dense binning pass holds about 17 bytes per cell of the key space
+# (an int64 count, an occupied flag and an int64 rank); above this many
+# cells per point it sorts the occupied keys instead. On uniform 2-D
+# points (one core of a 2-core Xeon) the dense count stays the faster up
+# to 16-32 cells per point; at 8 it took 6.5 against 10.0 ms for 40k
+# points and 38 against 104 ms for 270k. 8 keeps its scratch within
+# about 136 bytes per point.
+_DENSE_KEYS_PER_POINT = 8
 
 
 @dataclass(frozen=True)
@@ -243,16 +259,35 @@ def _gaussian_shift(
     normalization factor. Seeds with numerically zero density stay put.
     ``weights`` (one per point, e.g. bin pixel counts) scale each
     point's kernel value; None weighs every point once.
-    Each chunk owns disjoint output rows, so the reduction order inside
+
+    Per chunk of seeds and per tile of points, one GEMM
+    ``[a | |a|^2 | 1] @ [-2p | 1 | |p|^2]^T`` gives the squared
+    distances, which are clamped at 0, scaled by -1 / (2 b^2) and
+    exponentiated in place; a second GEMM against the moments
+    ``[w p | w]`` adds the tile's weighted sums and totals. The scale is
+    applied only after the sum, so a tiny bandwidth cannot overflow the
+    GEMM's terms. Chunks and tiles depend only on the problem size, and
+    each chunk owns disjoint output rows, so the reduction order inside
     a row is fixed and the result is independent of ``workers``.
     """
     m, d = seeds.shape
     n = points.shape[0]
     rows = max(1, min(m, _CHUNK_TARGET // max(n, 1)))
+    tile = max(1, min(n, _TILE_TARGET // rows))
     out = np.empty_like(seeds)
     dens = np.empty(m, dtype=np.float64)
-    points_c = np.ascontiguousarray(points)
-    sq_pts = np.einsum("ij,ij->i", points_c, points_c)
+    lifted = np.empty((m, d + 2))
+    lifted[:, :d] = seeds
+    lifted[:, d] = np.einsum("ij,ij->i", seeds, seeds)
+    lifted[:, d + 1] = 1.0
+    ends = np.empty((n, d + 2))
+    np.multiply(points, -2.0, out=ends[:, :d])
+    ends[:, d] = 1.0
+    ends[:, d + 1] = np.einsum("ij,ij->i", points, points)
+    w = np.ones(n) if weights is None else weights
+    moments = np.empty((n, d + 1))
+    np.multiply(points, w[:, None], out=moments[:, :d])
+    moments[:, d] = w
     inv = -1.0 / (2.0 * bandwidth * bandwidth)
     prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth)
     scratch: Dict[int, np.ndarray] = {}
@@ -261,48 +296,42 @@ def _gaussian_shift(
         key = threading.get_ident()
         buf = scratch.get(key)
         if buf is None:
-            buf = scratch[key] = np.empty((rows, n))
-        block = seeds[start:stop]
-        kern = buf[: stop - start]
-        np.matmul(block, points_c.T, out=kern)
-        kern *= -2.0
-        kern += np.einsum("ij,ij->i", block, block)[:, None]
-        kern += sq_pts[None, :]
-        np.maximum(kern, 0.0, out=kern)
-        kern *= inv
-        np.exp(kern, out=kern)
-        if weights is not None:
-            kern *= weights[None, :]
-        total = kern.sum(axis=1)
-        np.matmul(kern, points_c, out=out[start:stop])
+            buf = scratch[key] = np.empty(rows * tile)
+        sums = np.zeros((stop - start, d + 1))
+        for first, last in _chunk_spans(n, tile):
+            kern = buf[: (stop - start) * (last - first)].reshape(stop - start, -1)
+            np.matmul(lifted[start:stop], ends[first:last].T, out=kern)
+            np.maximum(kern, 0.0, out=kern)
+            kern *= inv
+            np.exp(kern, out=kern)
+            sums += kern @ moments[first:last]
+        total = sums[:, d]
         alive = total > ZERO_DENSITY
         safe = np.where(alive, total, 1.0)
-        out[start:stop] /= safe[:, None]
-        out[start:stop][~alive] = block[~alive]
+        np.divide(sums[:, :d], safe[:, None], out=out[start:stop])
+        out[start:stop][~alive] = seeds[start:stop][~alive]
         dens[start:stop] = prefactor * total
 
     _run_chunks(run, _chunk_spans(m, rows), workers)
     return out, dens
 
 
-def _masked_values(embeddings: EmbeddingMap, mask: PlanarMask) -> np.ndarray:
+def _masked_columns(embeddings: EmbeddingMap, mask: PlanarMask) -> List[np.ndarray]:
+    """The masked embeddings as d contiguous columns, one gather each."""
     if embeddings.grid != mask.grid:
         raise ValueError("embedding and mask grids must match")
-    values = embeddings.values[mask.mask]
-    if values.shape[0] == 0:
+    idx = np.flatnonzero(mask.mask)
+    if idx.shape[0] == 0:
         raise ValueError("no planar pixels")
-    return values
+    values = embeddings.values
+    return [values[:, a].take(idx) for a in range(values.shape[1])]
 
 
-def _bounds(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-axis min and max. Reducing each column on its own is much
-    faster than ``min(axis=0)`` on a tall array with few columns."""
-    columns = [values[:, a] for a in range(values.shape[1])]
-    return np.array([c.min() for c in columns]), np.array([c.max() for c in columns])
-
-
-def _group_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group equal rows of a float key array by one lexicographic sort.
+def _group_rows(
+    columns: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal rows of float keys, given as d key columns, by one
+    lexicographic sort.
 
     Returns (inverse, order, starts): each row's group index, with groups
     numbered in lexicographic key order; the sorting permutation; and a
@@ -310,11 +339,11 @@ def _group_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts. Keys stay floats, so no cast can wrap them however large
     they grow.
     """
-    n = keys.shape[0]
-    order = np.lexsort(keys.T[::-1])
+    n = columns[0].shape[0]
+    order = np.lexsort(columns[::-1])
     starts = np.zeros(n, dtype=bool)
     starts[:1] = True
-    for column in keys.T:
+    for column in columns:
         ordered = column[order]
         starts[1:] |= ordered[1:] != ordered[:-1]
     inverse = np.empty(n, dtype=np.int64)
@@ -322,34 +351,51 @@ def _group_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return inverse, order, starts
 
 
-def _bin_points(values: np.ndarray, side: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Group points into cubic cells of the given side, in one O(N) pass.
+def _bin_points(
+    columns: Sequence[np.ndarray], side: float
+) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Group points, given as d columns, into cubic cells of the given
+    side, in one O(N) pass.
 
-    Returns (centroids, counts): the mean of the points in each occupied
-    cell and how many points it holds (as float64 kernel weights), with
-    cells ordered lexicographically by their integer coordinates. Small
-    key spaces are counted densely with ``np.bincount``; larger ones
+    Returns (box, centroids, counts): the per-axis (min, max) of the
+    points, the mean of the points in each occupied cell and how many
+    points it holds (as float64 kernel weights), with cells ordered
+    lexicographically by their integer coordinates. Each axis's bounds
+    and cell keys come from its own column. Key spaces of up to
+    ``_DENSE_KEYS_PER_POINT`` cells per point are counted densely with
+    ``np.bincount`` over a flat key built column by column; larger ones
     (high dimensions, wide spreads) sort the keys with ``np.lexsort``
     instead, so no array outgrows O(N). Keys stay floats until the dense
     path has shown that they fit, so they cannot overflow int64.
     """
-    n, d = values.shape
-    lo, hi = _bounds(values)
-    keys = np.floor((values - lo) / side)
+    n = columns[0].shape[0]
+    lo = np.array([column.min() for column in columns])
+    hi = np.array([column.max() for column in columns])
     dims = np.floor((hi - lo) / side) + 1.0  # the largest key is the max's
-    if float(np.prod(dims)) <= _DENSE_KEYS_PER_POINT * n:
-        shape = tuple(int(x) for x in dims)
-        flat = np.ravel_multi_index(tuple(keys.astype(np.int64).T), shape)
-        occupied = np.bincount(flat, minlength=math.prod(shape)) > 0
-        inverse = (np.cumsum(occupied) - 1)[flat]
+    cells = float(np.prod(dims))
+    if cells <= _DENSE_KEYS_PER_POINT * n:
+        # Row-major flat keys, accumulated as floats: they stay below
+        # cells <= 2**53, so every sum and product is exact.
+        flat = np.zeros(n)
+        for column, low, size in zip(columns, lo, dims):
+            key = column - low
+            key /= side
+            flat *= size
+            flat += np.floor(key, out=key)
+        index = flat.astype(np.int64)
+        occupied = np.bincount(index, minlength=int(cells)) > 0
+        inverse = np.cumsum(occupied)[index]
+        inverse -= 1
     else:
-        inverse, _, _ = _group_rows(keys)
+        inverse, _, _ = _group_rows(
+            [np.floor((column - low) / side) for column, low in zip(columns, lo)]
+        )
     bins = int(inverse.max()) + 1
     counts = np.bincount(inverse, minlength=bins).astype(np.float64)
     sums = np.stack(
-        [np.bincount(inverse, values[:, a], minlength=bins) for a in range(d)], axis=1
+        [np.bincount(inverse, column, minlength=bins) for column in columns], axis=1
     )
-    return sums / counts[:, None], counts
+    return (lo, hi), sums / counts[:, None], counts
 
 
 def _binned_values(
@@ -364,9 +410,50 @@ def _binned_values(
         raise ValueError(
             f"config.dim={config.dim} does not match embedding dim {embeddings.dim}"
         )
-    values = _masked_values(embeddings, mask)
-    centroids, counts = _bin_points(values, BIN_SIDE * config.bandwidth)
-    return _bounds(values), centroids, counts
+    return _bin_points(_masked_columns(embeddings, mask), BIN_SIDE * config.bandwidth)
+
+
+def _grid_densities(
+    axes: List[np.ndarray], points: np.ndarray, weights: np.ndarray, bandwidth: float
+) -> np.ndarray:
+    """Weighted kernel densities at every node of the grid
+    ``axes[0] x ... x axes[d-1]``, in C order (last axis fastest).
+
+    The Gaussian factors over axes, so per span of points each axis needs
+    one (k, span) table exp(-(x - p_a)^2 / (2 b^2)). The outer product of
+    the tables of every axis but the last is contracted with the last
+    axis's weighted table in one GEMM. If the k^(d-1) rows of that
+    product do not fit in half of ``_CHUNK_TARGET`` floats, the leading
+    axes are looped over instead. The span is sized so that one span's
+    tables and outer products stay within ``_CHUNK_TARGET`` floats.
+    """
+    d, k, n = len(axes), axes[0].shape[0], points.shape[0]
+    inner = d - 1  # row axes held in one block; the `outer` leading ones loop
+    while inner > 0 and k**inner > _CHUNK_TARGET // 2:
+        inner -= 1
+    outer = d - 1 - inner
+    span = max(1, min(n, _CHUNK_TARGET // (2 * k**inner + d * k)))
+    inv = -1.0 / (2.0 * bandwidth * bandwidth)
+    sums = np.zeros((k**outer, k**inner, k))
+    for start, stop in _chunk_spans(n, span):
+        tables = []
+        for a, axis in enumerate(axes):
+            table = np.subtract.outer(axis, points[start:stop, a])
+            np.square(table, out=table)
+            table *= inv
+            np.exp(table, out=table)
+            tables.append(table)
+        tables[-1] *= weights[start:stop]
+        for p, prefix in enumerate(np.ndindex(*(k,) * outer)):
+            block = tables[outer] if inner else np.ones(stop - start)
+            for a, i in enumerate(prefix):
+                block = block * tables[a][i]
+            block = block.reshape(-1, stop - start)
+            for table in tables[outer + 1 : d - 1]:
+                block = (block[:, None, :] * table[None, :, :]).reshape(-1, stop - start)
+            sums[p] += block @ tables[-1].T
+    prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth)
+    return prefactor * sums.ravel()
 
 
 def _anchor_grid(
@@ -379,8 +466,9 @@ def _anchor_grid(
     axes = [np.linspace(lo[a], hi[a], config.anchors_per_dim) for a in range(config.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     positions = np.stack([m.ravel() for m in mesh], axis=1)
-    _, densities = _gaussian_shift(positions, centroids, config.bandwidth, weights=counts)
-    return AnchorState(positions, densities)
+    return AnchorState(
+        positions, _grid_densities(axes, centroids, counts, config.bandwidth)
+    )
 
 
 def init_anchors(
@@ -391,7 +479,9 @@ def init_anchors(
     Endpoints are inclusive; a zero-extent axis collapses to its single
     coordinate. Densities are the kernel sums at the initial positions,
     taken over the count-weighted bin centroids (see :func:`_bin_points`):
-    one O(N) binning pass, then O(k^d * B) for B occupied bins.
+    one O(N) binning pass, then, because the Gaussian factors over axes,
+    O(d * k * B) exps for B occupied bins plus a GEMM that contracts the
+    per-axis factors into the k^d sums (see :func:`_grid_densities`).
     """
     return _anchor_grid(*_binned_values(embeddings, mask, config), config)
 
@@ -434,25 +524,29 @@ def filter_low_density(state: AnchorState, config: MeanShiftConfig) -> AnchorSta
 
 def _merge_union(positions: np.ndarray, radius: float) -> UnionFind:
     """Union-find over points with an edge where distance < radius."""
-    m = positions.shape[0]
+    m, d = positions.shape
     uf = UnionFind(m)
-    if m <= 2048:
-        diff = positions[:, None, :] - positions[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        close = dist < radius
-        for i in range(m):
-            for j in np.nonzero(close[i, i + 1 :])[0]:
-                uf.union(i, int(i + 1 + j))
-        return uf
     # Spatial hash for large point sets: cells small enough that any two
     # points sharing a cell are strictly within the radius, so whole
     # cells union directly and only nearby cell pairs need exact checks.
     # Keys stay floats, so a radius tiny against the coordinates cannot
-    # wrap them; below 2**53 they are exact integers.
-    d = positions.shape[1]
-    cell = radius / (math.sqrt(d) * (1.0 + 1e-9))
-    keys = np.floor(positions / cell)
-    _, order, starts = _group_rows(keys)
+    # wrap them; below 2**53 they are exact integers. A radius so tiny
+    # that a key overflows to inf gets the exact pairwise checks instead.
+    keys = None
+    if m > 2048:
+        cell = radius / (math.sqrt(d) * (1.0 + 1e-9))
+        with np.errstate(over="ignore"):
+            keys = np.floor(positions / cell)
+    if keys is None or not np.isfinite(keys).all():
+        rows = max(1, _CHUNK_TARGET // (m * d))
+        for start in range(0, m, rows):
+            diff = positions[start : start + rows, None, :] - positions[None, :, :]
+            close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) < radius
+            for i, j in zip(*np.nonzero(close)):
+                if start + i < j:
+                    uf.union(int(start + i), int(j))
+        return uf
+    _, order, starts = _group_rows(keys.T)
     buckets: Dict[Tuple[float, ...], np.ndarray] = {}
     for span in np.split(order, np.flatnonzero(starts)[1:]):
         buckets[tuple(keys[span[0]])] = span
@@ -643,7 +737,7 @@ def vanilla_mean_shift(
     _check_bandwidth(bandwidth)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    values = _masked_values(embeddings, mask)
+    values = np.stack(_masked_columns(embeddings, mask), axis=1)
     seeds = values.copy()
     for _ in range(max_iters):
         moved, _ = _gaussian_shift(seeds, values, bandwidth, workers=workers)
@@ -668,7 +762,7 @@ def _collapse_duplicates(
     means weighted by group size, so the final cluster center is still
     the mean over every underlying seed.
     """
-    inverse, _, _ = _group_rows(np.round(seeds / cell))
+    inverse, _, _ = _group_rows(np.round(seeds / cell).T)
     counts = np.bincount(inverse)
     reps = np.zeros((counts.shape[0], seeds.shape[1]), dtype=np.float64)
     np.add.at(reps, inverse, seeds)

@@ -1,5 +1,6 @@
 """Anchor-based mean shift and its per-pixel oracle."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from planarseg import clustering
 from planarseg.clustering import (
     BIN_SIDE,
+    ZERO_DENSITY,
     AnchorState,
     ClusterSet,
     MeanShiftConfig,
@@ -131,6 +133,53 @@ class TestInitAnchors:
         with pytest.raises(ValueError, match="dim"):
             init_anchors(emb, mask, MeanShiftConfig(dim=3))
 
+    @pytest.mark.parametrize(
+        "d, flat_axis, target",
+        [(1, None, None), (2, None, None), (3, None, None), (3, 1, None), (3, None, 90)],
+    )
+    def test_separable_densities_match_gaussian_shift(
+        self, d, flat_axis, target, monkeypatch
+    ):
+        # The grid densities come from per-axis factor tables; the shift
+        # kernel sums the same weighted Gaussians at the same positions.
+        # A 90-float chunk target holds 7 but not 7^2 rows, so the first
+        # axis is looped over, two points per span.
+        if target is not None:
+            monkeypatch.setattr(clustering, "_CHUNK_TARGET", target)
+        rng = np.random.default_rng(20 + d)
+        values = rng.uniform(0.0, 2.0, size=(3000, d))
+        values[1500:] = values[:1500] + 1e-4  # shared bins, counts > 1
+        if flat_axis is not None:
+            values[:, flat_axis] = 0.7
+        emb, mask = embedding_fixture(values)
+        config = MeanShiftConfig(anchors_per_dim=7, dim=d, bandwidth=0.5)
+        _, centroids, counts = _bin_points(values.T, BIN_SIDE * config.bandwidth)
+        assert counts.max() >= 2
+        state = init_anchors(emb, mask, config)
+        _, expected = _gaussian_shift(state.positions, centroids, 0.5, weights=counts)
+        np.testing.assert_allclose(state.densities, expected, rtol=1e-13, atol=0.0)
+
+    def test_separable_contraction_stays_within_chunk_target(self):
+        # d = 4, k = 10 against ~25k bins: the outer product of the first
+        # three axes' tables over every bin would be 1000 x 25k floats
+        # (200 MB). One span's tables and products stay within
+        # _CHUNK_TARGET floats; beyond them only the k^d-row positions
+        # (grid, mesh and frozen copy) and the O(N d) columns, keys and
+        # bins may be live.
+        n, d, k = 25_000, 4, 10
+        values = np.random.default_rng(6).uniform(0.0, 1.0, size=(n, d))
+        emb, mask = embedding_fixture(values)
+        config = MeanShiftConfig(anchors_per_dim=k, dim=d, bandwidth=0.5)
+        tracemalloc.start()
+        try:
+            state = init_anchors(emb, mask, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        _, _, counts = _bin_points(values.T, BIN_SIDE * config.bandwidth)
+        assert counts.shape[0] >= 20_000 and len(state) == k**d
+        assert peak <= 8 * (clustering._CHUNK_TARGET + 4 * k**d * d + 4 * n * d)
+
 
 class TestShiftAnchors:
     def test_single_point_fixed_point(self):
@@ -185,6 +234,58 @@ class TestShiftAnchors:
             assert np.all(state.positions <= values.max(axis=0) + 1e-12)
 
 
+def reference_shift(seeds, points, bandwidth, weights=None):
+    """The pass-by-pass kernel that the fused one replaced."""
+    kern = seeds @ points.T
+    kern *= -2.0
+    kern += np.einsum("ij,ij->i", seeds, seeds)[:, None]
+    kern += np.einsum("ij,ij->i", points, points)[None, :]
+    np.maximum(kern, 0.0, out=kern)
+    kern *= -1.0 / (2.0 * bandwidth * bandwidth)
+    np.exp(kern, out=kern)
+    if weights is not None:
+        kern *= weights[None, :]
+    total = kern.sum(axis=1)
+    out = kern @ points
+    alive = total > ZERO_DENSITY
+    out /= np.where(alive, total, 1.0)[:, None]
+    out[~alive] = seeds[~alive]
+    return out, total / (math.sqrt(2.0 * math.pi) * bandwidth)
+
+
+class TestGaussianShift:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_pass_by_pass_kernel(self, d, weighted, monkeypatch):
+        # 40 seeds against 300 points in chunks of 10 rows and tiles of
+        # 100 points: 4 chunks of 3 tiles. The last seed sits ~60
+        # bandwidths out, where every kernel value underflows to 0, so it
+        # stays put.
+        monkeypatch.setattr(clustering, "_CHUNK_TARGET", 3000)
+        monkeypatch.setattr(clustering, "_TILE_TARGET", 1000)
+        rng = np.random.default_rng(30 + d)
+        points = rng.normal(0.0, 1.0, size=(300, d))
+        seeds = rng.normal(0.0, 1.2, size=(40, d))
+        seeds[-1] = 30.0
+        weights = rng.integers(1, 9, size=300).astype(np.float64) if weighted else None
+        out, dens = _gaussian_shift(seeds, points, 0.5, weights=weights)
+        expected, expected_dens = reference_shift(seeds, points, 0.5, weights)
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dens, expected_dens, rtol=1e-12, atol=0.0)
+        assert dens[-1] == 0.0 and dens[:-1].min() > 0.0
+        np.testing.assert_array_equal(out[-1], seeds[-1])
+
+    def test_worker_count_is_bit_identical_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(clustering, "_CHUNK_TARGET", 3000)
+        monkeypatch.setattr(clustering, "_TILE_TARGET", 1000)
+        rng = np.random.default_rng(7)
+        points, seeds = rng.normal(size=(300, 3)), rng.normal(size=(40, 3))
+        serial = _gaussian_shift(seeds, points, 0.5, workers=1)
+        parallel = _gaussian_shift(seeds, points, 0.5, workers=3)
+        np.testing.assert_array_equal(serial[0], parallel[0])
+        np.testing.assert_array_equal(serial[1], parallel[1])
+
+
 def anchor_grid(values, k=10):
     lo, hi = values.min(axis=0), values.max(axis=0)
     axes = [np.linspace(lo[a], hi[a], k) for a in range(values.shape[1])]
@@ -210,7 +311,7 @@ class TestBinning:
         exact, exact_dens = _gaussian_shift(anchors, values, b)
         errors = []
         for c in (0.1, 0.05, 0.025):
-            centroids, counts = _bin_points(values, c * b)
+            _, centroids, counts = _bin_points(values.T, c * b)
             assert centroids.shape[0] < values.shape[0]
             binned, binned_dens = _gaussian_shift(anchors, centroids, b, weights=counts)
             error = np.abs(binned - exact).max()
@@ -229,7 +330,7 @@ class TestBinning:
         values = 0.3 * lattice.reshape(-1, 2) + rng.uniform(-0.05, 0.05, size=(108, 2))
         emb, mask = embedding_fixture(values)
         config = MeanShiftConfig(bandwidth=0.5)
-        centroids, counts = _bin_points(values, BIN_SIDE * config.bandwidth)
+        _, centroids, counts = _bin_points(values.T, BIN_SIDE * config.bandwidth)
         np.testing.assert_array_equal(counts, np.ones(108))
         np.testing.assert_array_equal(
             centroids[np.lexsort(centroids.T)], values[np.lexsort(values.T)]
@@ -242,24 +343,35 @@ class TestBinning:
         np.testing.assert_allclose(shifted.densities, exact_dens, rtol=1e-12)
 
     def test_sparse_key_fallback_matches_dense_counting(self, monkeypatch):
-        # d = 8 spread over 5-6 cells per axis: about 5.6e5 cells, far above
-        # 4 * N, so the occupied keys are sorted instead of counted densely.
         rng = np.random.default_rng(2)
-        values = rng.uniform(0.0, 0.125, size=(2000, 8))
-        values[1000:] = values[:1000] + 1e-4  # shared cells, counts > 1
-        sparse = _bin_points(values, 0.025)
-        monkeypatch.setattr(clustering, "_DENSE_KEYS_PER_POINT", 1000)
-        dense = _bin_points(values, 0.025)
-        np.testing.assert_array_equal(sparse[0], dense[0])
-        np.testing.assert_array_equal(sparse[1], dense[1])
-        assert sparse[1].sum() == 2000 and sparse[1].max() >= 2
+        inputs = [
+            # d = 8 spread over 5-6 cells per axis: about 5.6e5 cells, far
+            # above 8 * N, so the occupied keys are sorted by default.
+            (rng.uniform(0.0, 0.125, size=(2000, 8)), False),
+            # 2-D over 120 x 100 cells: 6 per point, between 4 * N and
+            # 8 * N, so they are counted densely by default.
+            (rng.uniform(0.0, 1.0, size=(2000, 2)) * [2.99, 2.49], True),
+        ]
+        for values, dense_by_default in inputs:
+            values[1000:] = values[:1000] + 1e-4  # shared cells, counts > 1
+            box, _, _ = _bin_points(values.T, 0.025)
+            cells = np.prod(np.floor((box[1] - box[0]) / 0.025) + 1.0)
+            assert (4 * 2000 < cells <= 8 * 2000) == dense_by_default
+            monkeypatch.setattr(clustering, "_DENSE_KEYS_PER_POINT", 0)
+            _, *sparse = _bin_points(values.T, 0.025)
+            monkeypatch.setattr(clustering, "_DENSE_KEYS_PER_POINT", 1000)
+            _, *dense = _bin_points(values.T, 0.025)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(sparse[0], dense[0])
+            np.testing.assert_array_equal(sparse[1], dense[1])
+            assert sparse[1].sum() == 2000 and sparse[1].max() >= 2
 
     def test_key_space_beyond_int64_bins_by_sorting(self):
         # 8 axes of ~4e7 cells: the key space (~1e61) overflows int64.
         rng = np.random.default_rng(3)
         values = rng.uniform(0.0, 1e6, size=(300, 8))
         values[150:] = values[:150] + 1e-3
-        centroids, counts = _bin_points(values, 0.025)
+        _, centroids, counts = _bin_points(values.T, 0.025)
         keys = np.floor((values - values.min(axis=0)) / 0.025)
         groups = {}
         for key, row in zip(map(tuple, keys), values):
@@ -347,7 +459,7 @@ class TestGroupRows:
         rng = np.random.default_rng(4)
         pool = np.array([0.0, -0.0, 1.0, -3.0, 2.0**60, -1e300, 1e300, 5e-324])
         keys = rng.choice(pool, size=(500, 3))
-        inverse, order, starts = _group_rows(keys)
+        inverse, order, starts = _group_rows(keys.T)
         groups = {}
         for i, key in enumerate(map(tuple, keys)):
             groups.setdefault(key, []).append(i)
@@ -368,6 +480,28 @@ class TestGroupRows:
             warnings.filterwarnings("error", message="invalid value encountered in cast")
             groups = _merge_union(positions, 1e-154).groups()
         assert sorted(map(sorted, groups)) == [[i, i + 1500] for i in range(1500)]
+
+    def test_overflowing_hash_keys_fall_back_to_pairwise(self):
+        # At radius 1e-320 the hash cell is subnormal and every key in
+        # [1, 2]^2 overflows to inf; one shared inf key once merged all
+        # 3000 anchors into one cluster. Only exact duplicates are closer.
+        base = np.random.default_rng(8).uniform(1.0, 2.0, size=(2000, 2))
+        positions = np.concatenate([base, base[:1000]])
+        radius = 1e-320
+        oracle = UnionFind(3000)
+        for start in range(0, 3000, 500):
+            diff = positions[start : start + 500, None, :] - positions[None, :, :]
+            close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) < radius
+            for i, j in zip(*np.nonzero(close)):
+                oracle.union(start + int(i), int(j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            groups = _merge_union(positions, radius).groups()
+            merged = merge_anchors(
+                AnchorState(positions, np.ones(3000)), MeanShiftConfig(merge_radius=radius)
+            )
+        assert sorted(map(sorted, groups)) == sorted(map(sorted, oracle.groups()))
+        assert len(merged) == len(oracle.groups()) == 2000
 
 
 class TestSoftAssign:

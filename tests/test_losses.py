@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarseg import losses
 from planarseg.core import (
     EmbeddingMap,
     ImageGrid,
@@ -354,6 +355,30 @@ class TestInstanceParamLoss:
             params_arr,
         )
         assert rel_err(grad, fd) < FD_TOL
+
+
+    def test_spans_match_whole_array_formula(self, monkeypatch):
+        # 2500 assigned pixels in spans of 1000: three spans, against the
+        # one-shot formula over all assigned rows.
+        monkeypatch.setattr(losses, "_IPL_SPAN", 1000)
+        rng = np.random.default_rng(11)
+        grid = ImageGrid(50, 60)
+        pts = rng.normal(size=(3000, 3)) + np.array([0.0, 0.0, 3.0])
+        points = PointMap(grid, pts)
+        raw = rng.uniform(0.1, 1.0, (3000, 4))
+        raw[rng.permutation(3000)[:500]] = 0.0
+        sums = raw.sum(axis=1, keepdims=True)
+        sa = SoftAssignment(grid, raw / np.where(sums > 0.0, sums, 1.0))
+        params = rng.normal(0.0, 0.4, (4, 3)) + np.array([0.0, 0.0, 0.3])
+        value, grad = instance_param_loss(PlaneInstanceParams(params), sa, points)
+        rows = sa.assigned_rows
+        residual = pts[rows] @ params.T - 1.0
+        scale = 1.0 / (int(rows.sum()) * 4)
+        assert value == pytest.approx(
+            scale * float((sa.weights[rows] * np.abs(residual)).sum()), rel=1e-12
+        )
+        expected = scale * ((sa.weights[rows] * np.sign(residual)).T @ pts[rows])
+        np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
 
 
 def total_loss_inputs(seed=0):
