@@ -47,7 +47,6 @@ class BenchResult:
     k: int
     d: int
     iterations: int
-    workers: int
     iter_ms: float
     total_ms: float
 
@@ -97,7 +96,6 @@ def bench_clustering(
     sizes: Sequence[int] = DEFAULT_SIZES,
     config_grid: Sequence[Tuple[int, int]] = ((10, 10),),
     repeats: int = 3,
-    workers: int = 1,
     vanilla_iters: int = 1,
     rng_seed: int = 0,
 ) -> List[BenchResult]:
@@ -124,14 +122,10 @@ def bench_clustering(
             values = emb.values
 
             iter_fast = _median_time(
-                lambda: _gaussian_shift(
-                    anchor_pos, values, config.bandwidth, workers=workers
-                ),
+                lambda: _gaussian_shift(anchor_pos, values, config.bandwidth),
                 repeats,
             )
-            total_fast = _median_time(
-                lambda: cluster(emb, mask, config, workers=workers), repeats
-            )
+            total_fast = _median_time(lambda: cluster(emb, mask, config), repeats)
             results.append(
                 BenchResult(
                     variant="fast",
@@ -139,16 +133,13 @@ def bench_clustering(
                     k=k,
                     d=2,
                     iterations=t_iters,
-                    workers=workers,
                     iter_ms=iter_fast * 1000.0,
                     total_ms=total_fast * 1000.0,
                 )
             )
 
             iter_vanilla = _median_time(
-                lambda: _gaussian_shift(
-                    values, values, config.bandwidth, workers=workers
-                ),
+                lambda: _gaussian_shift(values, values, config.bandwidth),
                 repeats,
             )
             total_vanilla = _median_time(
@@ -158,7 +149,6 @@ def bench_clustering(
                     bandwidth=config.bandwidth,
                     max_iters=vanilla_iters,
                     tol=0.0,
-                    workers=workers,
                 ),
                 repeats,
             )
@@ -169,7 +159,6 @@ def bench_clustering(
                     k=k,
                     d=2,
                     iterations=vanilla_iters,
-                    workers=workers,
                     iter_ms=iter_vanilla * 1000.0,
                     total_ms=total_vanilla * 1000.0,
                 )
@@ -193,9 +182,7 @@ def bench_results_to_csv(results: Sequence[BenchResult]) -> str:
     """Serialize results with the canonical column order."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["variant", "N", "k", "d", "T", "workers", "iter_ms", "total_ms"]
-    )
+    writer.writerow(["variant", "N", "k", "d", "T", "iter_ms", "total_ms"])
     for r in results:
         writer.writerow(
             [
@@ -204,7 +191,6 @@ def bench_results_to_csv(results: Sequence[BenchResult]) -> str:
                 r.k,
                 r.d,
                 r.iterations,
-                r.workers,
                 f"{r.iter_ms:.3f}",
                 f"{r.total_ms:.3f}",
             ]

@@ -69,23 +69,6 @@ class UsageError(Exception):
     """Input or I/O problem: bad paths, malformed files, shape mismatch."""
 
 
-def _resolve_workers(value: Optional[int]) -> int:
-    if value is None:
-        env = os.environ.get("PLANAR_WORKERS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise UsageError(f"PLANAR_WORKERS must be an integer, got {env!r}") from exc
-        else:
-            value = 1
-    if value < 0:
-        raise UsageError("--workers must be >= 0")
-    if value == 0:
-        value = os.cpu_count() or 1
-    return value
-
-
 def _load_tensor(path: str) -> np.ndarray:
     try:
         return read_tensor(path)
@@ -137,7 +120,6 @@ def _out_dir(path: str) -> Path:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    workers = _resolve_workers(args.workers)
     emb_raw = _load_tensor(args.embeddings)
     prob_raw = _load_tensor(args.probs)
     if emb_raw.ndim != 3:
@@ -166,7 +148,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args.out)
     start = time.perf_counter()
-    clusters, assignment = cluster(embeddings, mask, config, workers=workers)
+    clusters, assignment = cluster(embeddings, mask, config)
     wall_ms = (time.perf_counter() - start) * 1000.0
     labels = hard_labels(assignment)
     write_tensor(
@@ -184,7 +166,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         "k": config.anchors_per_dim,
         "bandwidth": config.bandwidth,
         "tau": config.density_fraction,
-        "workers": workers,
     }
     (out / "summary.json").write_text(metrics_to_json(summary) + "\n")
     print(f"clusters: {len(clusters)}  outputs: {out}")
@@ -313,9 +294,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    results = run_gradient_checks(
-        samples=args.samples, seed=args.seed, corrupt=args.corrupt
-    )
+    results = run_gradient_checks(samples=args.samples, seed=args.seed)
     all_passed = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -328,7 +307,6 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    workers = _resolve_workers(args.workers)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
@@ -339,7 +317,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes=sizes,
         config_grid=[(args.k, args.iters)],
         repeats=args.repeats,
-        workers=workers,
         vanilla_iters=args.vanilla_iters,
         rng_seed=args.seed,
     )
@@ -373,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--iters", type=int, default=10)
     p_cluster.add_argument("--tau", type=float, default=0.1)
     p_cluster.add_argument("--mask-threshold", type=float, default=0.5)
-    p_cluster.add_argument("--workers", type=int, default=None)
     p_cluster.add_argument("--out", default=".", help="output directory")
     p_cluster.set_defaults(func=_cmd_cluster)
 
@@ -412,10 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="verify loss gradients numerically")
     p_grad.add_argument("--samples", type=int, default=100)
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument(
-        "--corrupt",
-        help="inflate one loss's error to prove the harness catches it",
-    )
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_bench = sub.add_parser("bench", help="time both clustering variants")
@@ -427,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeats", type=int, default=3)
     p_bench.add_argument("--vanilla-iters", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=None)
     p_bench.add_argument("--out", help="CSV path (default: stdout)")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -17,15 +17,11 @@ Two variants share one Gaussian-kernel shift step:
 
 Both produce a :class:`ClusterSet` (centers sorted lexicographically so
 runs and variants are comparable) and a row-stochastic soft assignment.
-All chunk boundaries depend only on problem size, never on the worker
-count, so results are bit-identical for any ``workers`` value.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +35,6 @@ __all__ = [
     "ClusterSet",
     "UnionFind",
     "init_anchors",
-    "pairwise_potential",
     "shift_anchors",
     "filter_low_density",
     "merge_anchors",
@@ -222,35 +217,14 @@ def _check_bandwidth(bandwidth: float) -> None:
         )
 
 
-def pairwise_potential(anchor: np.ndarray, embedding: np.ndarray, b: float) -> float:
-    """Gaussian potential between one anchor and one embedding."""
-    _check_bandwidth(b)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    embedding = np.asarray(embedding, dtype=np.float64)
-    m2 = float(np.sum((anchor - embedding) ** 2))
-    return math.exp(-m2 / (2.0 * b * b)) / (math.sqrt(2.0 * math.pi) * b)
-
-
 def _chunk_spans(n_items: int, chunk: int) -> List[Tuple[int, int]]:
     return [(s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
-
-
-def _run_chunks(fn, spans: List[Tuple[int, int]], workers: int) -> None:
-    """Run fn(start, stop) over fixed spans, optionally on a thread pool."""
-    if workers <= 1 or len(spans) <= 1:
-        for start, stop in spans:
-            fn(start, stop)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(fn, start, stop) for start, stop in spans]:
-            future.result()
 
 
 def _gaussian_shift(
     seeds: np.ndarray,
     points: np.ndarray,
     bandwidth: float,
-    workers: int = 1,
     weights: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One kernel-weighted mean step for every seed.
@@ -266,9 +240,8 @@ def _gaussian_shift(
     exponentiated in place; a second GEMM against the moments
     ``[w p | w]`` adds the tile's weighted sums and totals. The scale is
     applied only after the sum, so a tiny bandwidth cannot overflow the
-    GEMM's terms. Chunks and tiles depend only on the problem size, and
-    each chunk owns disjoint output rows, so the reduction order inside
-    a row is fixed and the result is independent of ``workers``.
+    GEMM's terms. Chunks of seeds bound the running sums and tiles bound
+    the kernel block, which reuses one buffer for the whole call.
     """
     m, d = seeds.shape
     n = points.shape[0]
@@ -290,13 +263,8 @@ def _gaussian_shift(
     moments[:, d] = w
     inv = -1.0 / (2.0 * bandwidth * bandwidth)
     prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth)
-    scratch: Dict[int, np.ndarray] = {}
-
-    def run(start: int, stop: int) -> None:
-        key = threading.get_ident()
-        buf = scratch.get(key)
-        if buf is None:
-            buf = scratch[key] = np.empty(rows * tile)
+    buf = np.empty(rows * tile)
+    for start, stop in _chunk_spans(m, rows):
         sums = np.zeros((stop - start, d + 1))
         for first, last in _chunk_spans(n, tile):
             kern = buf[: (stop - start) * (last - first)].reshape(stop - start, -1)
@@ -311,8 +279,6 @@ def _gaussian_shift(
         np.divide(sums[:, :d], safe[:, None], out=out[start:stop])
         out[start:stop][~alive] = seeds[start:stop][~alive]
         dens[start:stop] = prefactor * total
-
-    _run_chunks(run, _chunk_spans(m, rows), workers)
     return out, dens
 
 
@@ -491,7 +457,6 @@ def shift_anchors(
     embeddings: EmbeddingMap,
     mask: PlanarMask,
     config: MeanShiftConfig,
-    workers: int = 1,
 ) -> AnchorState:
     """Move every anchor to the kernel-weighted mean of masked embeddings.
 
@@ -503,9 +468,7 @@ def shift_anchors(
         raise ValueError("anchor state is empty")
     _, centroids, counts = _binned_values(embeddings, mask, config)
     return AnchorState(
-        *_gaussian_shift(
-            state.positions, centroids, config.bandwidth, workers=workers, weights=counts
-        )
+        *_gaussian_shift(state.positions, centroids, config.bandwidth, weights=counts)
     )
 
 
@@ -581,18 +544,17 @@ def _merge_union(positions: np.ndarray, radius: float) -> UnionFind:
 def _any_pair_within(
     positions: np.ndarray, left: np.ndarray, right: np.ndarray, radius: float
 ) -> bool:
-    """True if some cross pair sits strictly within ``radius``."""
+    """True if some cross pair sits strictly within ``radius``.
+
+    Differences are taken before squaring, as in the pairwise path of
+    :func:`_merge_union`, so a radius far below the coordinates' scale
+    is not lost to rounding in |a|^2 + |b|^2 - 2ab.
+    """
     b = positions[right]
-    sq_b = np.einsum("ij,ij->i", b, b)
-    limit = radius * radius
-    for start in range(0, left.shape[0], 512):
-        a = positions[left[start : start + 512]]
-        d2 = (
-            np.einsum("ij,ij->i", a, a)[:, None]
-            + sq_b[None, :]
-            - 2.0 * (a @ b.T)
-        )
-        if float(d2.min()) < limit:
+    rows = max(1, _CHUNK_TARGET // b.size)
+    for start in range(0, left.shape[0], rows):
+        diff = positions[left[start : start + rows], None, :] - b[None, :, :]
+        if math.sqrt(float(np.einsum("ijk,ijk->ij", diff, diff).min())) < radius:
             return True
     return False
 
@@ -635,7 +597,6 @@ def soft_assign(
     embeddings: EmbeddingMap,
     mask: PlanarMask,
     clusters: ClusterSet,
-    workers: int = 1,
 ) -> SoftAssignment:
     """Distance-softmax membership of each planar pixel over clusters.
 
@@ -647,9 +608,8 @@ def soft_assign(
     temporary: per fixed span of ``_ASSIGN_SPAN`` masked pixels it
     gathers each embedding column once, fills a (C, span) distance block
     one center at a time, takes the softmax down each column of the
-    block and writes the block's transpose into the weights. Spans
-    depend only on the pixel count, so results do not depend on
-    ``workers``.
+    block and writes the block's transpose into the weights. The spans
+    bound the block's memory.
     """
     if embeddings.grid != mask.grid:
         raise ValueError("embedding and mask grids must match")
@@ -659,32 +619,37 @@ def soft_assign(
     centers = clusters.centers
     weights = np.zeros((n, centers.shape[0]), dtype=np.float64)
     idx = np.flatnonzero(mask.mask)
-    values = embeddings.values
-
-    def run(start: int, stop: int) -> None:
+    for start, stop in _chunk_spans(idx.shape[0], _ASSIGN_SPAN):
         rows = idx[start:stop]
-        columns = [values[:, a].take(rows) for a in range(values.shape[1])]
-        block = np.empty((centers.shape[0], stop - start))
-        term = np.empty(stop - start)
-        for dist, center in zip(block, centers):
-            np.subtract(columns[0], center[0], out=dist)
-            np.square(dist, out=dist)
-            for column, coord in zip(columns[1:], center[1:]):
-                np.subtract(column, coord, out=term)
-                np.square(term, out=term)
-                dist += term
-        np.sqrt(block, out=block)
-        np.subtract(block.min(axis=0), block, out=block)  # -(dist - min), exactly
-        np.exp(block, out=block)
-        block /= block.sum(axis=0)
-        weights[rows] = block.T
-
-    _run_chunks(run, _chunk_spans(idx.shape[0], _ASSIGN_SPAN), workers)
+        weights[rows] = _assign_span(embeddings.values, rows, centers).T
     return SoftAssignment(embeddings.grid, weights)
 
 
+def _assign_span(values: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The (C, span) distance-softmax block of the pixels ``rows``.
+
+    A function of its own, so a span's scratch is freed before the next
+    span, or the weights' copy in :class:`SoftAssignment`, allocates.
+    """
+    columns = [values[:, a].take(rows) for a in range(values.shape[1])]
+    block = np.empty((centers.shape[0], rows.shape[0]))
+    term = np.empty(rows.shape[0])
+    for dist, center in zip(block, centers):
+        np.subtract(columns[0], center[0], out=dist)
+        np.square(dist, out=dist)
+        for column, coord in zip(columns[1:], center[1:]):
+            np.subtract(column, coord, out=term)
+            np.square(term, out=term)
+            dist += term
+    np.sqrt(block, out=block)
+    np.subtract(block.min(axis=0), block, out=block)  # -(dist - min), exactly
+    np.exp(block, out=block)
+    block /= block.sum(axis=0)
+    return block
+
+
 def _anchor_modes(
-    embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig, workers: int
+    embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig
 ) -> AnchorState:
     """Bin once, init, density-filter once, then shift T times against the
     weighted bin centroids. The bins are freed on return."""
@@ -693,9 +658,7 @@ def _anchor_modes(
     threshold = 1e-5 * config.bandwidth
     for _ in range(config.iterations):
         moved = AnchorState(
-            *_gaussian_shift(
-                state.positions, centroids, config.bandwidth, workers=workers, weights=counts
-            )
+            *_gaussian_shift(state.positions, centroids, config.bandwidth, weights=counts)
         )
         displacement = float(
             np.max(np.linalg.norm(moved.positions - state.positions, axis=1))
@@ -710,13 +673,12 @@ def cluster(
     embeddings: EmbeddingMap,
     mask: PlanarMask,
     config: MeanShiftConfig = MeanShiftConfig(),
-    workers: int = 1,
 ) -> Tuple[ClusterSet, SoftAssignment]:
     """Anchor-based mean shift: bin the masked embeddings once, init,
     density-filter once, shift T times against the weighted bin
     centroids, merge, then soft-assign pixels to the surviving centers."""
-    clusters = merge_anchors(_anchor_modes(embeddings, mask, config, workers), config)
-    assignment = soft_assign(embeddings, mask, clusters, workers=workers)
+    clusters = merge_anchors(_anchor_modes(embeddings, mask, config), config)
+    assignment = soft_assign(embeddings, mask, clusters)
     return clusters, assignment
 
 
@@ -726,7 +688,6 @@ def vanilla_mean_shift(
     bandwidth: float,
     max_iters: int = 100,
     tol: float = 1e-5,
-    workers: int = 1,
 ) -> Tuple[ClusterSet, SoftAssignment]:
     """Classic mean shift seeding one mode-seeker per planar pixel.
 
@@ -740,14 +701,14 @@ def vanilla_mean_shift(
     values = np.stack(_masked_columns(embeddings, mask), axis=1)
     seeds = values.copy()
     for _ in range(max_iters):
-        moved, _ = _gaussian_shift(seeds, values, bandwidth, workers=workers)
+        moved, _ = _gaussian_shift(seeds, values, bandwidth)
         displacement = float(np.max(np.linalg.norm(moved - seeds, axis=1)))
         seeds = moved
         if displacement < tol:
             break
     reps, rep_counts = _collapse_duplicates(seeds, cell=1e-3 * bandwidth)
     clusters = _merge_points(reps, rep_counts, bandwidth)
-    assignment = soft_assign(embeddings, mask, clusters, workers=workers)
+    assignment = soft_assign(embeddings, mask, clusters)
     return clusters, assignment
 
 

@@ -9,7 +9,7 @@ differences coordinate by coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -222,16 +222,8 @@ def run_gradient_checks(
     seed: int = 0,
     h: float = 1e-5,
     tolerance: float = 1e-4,
-    corrupt: Optional[str] = None,
 ) -> List[GradCheckResult]:
-    """Sweep every loss over ``samples`` random off-kink points.
-
-    ``corrupt`` names a loss whose measured error is inflated past the
-    tolerance, which exercises that the harness actually fails when a
-    gradient is wrong.
-    """
-    if corrupt is not None and corrupt not in _CHECKS:
-        raise ValueError(f"unknown loss {corrupt!r}; expected one of {LOSS_NAMES}")
+    """Sweep every loss over ``samples`` random off-kink points."""
     rng = np.random.default_rng(seed)
     results = []
     for name in LOSS_NAMES:
@@ -239,8 +231,6 @@ def run_gradient_checks(
         worst = 0.0
         for _ in range(samples):
             worst = max(worst, check(rng, h))
-        if corrupt == name:
-            worst = max(worst, 10.0 * tolerance)
         results.append(
             GradCheckResult(
                 name=name, samples=samples, max_rel_err=worst, tolerance=tolerance

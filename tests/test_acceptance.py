@@ -129,7 +129,7 @@ class TestCriterion2Complexity:
     def test_loglog_slopes_and_speedup(self):
         start = time.perf_counter()
         sizes = (4096, 8192, 16384, 32768, 49152)
-        results = bench_clustering(sizes=sizes, repeats=3, workers=1, vanilla_iters=1)
+        results = bench_clustering(sizes=sizes, repeats=3, vanilla_iters=1)
         fast = {r.n: r for r in results if r.variant == "fast"}
         vanilla = {r.n: r for r in results if r.variant == "vanilla"}
         fast_slope = fit_loglog_slope(sizes, [fast[n].iter_ms for n in sizes])

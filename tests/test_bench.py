@@ -16,12 +16,12 @@ from planarseg.bench import (
 
 class TestBenchResult:
     def test_throughput(self):
-        r = BenchResult("fast", 100, 10, 2, 10, 1, 1.0, 200.0)
+        r = BenchResult("fast", 100, 10, 2, 10, 1.0, 200.0)
         assert r.throughput == pytest.approx(5.0)
 
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError, match="times"):
-            BenchResult("fast", 100, 10, 2, 10, 1, 0.0, 1.0)
+            BenchResult("fast", 100, 10, 2, 10, 0.0, 1.0)
 
 
 class TestDefaultSizes:
@@ -100,9 +100,9 @@ class TestFitLoglogSlope:
 class TestBenchCsv:
     def test_header_exact(self):
         text = bench_results_to_csv([])
-        assert text == "variant,N,k,d,T,workers,iter_ms,total_ms\n"
+        assert text == "variant,N,k,d,T,iter_ms,total_ms\n"
 
     def test_row_formatting(self):
-        r = BenchResult("vanilla", 4096, 10, 2, 1, 2, 12.3456, 99.9999)
+        r = BenchResult("vanilla", 4096, 10, 2, 1, 12.3456, 99.9999)
         lines = bench_results_to_csv([r]).strip().split("\n")
-        assert lines[1] == "vanilla,4096,10,2,1,2,12.346,100.000"
+        assert lines[1] == "vanilla,4096,10,2,1,12.346,100.000"

@@ -50,7 +50,6 @@ class TestDefaults:
         assert args.iters == 10
         assert args.tau == 0.1
         assert args.mask_threshold == 0.5
-        assert args.workers is None
         assert args.out == "."
 
     def test_bench_flag_defaults(self):
@@ -64,6 +63,21 @@ class TestDefaults:
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main([])
+        assert err.value.code == 2
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "e.pten", "p.pten", "--workers", "2"],
+            ["gradcheck", "--corrupt", "pull_loss"],
+        ],
+        ids=["cluster-workers", "gradcheck-corrupt"],
+    )
+    def test_parser_rejects(self, argv):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(argv)
         assert err.value.code == 2
 
 
@@ -185,41 +199,6 @@ class TestClusterCommand:
         )
         assert code == 2
         assert "grid mismatch" in capsys.readouterr().err
-
-    def test_negative_workers_exits_two(self, tmp_path, capsys):
-        scene = run_synth(tmp_path)
-        code = main(
-            [
-                "cluster",
-                str(scene / "embeddings.pten"),
-                str(scene / "probs.pten"),
-                "--workers", "-1",
-                "--out", str(tmp_path / "pred"),
-            ]
-        )
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_workers_from_environment(self, tmp_path, monkeypatch):
-        scene = run_synth(tmp_path)
-        monkeypatch.setenv("PLANAR_WORKERS", "2")
-        pred = run_cluster(tmp_path, scene)
-        summary = json.loads((pred / "summary.json").read_text())
-        assert summary["workers"] == 2
-
-    def test_bad_environment_workers_exits_two(self, tmp_path, monkeypatch, capsys):
-        scene = run_synth(tmp_path)
-        monkeypatch.setenv("PLANAR_WORKERS", "many")
-        code = main(
-            [
-                "cluster",
-                str(scene / "embeddings.pten"),
-                str(scene / "probs.pten"),
-                "--out", str(tmp_path / "pred"),
-            ]
-        )
-        assert code == 2
-        assert "PLANAR_WORKERS" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bandwidth", ["1e-300", "1e-160", "-0.5"])
     def test_unusable_bandwidth_exits_one(self, tmp_path, capsys, bandwidth):
@@ -359,19 +338,6 @@ class TestGradcheckCommand:
         assert all(line.startswith("PASS") for line in lines)
         assert "max rel err" in lines[0]
 
-    def test_corrupt_run_exits_one(self, capsys):
-        code = main(
-            ["gradcheck", "--samples", "2", "--corrupt", "pull_loss"]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "FAIL pull_loss" in out
-
-    def test_unknown_corrupt_exits_one(self, capsys):
-        code = main(["gradcheck", "--samples", "1", "--corrupt", "bogus"])
-        assert code == 1
-        assert "unknown loss" in capsys.readouterr().err
-
 
 class TestBenchCommand:
     def test_csv_to_file(self, tmp_path):
@@ -386,16 +352,16 @@ class TestBenchCommand:
         )
         assert code == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "variant,N,k,d,T,workers,iter_ms,total_ms"
+        assert lines[0] == "variant,N,k,d,T,iter_ms,total_ms"
         assert len(lines) == 5
-        assert lines[1].startswith("fast,256,10,2,10,1,")
-        assert lines[2].startswith("vanilla,256,10,2,1,1,")
+        assert lines[1].startswith("fast,256,10,2,10,")
+        assert lines[2].startswith("vanilla,256,10,2,1,")
 
     def test_csv_to_stdout(self, capsys):
         code = main(["bench", "--sizes", "256", "--repeats", "3"])
         assert code == 0
         out = capsys.readouterr().out
-        assert out.startswith("variant,N,k,d,T,workers,iter_ms,total_ms\n")
+        assert out.startswith("variant,N,k,d,T,iter_ms,total_ms\n")
 
     def test_bad_sizes_exits_two(self, capsys):
         code = main(["bench", "--sizes", "abc"])

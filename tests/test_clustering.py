@@ -22,7 +22,6 @@ from planarseg.clustering import (
     hard_labels,
     init_anchors,
     merge_anchors,
-    pairwise_potential,
     shift_anchors,
     soft_assign,
     vanilla_mean_shift,
@@ -38,6 +37,25 @@ def embedding_fixture(values, mask=None):
     if mask is None:
         mask = np.ones(values.shape[0], dtype=bool)
     return emb, PlanarMask(grid, np.asarray(mask, dtype=bool))
+
+
+def pairwise_potential(anchor, embedding, b):
+    """Gaussian potential between one anchor and one embedding: the
+    per-pair kernel value that anchor densities sum."""
+    m2 = float(np.sum((np.asarray(anchor) - np.asarray(embedding)) ** 2))
+    return math.exp(-m2 / (2.0 * b * b)) / (math.sqrt(2.0 * math.pi) * b)
+
+
+def pairwise_groups(positions, radius, rows=500):
+    """Exact merge groups: union every pair closer than ``radius``, with
+    differences taken before squaring."""
+    oracle = UnionFind(positions.shape[0])
+    for start in range(0, positions.shape[0], rows):
+        diff = positions[start : start + rows, None, :] - positions[None, :, :]
+        close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) < radius
+        for i, j in zip(*np.nonzero(close)):
+            oracle.union(start + int(i), int(j))
+    return sorted(map(sorted, oracle.groups()))
 
 
 def three_blob_input(seed=0, n_per=400, spread=0.05):
@@ -77,25 +95,38 @@ class TestConfig:
 
 
 class TestPairwisePotential:
+    """The per-pair kernel value as the library computes it: the density
+    that one shift step reports for a seed against a single point."""
+
+    @staticmethod
+    def potential(anchor, embedding, b):
+        _, dens = _gaussian_shift(
+            np.atleast_2d(np.asarray(anchor, dtype=np.float64)),
+            np.atleast_2d(np.asarray(embedding, dtype=np.float64)),
+            b,
+        )
+        return float(dens[0])
+
     def test_zero_distance(self):
         # 1 / (sqrt(2 pi) * 0.5)
-        assert pairwise_potential(np.zeros(2), np.zeros(2), 0.5) == pytest.approx(
+        assert self.potential(np.zeros(2), np.zeros(2), 0.5) == pytest.approx(
             0.7978845608028654, rel=1e-12
         )
 
     def test_half_bandwidth_distance(self):
         # frozen: exp(-0.5^2 / (2 * 0.5^2)) / (sqrt(2 pi) * 0.5)
-        value = pairwise_potential(np.array([0.0, 0.0]), np.array([0.5, 0.0]), 0.5)
+        value = self.potential(np.array([0.0, 0.0]), np.array([0.5, 0.0]), 0.5)
         assert value == pytest.approx(0.48394144903828673, rel=1e-12)
 
     def test_far_limit(self):
-        assert pairwise_potential(np.zeros(1), np.array([1e4]), 0.5) == 0.0
+        assert self.potential(np.zeros(1), np.array([1e4]), 0.5) == 0.0
 
     def test_requires_positive_bandwidth(self):
         # 1e-300 squares to 0 and 1e-160 to a subnormal whose reciprocal is inf
+        emb, mask = embedding_fixture([[0.0]])
         for bandwidth in (0.0, -0.5, 1e-300, 1e-160):
             with pytest.raises(ValueError, match=f"bandwidth must be > 0.*got {bandwidth!r}"):
-                pairwise_potential(np.zeros(1), np.zeros(1), bandwidth)
+                vanilla_mean_shift(emb, mask, bandwidth)
 
 
 class TestInitAnchors:
@@ -274,16 +305,6 @@ class TestGaussianShift:
         np.testing.assert_allclose(dens, expected_dens, rtol=1e-12, atol=0.0)
         assert dens[-1] == 0.0 and dens[:-1].min() > 0.0
         np.testing.assert_array_equal(out[-1], seeds[-1])
-
-    def test_worker_count_is_bit_identical_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(clustering, "_CHUNK_TARGET", 3000)
-        monkeypatch.setattr(clustering, "_TILE_TARGET", 1000)
-        rng = np.random.default_rng(7)
-        points, seeds = rng.normal(size=(300, 3)), rng.normal(size=(40, 3))
-        serial = _gaussian_shift(seeds, points, 0.5, workers=1)
-        parallel = _gaussian_shift(seeds, points, 0.5, workers=3)
-        np.testing.assert_array_equal(serial[0], parallel[0])
-        np.testing.assert_array_equal(serial[1], parallel[1])
 
 
 def anchor_grid(values, k=10):
@@ -488,20 +509,27 @@ class TestGroupRows:
         base = np.random.default_rng(8).uniform(1.0, 2.0, size=(2000, 2))
         positions = np.concatenate([base, base[:1000]])
         radius = 1e-320
-        oracle = UnionFind(3000)
-        for start in range(0, 3000, 500):
-            diff = positions[start : start + 500, None, :] - positions[None, :, :]
-            close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) < radius
-            for i, j in zip(*np.nonzero(close)):
-                oracle.union(start + int(i), int(j))
+        oracle = pairwise_groups(positions, radius)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             groups = _merge_union(positions, radius).groups()
             merged = merge_anchors(
                 AnchorState(positions, np.ones(3000)), MeanShiftConfig(merge_radius=radius)
             )
-        assert sorted(map(sorted, groups)) == sorted(map(sorted, oracle.groups()))
-        assert len(merged) == len(oracle.groups()) == 2000
+        assert sorted(map(sorted, groups)) == oracle
+        assert len(merged) == len(oracle) == 2000
+
+    @pytest.mark.parametrize("radius", [1e-6, 1e-8, 1e-10])
+    def test_spatial_hash_pair_check_keeps_tiny_gaps(self, radius):
+        # 2100 points, 1.5 radii apart along x at y = 1: no pair is within
+        # the radius. The cross-cell check once expanded |a|^2 + |b|^2 - 2ab,
+        # whose rounding near 1 (about 1e-16) exceeds r^2 below r ~ 1e-8,
+        # and merged them into 759 groups at 1e-8 and 310 at 1e-10.
+        x = 1.0 + 1.5 * radius * np.arange(2100)
+        positions = np.stack([x, np.ones(2100)], axis=1)
+        oracle = pairwise_groups(positions, radius)
+        assert sorted(map(sorted, _merge_union(positions, radius).groups())) == oracle
+        assert len(oracle) == 2100
 
 
 class TestSoftAssign:
@@ -568,12 +596,6 @@ class TestSoftAssign:
         oracle = hard_labels(SoftAssignment(emb.grid, expected))
         np.testing.assert_array_equal(hard_labels(sa).labels, oracle.labels)
 
-    def test_worker_count_is_bit_identical_across_chunks(self, monkeypatch):
-        emb, mask, clusters = self.multi_chunk_input(3, 9, monkeypatch)
-        serial = soft_assign(emb, mask, clusters, workers=1)
-        parallel = soft_assign(emb, mask, clusters, workers=2)
-        np.testing.assert_array_equal(serial.weights, parallel.weights)
-
     def test_peak_memory_is_two_weight_arrays_and_one_span(self):
         # 200k masked pixels, C = 8, d = 2. The result and its frozen copy
         # are two N x C arrays; beyond them only one span's scratch, the
@@ -629,12 +651,6 @@ class TestCluster:
         second, sa_second = cluster(emb, mask)
         np.testing.assert_array_equal(first.centers, second.centers)
         np.testing.assert_array_equal(sa_first.weights, sa_second.weights)
-
-    def test_worker_count_does_not_change_results(self):
-        emb, mask, _ = three_blob_input(seed=5)
-        _, serial = cluster(emb, mask, workers=1)
-        _, parallel = cluster(emb, mask, workers=4)
-        np.testing.assert_array_equal(serial.weights, parallel.weights)
 
     def test_pixel_permutation_equivariance(self):
         emb, mask, _ = three_blob_input(seed=11, n_per=50)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from planarseg import gradcheck
+from planarseg.cli import main
 from planarseg.gradcheck import LOSS_NAMES, GradCheckResult, run_gradient_checks
 
 
@@ -32,14 +34,20 @@ class TestRunGradientChecks:
         assert [r.max_rel_err for r in a] == [r.max_rel_err for r in b]
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_corrupted_loss_fails(self, name):
-        results = run_gradient_checks(samples=2, seed=0, corrupt=name)
+    def test_corrupted_loss_fails(self, name, monkeypatch, capsys):
+        # The loss keeps its value but reports a gradient 1% too large.
+        loss = getattr(gradcheck, name)
+
+        def wrong_gradient(*args):
+            value, grad = loss(*args)
+            return value, 1.01 * grad
+
+        monkeypatch.setattr(gradcheck, name, wrong_gradient)
+        results = run_gradient_checks(samples=2, seed=0)
         by_name = {r.name: r for r in results}
         assert not by_name[name].passed
         for other in LOSS_NAMES:
             if other != name:
                 assert by_name[other].passed
-
-    def test_unknown_corrupt_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown loss"):
-            run_gradient_checks(samples=1, corrupt="nonexistent")
+        assert main(["gradcheck", "--samples", "2"]) == 1
+        assert f"FAIL {name}" in capsys.readouterr().out
