@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from planarseg import gradcheck
 from planarseg.cli import build_parser, main
 from planarseg.tensor_io import read_tensor, write_tensor
 
@@ -337,6 +338,20 @@ class TestGradcheckCommand:
         assert len(lines) == 5
         assert all(line.startswith("PASS") for line in lines)
         assert "max rel err" in lines[0]
+
+    def test_corrupt_run_exits_one(self, monkeypatch, capsys):
+        # pull_loss keeps its value but reports a gradient 1% too large.
+        loss = gradcheck.pull_loss
+
+        def wrong_gradient(*args):
+            value, grad = loss(*args)
+            return value, 1.01 * grad
+
+        monkeypatch.setattr(gradcheck, "pull_loss", wrong_gradient)
+        code = main(["gradcheck", "--samples", "2"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAIL pull_loss" in out
 
 
 class TestBenchCommand:
