@@ -16,13 +16,17 @@ Two variants share one Gaussian-kernel shift step:
   pixel.
 
 Both produce a :class:`ClusterSet` (centers sorted lexicographically so
-runs and variants are comparable) and a row-stochastic soft assignment.
+runs and variants are comparable) and a row-stochastic soft assignment
+that is labels first: its hard labels and its dense N x C weights are
+each built on their first read, so inference that reads only labels
+never holds an N x C array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,9 +66,10 @@ _TILE_TARGET = 1 << 17
 
 # Masked pixels per soft-assignment span: each span's (C, span) block
 # stays a few MiB for the usual cluster counts, and the per-center calls
-# of a span cost little beside its work (8192 ran about 1.3x slower at
-# 480x640).
-_ASSIGN_SPAN = 1 << 16
+# of a span cost little beside its work. On 480x640 scenes with C = 8
+# (one core of a 2-core Xeon) the label pass took about 23 ms per image
+# at 2^15, 24-26 ms at 2^14 and 2^16 and 25-26 ms at 2^13.
+_ASSIGN_SPAN = 1 << 15
 
 # Side of a binning cell as a fraction of the bandwidth. Binning at each
 # cell's centroid cancels the first-order error term, so anchor positions
@@ -80,6 +85,12 @@ BIN_SIDE = 0.05
 # points and 38 against 104 ms for 270k. 8 keeps its scratch within
 # about 136 bytes per point.
 _DENSE_KEYS_PER_POINT = 8
+
+# Most anchors a config may place (anchors_per_dim ** dim). The grid's
+# positions, mesh and frozen copy then stay within a few hundred MiB
+# (a process peak of about 200 MiB at d = 6, k = 10); k = 10 at d = 8
+# would need 6.4 GB for the positions alone.
+MAX_ANCHORS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,13 @@ class MeanShiftConfig:
             raise ValueError("anchors_per_dim must be >= 2")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        # Python ints cannot overflow, and with k >= 2 a dim beyond the
+        # bound's bit length exceeds it, so the power stays small.
+        k, d = int(self.anchors_per_dim), int(self.dim)
+        if d >= MAX_ANCHORS.bit_length() or k > MAX_ANCHORS or k**d > MAX_ANCHORS:
+            raise ValueError(
+                f"anchors_per_dim ** dim must be <= {MAX_ANCHORS}, got {k} ** {d}"
+            )
         _check_bandwidth(self.bandwidth)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -270,7 +288,10 @@ def _gaussian_shift(
             kern = buf[: (stop - start) * (last - first)].reshape(stop - start, -1)
             np.matmul(lifted[start:stop], ends[first:last].T, out=kern)
             np.maximum(kern, 0.0, out=kern)
-            kern *= inv
+            # At a tiny bandwidth the scaled distances may overflow to
+            # -inf, whose exp is the right kernel value of 0.
+            with np.errstate(over="ignore"):
+                kern *= inv
             np.exp(kern, out=kern)
             sums += kern @ moments[first:last]
         total = sums[:, d]
@@ -338,7 +359,8 @@ def _bin_points(
     lo = np.array([column.min() for column in columns])
     hi = np.array([column.max() for column in columns])
     dims = np.floor((hi - lo) / side) + 1.0  # the largest key is the max's
-    cells = float(np.prod(dims))
+    with np.errstate(over="ignore"):  # an inf key space takes the sorting path
+        cells = float(np.prod(dims))
     if cells <= _DENSE_KEYS_PER_POINT * n:
         # Row-major flat keys, accumulated as floats: they stay below
         # cells <= 2**53, so every sum and product is exact.
@@ -406,7 +428,8 @@ def _grid_densities(
         for a, axis in enumerate(axes):
             table = np.subtract.outer(axis, points[start:stop, a])
             np.square(table, out=table)
-            table *= inv
+            with np.errstate(over="ignore"):  # -inf at a tiny bandwidth: exp gives 0
+                table *= inv
             np.exp(table, out=table)
             tables.append(table)
         tables[-1] *= weights[start:stop]
@@ -604,34 +627,70 @@ def soft_assign(
     minimum subtracted inside the exponent for stability (the shared
     factor cancels in the ratio). Non-planar rows are zero.
 
-    The kernel is cluster-major and O(N * C * d) with no (N, C, d)
-    temporary: per fixed span of ``_ASSIGN_SPAN`` masked pixels it
-    gathers each embedding column once, fills a (C, span) distance block
-    one center at a time, takes the softmax down each column of the
-    block and writes the block's transpose into the weights. The spans
-    bound the block's memory.
+    Only the inputs are checked here: the assignment keeps the mask as
+    its assigned rows, and its labels and weights come from the same
+    O(N * C * d) span kernel (:func:`_assign_span`) when first read.
+    The labels take each pixel's first largest weight span by span, so
+    reading them builds no N x C array; the weights are written span by
+    span straight into the array the assignment keeps.
     """
     if embeddings.grid != mask.grid:
         raise ValueError("embedding and mask grids must match")
     if len(clusters) == 0:
         raise ValueError("cluster set is empty")
-    n = embeddings.grid.n_pixels
-    centers = clusters.centers
-    weights = np.zeros((n, centers.shape[0]), dtype=np.float64)
-    idx = np.flatnonzero(mask.mask)
+    source = (embeddings.values, mask.mask, clusters.centers)
+    return SoftAssignment._from_source(
+        embeddings.grid,
+        len(clusters),
+        mask.mask,
+        labels=partial(_span_labels, *source),
+        weights=partial(_span_weights, *source),
+    )
+
+
+def _span_labels(values: np.ndarray, mask: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Hard labels of :func:`soft_assign`: per pixel, 1 + the first
+    largest weight of its block column. Each column of a block depends
+    only on its own pixel, so this equals the argmax of the dense
+    weights, ties included."""
+    labels = np.zeros(mask.shape[0], dtype=np.int64)
+    idx = np.flatnonzero(mask)
+    for start, stop in _chunk_spans(idx.shape[0], _ASSIGN_SPAN):
+        block = _assign_span(values, idx[start:stop], centers)
+        best = block[0].copy()
+        top = np.ones(block.shape[1], dtype=np.int64)
+        higher = np.empty(block.shape[1], dtype=bool)
+        for label, row in enumerate(block[1:], start=2):
+            np.greater(row, best, out=higher)  # strictly: the first maximum stays
+            np.maximum(best, row, out=best)
+            np.copyto(top, label, where=higher)
+        if np.isnan(best).any():  # every distance overflowed to inf
+            raise ValueError("assignment rows must sum to 1 or be all-zero")
+        labels[idx[start:stop]] = top
+    return labels
+
+
+def _span_weights(values: np.ndarray, mask: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Dense (N, C) weights of :func:`soft_assign`, span by span."""
+    weights = np.zeros((mask.shape[0], centers.shape[0]), dtype=np.float64)
+    idx = np.flatnonzero(mask)
     for start, stop in _chunk_spans(idx.shape[0], _ASSIGN_SPAN):
         rows = idx[start:stop]
-        weights[rows] = _assign_span(embeddings.values, rows, centers).T
-    return SoftAssignment(embeddings.grid, weights)
+        weights[rows] = _assign_span(values, rows, centers).T
+    return weights
 
 
 def _assign_span(values: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The (C, span) distance-softmax block of the pixels ``rows``.
+    """The (C, span) distance-softmax block of the pixels ``rows``: per
+    span it gathers each embedding column once and fills the distance
+    block one center at a time, with no (N, C, d) temporary.
 
     A function of its own, so a span's scratch is freed before the next
-    span, or the weights' copy in :class:`SoftAssignment`, allocates.
+    span allocates.
     """
-    columns = [values[:, a].take(rows) for a in range(values.shape[1])]
+    gathered = values.take(rows, axis=0)  # whole rows: no strided column copy
+    columns = [np.ascontiguousarray(gathered[:, a]) for a in range(values.shape[1])]
+    del gathered
     block = np.empty((centers.shape[0], rows.shape[0]))
     term = np.empty(rows.shape[0])
     for dist, center in zip(block, centers):
@@ -732,12 +791,11 @@ def _collapse_duplicates(
 
 
 def hard_labels(assignment: SoftAssignment) -> InstanceSegmentation:
-    """Argmax decode of a soft assignment; ties go to the lowest cluster.
+    """Hard decode of an assignment; ties go to the lowest cluster.
 
-    Assigned pixels get labels 1..C aligned with assignment columns;
-    unassigned (all-zero) rows get label 0.
+    Assigned pixels get labels 1..C aligned with assignment columns, the
+    first largest weight of their row; unassigned (all-zero) rows get
+    label 0. The labels are the assignment's cached ones, so an
+    assignment from :func:`cluster` builds no N x C array for them.
     """
-    labels = np.argmax(assignment.weights, axis=1)
-    labels += 1
-    labels *= assignment.assigned_rows
-    return InstanceSegmentation(assignment.grid, labels, assignment.clusters)
+    return InstanceSegmentation(assignment.grid, assignment.labels, assignment.clusters)

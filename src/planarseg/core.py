@@ -1,15 +1,18 @@
 """Shared domain types for plane-instance segmentation.
 
 All types are immutable after construction: array fields are copied and
-marked read-only, so instances are safe to share across threads. Pixels
-are linearized row-major (index = row * width + col) everywhere.
+marked read-only, so instances are safe to share across threads.
+:class:`SoftAssignment` may build its labels and weights on first read;
+each is cached once, read-only, and a race can at worst build it twice.
+Pixels are linearized row-major (index = row * width + col) everywhere.
 Internal arithmetic is 64-bit; narrower inputs are widened on entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import FrozenInstanceError, dataclass
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -157,48 +160,134 @@ class InstanceSegmentation:
         return PlanarMask(self.grid, self.labels > 0)
 
 
-@dataclass(frozen=True)
+def _checked_rows(grid: ImageGrid, weights: np.ndarray) -> np.ndarray:
+    """Check dense (N, C) weights; return the read-only mask of nonzero
+    rows, taken from the row sums of one BLAS pass."""
+    if weights.ndim != 2 or weights.shape[0] != grid.n_pixels:
+        raise ValueError(
+            f"weights must have shape (N, C) with N={grid.n_pixels}, "
+            f"got {weights.shape}"
+        )
+    if weights.shape[1] < 1:
+        raise ValueError("assignment needs at least one cluster column")
+    if weights.min() < 0.0 or weights.max() > 1.0:
+        raise ValueError("assignment weights must lie in [0, 1]")
+    sums = weights @ np.ones(weights.shape[1])
+    ok = (np.abs(sums - 1.0) <= ROW_SUM_TOL) | (sums == 0.0)
+    if not np.all(ok):
+        raise ValueError("assignment rows must sum to 1 or be all-zero")
+    assigned = sums > 0.0
+    assigned.flags.writeable = False
+    return assigned
+
+
+def _argmax_labels(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    """1 + the column of each row's first largest weight; 0 where unassigned."""
+    labels = np.argmax(weights, axis=1)
+    labels += 1
+    labels *= assigned
+    return labels
+
+
 class SoftAssignment:
-    """Per-pixel membership weights over clusters.
+    """Per-pixel membership weights over clusters, with hard labels.
 
     Rows of assigned (planar) pixels sum to 1; unassigned pixels carry
-    all-zero rows so the grid shape survives end to end. The row sums
-    are taken once at construction, and ``assigned_rows`` returns the
-    read-only mask of nonzero rows cached from them.
+    all-zero rows so the grid shape survives end to end.
+    ``SoftAssignment(grid, weights)`` copies and checks the weights, and
+    ``assigned_rows`` is the mask of nonzero rows cached from their row
+    sums. ``labels`` are the hard labels: 0 on unassigned rows, else
+    1 + the column of the row's first largest weight.
+
+    The library's own producers build an assignment from a source
+    instead (:meth:`_from_source`): the cluster count, the assigned
+    rows and functions that build the labels and the dense weights. The
+    labels are then built on their first read and the weights on
+    theirs, so a caller that only reads labels never holds an N x C
+    array. Built weights pass the same checks as constructor weights
+    and are frozen in place, without a copy. Each value is cached once
+    and read-only, so the object stays immutable from outside; two
+    threads racing on a first read may both build the value, and both
+    get the one that was cached first.
     """
 
-    grid: ImageGrid
-    weights: np.ndarray
-    _assigned: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, grid: ImageGrid, weights: np.ndarray) -> None:
+        weights = _frozen(weights, np.float64)
+        assigned = _checked_rows(grid, weights)
+        self.__dict__.update(
+            grid=grid,
+            _clusters=weights.shape[1],
+            _assigned=assigned,
+            _build_labels=partial(_argmax_labels, weights, assigned),
+            _build_weights=None,
+            _indicator=False,
+            _weights=weights,
+        )
 
-    def __post_init__(self) -> None:
-        weights = _frozen(self.weights, np.float64)
-        if weights.ndim != 2 or weights.shape[0] != self.grid.n_pixels:
-            raise ValueError(
-                f"weights must have shape (N, C) with N={self.grid.n_pixels}, "
-                f"got {weights.shape}"
-            )
-        if weights.shape[1] < 1:
-            raise ValueError("assignment needs at least one cluster column")
-        if weights.min() < 0.0 or weights.max() > 1.0:
-            raise ValueError("assignment weights must lie in [0, 1]")
-        sums = weights @ np.ones(weights.shape[1])
-        ok = (np.abs(sums - 1.0) <= ROW_SUM_TOL) | (sums == 0.0)
-        if not np.all(ok):
-            raise ValueError("assignment rows must sum to 1 or be all-zero")
-        assigned = sums > 0.0
-        assigned.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_assigned", assigned)
+    @classmethod
+    def _from_source(
+        cls,
+        grid: ImageGrid,
+        clusters: int,
+        assigned: np.ndarray,
+        labels: Callable[[], np.ndarray],
+        weights: Callable[[], np.ndarray],
+        indicator: bool = False,
+    ) -> "SoftAssignment":
+        """An assignment whose labels and (N, C) weights ``labels()`` and
+        ``weights()`` build on first read. ``assigned`` must be read-only.
+        ``indicator`` says that each assigned row is one-hot on its
+        label, so pooling may sum pixels by label."""
+        out = cls.__new__(cls)
+        out.__dict__.update(
+            grid=grid,
+            _clusters=clusters,
+            _assigned=assigned,
+            _build_labels=labels,
+            _build_weights=weights,
+            _indicator=indicator,
+        )
+        return out
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"SoftAssignment(grid={self.grid!r}, clusters={self._clusters})"
+
+    def _cached(self, name: str, build: Callable[[], np.ndarray], check=None):
+        """The value cached under ``name``, built, checked and frozen on
+        first read; ``setdefault`` keeps the first of two racing builds."""
+        value = self.__dict__.get(name)
+        if value is None:
+            value = build()
+            if check is not None:
+                check(self.grid, value)
+            value.flags.writeable = False
+            value = self.__dict__.setdefault(name, value)
+        return value
 
     @property
     def clusters(self) -> int:
-        return self.weights.shape[1]
+        return self._clusters
 
     @property
     def assigned_rows(self) -> np.ndarray:
         """Boolean mask of pixels with a nonzero assignment row."""
         return self._assigned
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Read-only hard labels in 0..C, built once."""
+        return self._cached("_labels", self._build_labels)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Read-only (N, C) weights, built and checked once."""
+        return self._cached("_weights", self._build_weights, _checked_rows)
 
 
 @dataclass(frozen=True)

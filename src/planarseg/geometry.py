@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -169,27 +170,53 @@ def render_segment_depth(
 def pool_instance_params(
     pixel_params: PixelPlaneParams, assignment: SoftAssignment
 ) -> PlaneInstanceParams:
-    """Assignment-weighted average of pixel parameters per cluster."""
+    """Assignment-weighted average of pixel parameters per cluster.
+
+    An indicator assignment (:func:`one_hot_assignment`) averages each
+    instance's pixels from its labels: one ``np.bincount`` for the
+    counts and one per axis, with no N x C array. Any other assignment
+    takes the BLAS product with its dense weights.
+    """
     if pixel_params.grid != assignment.grid:
         raise ValueError("pixel params and assignment grids must match")
-    weights = assignment.weights
-    mass = np.ones(weights.shape[0]) @ weights
+    params = pixel_params.params
+    if assignment._indicator:
+        labels, bins = assignment.labels, assignment.clusters + 1
+        mass = np.bincount(labels, minlength=bins)[1:].astype(np.float64)
+        sums = np.stack(
+            [np.bincount(labels, column, minlength=bins)[1:] for column in params.T],
+            axis=1,
+        )
+    else:
+        weights = assignment.weights
+        mass = np.ones(weights.shape[0]) @ weights
+        sums = weights.T @ params
     if np.any(mass <= 0.0):
         raise ValueError("empty instance")
-    pooled = (weights.T @ pixel_params.params) / mass[:, None]
-    return PlaneInstanceParams(pooled)
+    return PlaneInstanceParams(sums / mass[:, None])
 
 
 def one_hot_assignment(segments: InstanceSegmentation) -> SoftAssignment:
     """Indicator assignment putting each labeled pixel fully on its instance.
 
-    Each pixel takes row ``label`` of a (C + 1, C) table whose row 0 is
-    all-zero and whose row j is the indicator of instance j, in one gather.
+    The assignment is defined by the labels. Its weights are built only
+    if read: each pixel takes row ``label`` of a (C + 1, C) table whose
+    row 0 is all-zero and whose row j is the indicator of instance j, in
+    one gather.
     """
     if segments.n_instances < 1:
         raise ValueError("segmentation has no instances")
+    assigned = segments.labels > 0
+    assigned.flags.writeable = False
     table = np.eye(segments.n_instances + 1, segments.n_instances, k=-1)
-    return SoftAssignment(segments.grid, table.take(segments.labels, axis=0))
+    return SoftAssignment._from_source(
+        segments.grid,
+        segments.n_instances,
+        assigned,
+        labels=segments.labels.view,
+        weights=partial(table.take, segments.labels, axis=0),
+        indicator=True,
+    )
 
 
 def fit_plane_lsq(

@@ -1,10 +1,15 @@
 """End-to-end command-line runs against temporary directories."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import planarseg
 from planarseg import gradcheck
 from planarseg.cli import build_parser, main
 from planarseg.tensor_io import read_tensor, write_tensor
@@ -217,6 +222,49 @@ class TestClusterCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bandwidth must be > 0")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_tiny_bandwidth_runs_without_warnings(self, tmp_path):
+        # At b = 1e-154 the scaled squared distances overflow to -inf on
+        # purpose (their exp is the right kernel value of 0), and so does
+        # the binning's key-space size; numpy must not warn about either.
+        # A subprocess shows the real stderr, which pytest's warning
+        # capture would hide.
+        scene, out = tmp_path / "scene", tmp_path / "pred"
+        assert main(["synth", "--height", "8", "--width", "8", "--out", str(scene)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(planarseg.__file__).parents[1]))
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "planarseg.cli", "cluster",
+                str(scene / "embeddings.pten"),
+                str(scene / "probs.pten"),
+                "--bandwidth", "1e-154",
+                "--out", str(out),
+            ],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert (out / "labels.pten").exists()
+
+    def test_anchor_grid_beyond_bound_exits_one(self, tmp_path, capsys):
+        # 100000^2 anchors would need 74.5 GiB; the config refuses them
+        # before anything is allocated or written.
+        scene = run_synth(tmp_path)
+        out = tmp_path / "pred"
+        code = main(
+            [
+                "cluster",
+                str(scene / "embeddings.pten"),
+                str(scene / "probs.pten"),
+                "--k", "100000",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: anchors_per_dim ** dim must be <= ")
         assert err.count("\n") == 1
         assert not out.exists()
 

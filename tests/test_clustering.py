@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from planarseg import clustering
 from planarseg.clustering import (
     BIN_SIDE,
+    MAX_ANCHORS,
     ZERO_DENSITY,
     AnchorState,
     ClusterSet,
@@ -27,7 +28,14 @@ from planarseg.clustering import (
     vanilla_mean_shift,
 )
 from planarseg.clustering import _bin_points, _gaussian_shift, _group_rows, _merge_union
-from planarseg.core import EmbeddingMap, ImageGrid, PlanarMask, SoftAssignment
+from planarseg.core import (
+    EmbeddingMap,
+    ImageGrid,
+    PixelPlaneParams,
+    PlanarMask,
+    SoftAssignment,
+)
+from planarseg.geometry import one_hot_assignment, pool_instance_params
 
 
 def embedding_fixture(values, mask=None):
@@ -87,11 +95,20 @@ class TestConfig:
             {"bandwidth": -0.5},
             {"bandwidth": 1e-300},
             {"bandwidth": 1e-160},
+            {"anchors_per_dim": 100_000},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             MeanShiftConfig(**kwargs)
+
+    def test_anchor_grid_bound(self):
+        assert MAX_ANCHORS == 2**20
+        MeanShiftConfig(anchors_per_dim=2, dim=20)
+        MeanShiftConfig(anchors_per_dim=MAX_ANCHORS, dim=1)
+        for k, d in [(2, 21), (MAX_ANCHORS + 1, 1), (10, 8), (10**400, 20), (3, 10**9)]:
+            with pytest.raises(ValueError, match=r"anchors_per_dim \*\* dim must be <="):
+                MeanShiftConfig(anchors_per_dim=k, dim=d)
 
 
 class TestPairwisePotential:
@@ -596,11 +613,52 @@ class TestSoftAssign:
         oracle = hard_labels(SoftAssignment(emb.grid, expected))
         np.testing.assert_array_equal(hard_labels(sa).labels, oracle.labels)
 
-    def test_peak_memory_is_two_weight_arrays_and_one_span(self):
-        # 200k masked pixels, C = 8, d = 2. The result and its frozen copy
-        # are two N x C arrays; beyond them only one span's scratch, the
-        # masked-pixel index and per-row check vectors may be live. An
-        # (N, C, d) difference tensor alone would add 25.6 MB.
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("c", [1, 2, 9])
+    def test_labels_are_argmax_of_weights(self, d, c, monkeypatch):
+        # The span labels equal the argmax of the dense weights, whether
+        # they are read before the weights or after them.
+        emb, mask, clusters = self.multi_chunk_input(d, c, monkeypatch)
+        first = soft_assign(emb, mask, clusters)
+        labels = hard_labels(first).labels
+        oracle = hard_labels(SoftAssignment(emb.grid, first.weights)).labels
+        np.testing.assert_array_equal(labels, oracle)
+        second = soft_assign(emb, mask, clusters)
+        np.testing.assert_array_equal(second.weights, first.weights)
+        np.testing.assert_array_equal(hard_labels(second).labels, oracle)
+
+    def test_rounded_tie_goes_to_lower_cluster(self):
+        # Center 2 is 1 ulp closer than center 1, but their softmax
+        # weights round equal; the first largest weight wins, not the
+        # smallest distance.
+        emb, mask = embedding_fixture([[0.0]])
+        centers = np.array([[-np.nextafter(0.5, 1.0)], [0.5], [2.0]])
+        clusters = ClusterSet(centers, np.ones(3, dtype=np.int64))
+        assert abs(centers[0, 0]) > abs(centers[1, 0])
+        sa = soft_assign(emb, mask, clusters)
+        assert hard_labels(sa).labels.tolist() == [1]
+        assert sa.weights[0, 0] == sa.weights[0, 1]
+        dense = hard_labels(SoftAssignment(emb.grid, sa.weights))
+        assert dense.labels.tolist() == [1]
+
+    def test_weights_are_built_once_and_read_only(self):
+        emb, mask, _ = three_blob_input(n_per=20)
+        clusters = ClusterSet(np.array([[1.0, 1.0], [4.0, 1.5]]), np.ones(2, dtype=np.int64))
+        sa = soft_assign(emb, mask, clusters)
+        assert sa.weights is sa.weights
+        assert sa.labels is sa.labels
+        np.testing.assert_array_equal(sa.assigned_rows, mask.mask)
+        for array in (sa.assigned_rows, sa.weights, sa.labels):
+            assert not array.flags.writeable
+        with pytest.raises(AttributeError):
+            sa.grid = emb.grid
+
+    def test_peak_memory_is_one_weight_array_and_one_span(self):
+        # 200k masked pixels, C = 8, d = 2. The built weights are one
+        # N x C array, frozen in place; beyond it only one span's
+        # scratch, the masked-pixel index and per-row check vectors may
+        # be live. A frozen copy would add 16 MB, and an (N, C, d)
+        # difference tensor alone 25.6 MB.
         grid = ImageGrid(500, 500)
         n, c, d = grid.n_pixels, 8, 2
         rng = np.random.default_rng(0)
@@ -608,11 +666,11 @@ class TestSoftAssign:
         mask = PlanarMask(grid, np.arange(n) < 200_000)
         clusters = ClusterSet(rng.normal(size=(c, d)), np.ones(c, dtype=np.int64))
         span = clustering._ASSIGN_SPAN
-        weights = 2 * n * c * 8
+        weights = n * c * 8
         scratch = span * (c + d + 2) * 8 + 200_000 * 8 + 4 * n * 8
         tracemalloc.start()
         try:
-            soft_assign(emb, mask, clusters)
+            soft_assign(emb, mask, clusters).weights
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -665,6 +723,39 @@ class TestCluster:
         np.testing.assert_array_equal(
             hard_labels(sa).labels[perm], hard_labels(sa_p).labels
         )
+
+    def test_label_chain_peaks_below_one_weight_array(self):
+        # cluster -> hard_labels -> one_hot_assignment -> pool_instance_params
+        # at 500x500 with C = 8 carries labels only: its peak stays below
+        # the 16 MB that one N x C float array would take.
+        grid = ImageGrid(500, 500)
+        n, c = grid.n_pixels, 8
+        rng = np.random.default_rng(1)
+        centers = np.stack([np.arange(c) * 2.0, np.arange(c) % 2 * 3.0], axis=1)
+        truth = rng.integers(0, c, size=n)
+        emb = EmbeddingMap(grid, centers[truth] + rng.normal(0.0, 0.05, size=(n, 2)))
+        mask = PlanarMask(grid, np.ones(n, dtype=bool))
+        params = PixelPlaneParams(grid, rng.normal(size=(n, 3)) + 2.0)
+        tracemalloc.start()
+        try:
+            clusters, assignment = cluster(emb, mask)
+            labels = hard_labels(assignment)
+            pooled = pool_instance_params(params, one_hot_assignment(labels))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(clusters) == c and pooled.clusters == c
+        assert peak < n * c * 8
+
+    def test_cluster_labels_are_argmax_of_weights(self):
+        emb, mask, _ = three_blob_input(seed=5)
+        _, before = cluster(emb, mask)
+        _, after = cluster(emb, mask)
+        labels = hard_labels(before).labels
+        oracle = hard_labels(SoftAssignment(emb.grid, after.weights)).labels
+        np.testing.assert_array_equal(labels, oracle)
+        np.testing.assert_array_equal(hard_labels(after).labels, oracle)
+        np.testing.assert_array_equal(before.weights, after.weights)
 
     def test_early_exit_matches_full_run_on_converged_input(self):
         emb, mask, _ = three_blob_input(seed=2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarseg.clustering import hard_labels
 from planarseg.core import (
     CameraIntrinsics,
     DepthMap,
@@ -210,6 +211,28 @@ class TestPooling:
         with pytest.raises(ValueError, match="empty instance"):
             pool_instance_params(params, SoftAssignment(grid, weights))
 
+    def test_unused_id_is_an_empty_instance(self):
+        # Labels pool by bincount; an ID that owns no pixel has no mean.
+        grid = ImageGrid(1, 3)
+        seg = InstanceSegmentation(grid, np.array([1, 1, 3]), 3)
+        params = PixelPlaneParams(grid, np.ones((3, 3)))
+        with pytest.raises(ValueError, match="empty instance"):
+            pool_instance_params(params, one_hot_assignment(seg))
+
+    def test_indicator_pooling_matches_dense_product(self):
+        rng = np.random.default_rng(5)
+        grid = ImageGrid(30, 40)
+        labels = rng.integers(0, 6, size=grid.n_pixels)
+        params = PixelPlaneParams(grid, rng.normal(size=(grid.n_pixels, 3)) + 2.0)
+        onehot = one_hot_assignment(InstanceSegmentation(grid, labels, 5))
+        dense = SoftAssignment(grid, onehot.weights)
+        np.testing.assert_allclose(
+            pool_instance_params(params, onehot).params,
+            pool_instance_params(params, dense).params,
+            rtol=0.0,
+            atol=1e-12,
+        )
+
     def test_one_hot_matches_per_cluster_mean(self):
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 4, size=GRID.n_pixels)
@@ -231,6 +254,17 @@ class TestOneHotAssignment:
         seg = InstanceSegmentation(grid, np.array([0, 1, 2]))
         sa = one_hot_assignment(seg)
         np.testing.assert_array_equal(sa.weights, [[0, 0], [1, 0], [0, 1]])
+
+    def test_weights_built_once_from_labels(self):
+        grid = ImageGrid(1, 4)
+        seg = InstanceSegmentation(grid, np.array([2, 0, 1, 2]))
+        sa = one_hot_assignment(seg)
+        assert sa.clusters == 2
+        assert sa.assigned_rows.tolist() == [True, False, True, True]
+        np.testing.assert_array_equal(sa.labels, seg.labels)
+        assert sa.weights is sa.weights
+        assert not sa.weights.flags.writeable
+        np.testing.assert_array_equal(hard_labels(sa).labels, seg.labels)
 
     def test_requires_instances(self):
         grid = ImageGrid(1, 3)
