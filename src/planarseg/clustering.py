@@ -15,6 +15,11 @@ Two variants share one Gaussian-kernel shift step:
   correctness oracle; it runs the exact, unweighted kernel on every
   pixel.
 
+Both fuse modes closer than the merge radius, transitively, in one exact
+pass (:func:`_merge_labels`): modes are grouped into cells, pairs of
+cells are decided by the boxes of their members, and members are
+compared only where the boxes straddle the radius.
+
 Both produce a :class:`ClusterSet` (centers sorted lexicographically so
 runs and variants are comparable) and a row-stochastic soft assignment
 that is labels first: its hard labels and its dense N x C weights are
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +42,6 @@ __all__ = [
     "MeanShiftConfig",
     "AnchorState",
     "ClusterSet",
-    "UnionFind",
     "init_anchors",
     "shift_anchors",
     "filter_low_density",
@@ -53,8 +57,8 @@ ZERO_DENSITY = 1e-300
 
 # Rows per shift chunk are sized so a chunk's rows against all points
 # span about this many float64 entries; the grid-density spans and the
-# pairwise merge blocks are bounded by it too, keeping per-chunk memory
-# behavior uniform across problem sizes.
+# merge's blocks of cell pairs and member pairs are bounded by it too,
+# keeping per-chunk memory behavior uniform across problem sizes.
 _CHUNK_TARGET = 1 << 21
 
 # Floats per kernel tile of one shift step: each chunk of seeds meets the
@@ -186,38 +190,6 @@ class ClusterSet:
 
     def __len__(self) -> int:
         return self.centers.shape[0]
-
-
-class UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def groups(self) -> List[List[int]]:
-        """Members per component, ordered by first occurrence."""
-        by_root: Dict[int, List[int]] = {}
-        for i in range(len(self.parent)):
-            by_root.setdefault(self.find(i), []).append(i)
-        return list(by_root.values())
 
 
 def _check_bandwidth(bandwidth: float) -> None:
@@ -508,112 +480,127 @@ def filter_low_density(state: AnchorState, config: MeanShiftConfig) -> AnchorSta
     return AnchorState(state.positions[keep], state.densities[keep])
 
 
-def _merge_union(positions: np.ndarray, radius: float) -> UnionFind:
-    """Union-find over points with an edge where distance < radius."""
-    m, d = positions.shape
-    uf = UnionFind(m)
-    # Spatial hash for large point sets: cells small enough that any two
-    # points sharing a cell are strictly within the radius, so whole
-    # cells union directly and only nearby cell pairs need exact checks.
-    # Keys stay floats, so a radius tiny against the coordinates cannot
-    # wrap them; below 2**53 they are exact integers. A radius so tiny
-    # that a key overflows to inf gets the exact pairwise checks instead.
-    keys = None
-    if m > 2048:
-        cell = radius / (math.sqrt(d) * (1.0 + 1e-9))
-        with np.errstate(over="ignore"):
-            keys = np.floor(positions / cell)
-    if keys is None or not np.isfinite(keys).all():
-        rows = max(1, _CHUNK_TARGET // (m * d))
-        for start in range(0, m, rows):
-            diff = positions[start : start + rows, None, :] - positions[None, :, :]
-            close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) < radius
-            for i, j in zip(*np.nonzero(close)):
-                if start + i < j:
-                    uf.union(int(start + i), int(j))
-        return uf
-    _, order, starts = _group_rows(keys.T)
-    buckets: Dict[Tuple[float, ...], np.ndarray] = {}
-    for span in np.split(order, np.flatnonzero(starts)[1:]):
-        buckets[tuple(keys[span[0]])] = span
-        first = int(span[0])
-        for other in span[1:]:
-            uf.union(first, int(other))
-    reach = int(math.ceil(math.sqrt(d)))
-    offsets: List[np.ndarray] = []
-    seen = set()
-    for off in np.ndindex(*([2 * reach + 1] * d)):
-        vec = np.array(off) - reach
-        key = tuple(vec)
-        if not vec.any() or tuple(-vec) in seen:
-            continue
-        gap = np.maximum(np.abs(vec) - 1, 0)
-        if float(gap @ gap) <= d:
-            offsets.append(vec)
-            seen.add(key)
-    for key, members in buckets.items():
-        base = np.array(key)
-        for vec in offsets:
-            other = buckets.get(tuple(base + vec))
-            if other is None:
-                continue
-            if uf.find(int(members[0])) == uf.find(int(other[0])):
-                continue
-            if _any_pair_within(positions, members, other, radius):
-                uf.union(int(members[0]), int(other[0]))
-    return uf
+def _norm(gaps: Iterable[np.ndarray]) -> np.ndarray:
+    """Lengths from per-axis gaps, squared and summed axis by axis. Every
+    merge distance and bound uses this one formula, monotone in each
+    |gap|, so a bound cannot round past a distance it bounds. Gaps beyond
+    about 1e154 square to inf, which exceeds any radius."""
+    total = None
+    with np.errstate(over="ignore"):
+        for gap in gaps:
+            total = gap * gap if total is None else np.add(total, gap * gap, out=total)
+    return np.sqrt(total, out=total)
 
 
-def _any_pair_within(
-    positions: np.ndarray, left: np.ndarray, right: np.ndarray, radius: float
-) -> bool:
-    """True if some cross pair sits strictly within ``radius``.
+def _ragged(counts: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(row, offset) of the entries of a ragged array with ``counts[i]``
+    entries in row i, in blocks of at most ``_CHUNK_TARGET // 16``: a
+    block of pairs holds about a dozen arrays this long."""
+    bounds = np.cumsum(counts)
+    total = int(bounds[-1]) if bounds.size else 0
+    for start, stop in _chunk_spans(total, _CHUNK_TARGET // 16):
+        flat = np.arange(start, stop)
+        row = np.searchsorted(bounds, flat, side="right")
+        yield row, flat - bounds[row] + counts[row]
 
-    Differences are taken before squaring, as in the pairwise path of
-    :func:`_merge_union`, so a radius far below the coordinates' scale
-    is not lost to rounding in |a|^2 + |b|^2 - 2ab.
+
+def _hook(root: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Join the components of each pair (left[p], right[p]) in the flat
+    forest ``root`` (root[i] <= i is i's root): hook the higher root of
+    each pair under the lower, jump pointers until flat, and repeat."""
+    while left.size:
+        a, b = root[left], root[right]
+        apart = a != b
+        left, right, a, b = left[apart], right[apart], a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(root[root], root):
+            root[...] = root[root]
+
+
+def _merge_labels(positions: np.ndarray, radius: float) -> np.ndarray:
+    """Label each point with its component under "distance < radius"
+    (the transitive closure), exactly and vectorised for any M, d, radius.
+
+    Points are grouped into cells of side radius / (sqrt(d) (1 + 1e-9)),
+    whose members are all joined; if a cell's member box is not within the
+    radius (its keys overflowed or rounded), every distinct point is its
+    own cell. Cells are sorted by their key on the widest axis, and each
+    meets the later cells whose minima on that axis lie less than a radius
+    above its maximum. Per cell pair, the member boxes bound every member
+    distance: a lower bound of at least the radius keeps the cells apart,
+    an upper bound below it joins them, and only pairs in between whose
+    cells are not joined yet compare their members. Components come from
+    min-label hooking, numbered in the order of their least cell.
     """
-    b = positions[right]
-    rows = max(1, _CHUNK_TARGET // b.size)
-    for start in range(0, left.shape[0], rows):
-        diff = positions[left[start : start + rows], None, :] - b[None, :, :]
-        if math.sqrt(float(np.einsum("ijk,ijk->ij", diff, diff).min())) < radius:
-            return True
-    return False
-
-
-def _merge_points(
-    positions: np.ndarray, counts: np.ndarray, radius: float
-) -> ClusterSet:
-    """Union groups of points closer than ``radius`` (transitive closure).
-
-    ``counts`` weights each position when averaging, so pre-collapsed
-    duplicate points keep their multiplicity. Centers come out sorted
-    lexicographically by coordinates.
-    """
-    uf = _merge_union(positions, radius)
-    centers = []
-    totals = []
-    for members in uf.groups():
-        weight = counts[members]
-        centers.append(
-            np.average(positions[members], axis=0, weights=weight)
+    d = positions.shape[1]
+    columns = [np.ascontiguousarray(positions[:, a]) for a in range(d)]
+    lead = int(np.argmax([column.max() - column.min() for column in columns]))
+    side = radius / (math.sqrt(d) * (1.0 + 1e-9))
+    with np.errstate(all="ignore"):  # keys that overflow fail the box check
+        floored = [np.floor(column / side) for column in columns]
+    for keys in (floored, columns):
+        cell, order, starts = _group_rows([keys[lead]] + keys[:lead] + keys[lead + 1 :])
+        first = np.flatnonzero(starts)
+        ordered = [column[order] for column in columns]
+        lo = [np.minimum.reduceat(column, first) for column in ordered]
+        hi = [np.maximum.reduceat(column, first) for column in ordered]
+        if (_norm(hi[a] - lo[a] for a in range(d)) < radius).all():
+            break
+    n = first.shape[0]
+    sizes = np.diff(first, append=positions.shape[0])
+    # Cells from ends[i] on have a band-axis minimum a radius or more above
+    # cell i's maximum; a guess that rounding left near steps past its value.
+    floor = np.minimum.accumulate(lo[lead][::-1])[::-1]
+    ends = np.searchsorted(floor, hi[lead] + radius)
+    while True:
+        gap = np.maximum(floor[np.minimum(ends, n - 1)] - hi[lead], 0.0)
+        near = (ends < n) & (_norm([gap]) < radius)
+        if not near.any():
+            break
+        ends[near] = np.searchsorted(floor, floor[ends[near]], side="right")
+    root = np.arange(n)
+    for left, offset in _ragged(ends - np.arange(1, n + 1)):
+        right = left + 1 + offset
+        upper = _norm(
+            np.maximum(hi[a][right] - lo[a][left], hi[a][left] - lo[a][right])
+            for a in range(d)
         )
-        totals.append(int(weight.sum()))
-    centers_arr = np.asarray(centers)
-    totals_arr = np.asarray(totals)
-    order = np.lexsort(centers_arr.T[::-1])
-    return ClusterSet(centers_arr[order], totals_arr[order])
+        sure = upper < radius
+        _hook(root, left[sure], right[sure])
+        lower = _norm(
+            np.maximum(lo[a][right] - hi[a][left], lo[a][left] - hi[a][right]).clip(0.0)
+            for a in range(d)
+        )
+        maybe = (lower < radius) & ~sure
+        left, right = left[maybe], right[maybe]
+        apart = root[left] != root[right]
+        left, right = left[apart], right[apart]
+        for pair, member in _ragged(sizes[left] * sizes[right]):
+            row, col = np.divmod(member, sizes[right[pair]])
+            row += first[left[pair]]
+            col += first[right[pair]]
+            close = _norm(column[row] - column[col] for column in ordered) < radius
+            _hook(root, left[pair[close]], right[pair[close]])
+    return np.unique(root, return_inverse=True)[1][cell]
+
+
+def _merge_points(positions: np.ndarray, radius: float) -> ClusterSet:
+    """Fuse points closer than ``radius`` (transitive closure) into the
+    means of their components. Centers come out sorted lexicographically
+    by coordinates."""
+    labels = _merge_labels(positions, radius)
+    counts = np.bincount(labels)
+    centers = np.stack([np.bincount(labels, column) for column in positions.T], axis=1)
+    centers /= counts[:, None]
+    order = np.lexsort(centers.T[::-1])
+    return ClusterSet(centers[order], counts[order])
 
 
 def merge_anchors(state: AnchorState, config: MeanShiftConfig) -> ClusterSet:
     """Fuse anchors within the merge radius; centers are member means."""
     if len(state) == 0:
         raise ValueError("anchor state is empty")
-    counts = np.ones(len(state), dtype=np.int64)
-    return _merge_points(
-        state.positions, counts, config.effective_merge_radius
-    )
+    return _merge_points(state.positions, config.effective_merge_radius)
 
 
 def soft_assign(
@@ -765,29 +752,9 @@ def vanilla_mean_shift(
         seeds = moved
         if displacement < tol:
             break
-    reps, rep_counts = _collapse_duplicates(seeds, cell=1e-3 * bandwidth)
-    clusters = _merge_points(reps, rep_counts, bandwidth)
+    clusters = _merge_points(seeds, bandwidth)
     assignment = soft_assign(embeddings, mask, clusters)
     return clusters, assignment
-
-
-def _collapse_duplicates(
-    seeds: np.ndarray, cell: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Group seeds that landed on the same mode before pairwise merging.
-
-    Converged seeds pile up within a tiny ball around each mode, so
-    quantizing to a grid much finer than the merge radius groups them
-    exactly without an O(N^2) distance matrix. Representatives are group
-    means weighted by group size, so the final cluster center is still
-    the mean over every underlying seed.
-    """
-    inverse, _, _ = _group_rows(np.round(seeds / cell).T)
-    counts = np.bincount(inverse)
-    reps = np.zeros((counts.shape[0], seeds.shape[1]), dtype=np.float64)
-    np.add.at(reps, inverse, seeds)
-    reps /= counts[:, None]
-    return reps, counts
 
 
 def hard_labels(assignment: SoftAssignment) -> InstanceSegmentation:

@@ -1,6 +1,7 @@
 """Anchor-based mean shift and its per-pixel oracle."""
 
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -17,7 +18,6 @@ from planarseg.clustering import (
     AnchorState,
     ClusterSet,
     MeanShiftConfig,
-    UnionFind,
     cluster,
     filter_low_density,
     hard_labels,
@@ -27,7 +27,7 @@ from planarseg.clustering import (
     soft_assign,
     vanilla_mean_shift,
 )
-from planarseg.clustering import _bin_points, _gaussian_shift, _group_rows, _merge_union
+from planarseg.clustering import _bin_points, _gaussian_shift, _group_rows, _merge_labels
 from planarseg.core import (
     EmbeddingMap,
     ImageGrid,
@@ -55,15 +55,32 @@ def pairwise_potential(anchor, embedding, b):
 
 
 def pairwise_groups(positions, radius, rows=500):
-    """Exact merge groups: union every pair closer than ``radius``, with
-    differences taken before squaring."""
-    oracle = UnionFind(positions.shape[0])
+    """Exact merge groups: join every pair closer than ``radius``, with
+    differences taken before squaring, in a plain union-find."""
+    parent = list(range(positions.shape[0]))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
     for start in range(0, positions.shape[0], rows):
         diff = positions[start : start + rows, None, :] - positions[None, :, :]
         close = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) < radius
         for i, j in zip(*np.nonzero(close)):
-            oracle.union(start + int(i), int(j))
-    return sorted(map(sorted, oracle.groups()))
+            a, b = find(start + int(i)), find(int(j))
+            parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(len(parent)):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())
+
+
+def merge_groups(positions, radius):
+    """The groups of :func:`_merge_labels`, in the oracle's form."""
+    labels = _merge_labels(positions, radius)
+    return sorted(np.flatnonzero(labels == g).tolist() for g in range(labels.max() + 1))
 
 
 def three_blob_input(seed=0, n_per=400, spread=0.05):
@@ -476,22 +493,6 @@ class TestMergeAnchors:
         assert merged.centers.tolist() == [[1.0, 1.0], [1.0, 2.0], [5.0, 0.0]]
 
 
-class TestUnionFind:
-    def test_transitive_closure(self):
-        uf = UnionFind(4)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.find(0) == uf.find(2)
-        assert uf.find(3) != uf.find(0)
-
-    def test_groups_order(self):
-        uf = UnionFind(5)
-        uf.union(3, 4)
-        uf.union(0, 2)
-        groups = uf.groups()
-        assert sorted(map(sorted, groups)) == [[0, 2], [1], [3, 4]]
-
-
 class TestGroupRows:
     def test_matches_dict_grouping(self):
         rng = np.random.default_rng(4)
@@ -510,43 +511,127 @@ class TestGroupRows:
             inverse[order], np.arange(len(ranked))))
 
     def test_spatial_hash_with_tiny_radius_joins_only_duplicates(self):
-        # 3000 points take the spatial-hash path of _merge_union. Their cell
-        # keys near 1e154 overflowed the old int64 cast into one shared key.
+        # Cell keys near 1e154 overflowed an old int64 cast into one shared
+        # key. As floats they stay apart, and only duplicates share a cell.
         base = np.random.default_rng(5).standard_normal((1500, 2))
         positions = np.concatenate([base, base])
         with warnings.catch_warnings():
             warnings.filterwarnings("error", message="invalid value encountered in cast")
-            groups = _merge_union(positions, 1e-154).groups()
-        assert sorted(map(sorted, groups)) == [[i, i + 1500] for i in range(1500)]
+            groups = merge_groups(positions, 1e-154)
+        assert groups == [[i, i + 1500] for i in range(1500)]
 
     def test_overflowing_hash_keys_fall_back_to_pairwise(self):
-        # At radius 1e-320 the hash cell is subnormal and every key in
+        # At radius 1e-320 the cell side is subnormal and every key in
         # [1, 2]^2 overflows to inf; one shared inf key once merged all
-        # 3000 anchors into one cluster. Only exact duplicates are closer.
+        # 3000 anchors into one cluster. Its member box fails the radius,
+        # so every distinct point is a cell of its own, and only exact
+        # duplicates are closer.
         base = np.random.default_rng(8).uniform(1.0, 2.0, size=(2000, 2))
         positions = np.concatenate([base, base[:1000]])
         radius = 1e-320
         oracle = pairwise_groups(positions, radius)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            groups = _merge_union(positions, radius).groups()
+            groups = merge_groups(positions, radius)
             merged = merge_anchors(
                 AnchorState(positions, np.ones(3000)), MeanShiftConfig(merge_radius=radius)
             )
-        assert sorted(map(sorted, groups)) == oracle
+        assert groups == oracle
         assert len(merged) == len(oracle) == 2000
 
     @pytest.mark.parametrize("radius", [1e-6, 1e-8, 1e-10])
     def test_spatial_hash_pair_check_keeps_tiny_gaps(self, radius):
         # 2100 points, 1.5 radii apart along x at y = 1: no pair is within
-        # the radius. The cross-cell check once expanded |a|^2 + |b|^2 - 2ab,
+        # the radius. A cross-cell check once expanded |a|^2 + |b|^2 - 2ab,
         # whose rounding near 1 (about 1e-16) exceeds r^2 below r ~ 1e-8,
         # and merged them into 759 groups at 1e-8 and 310 at 1e-10.
         x = 1.0 + 1.5 * radius * np.arange(2100)
         positions = np.stack([x, np.ones(2100)], axis=1)
         oracle = pairwise_groups(positions, radius)
-        assert sorted(map(sorted, _merge_union(positions, radius).groups())) == oracle
+        assert merge_groups(positions, radius) == oracle
         assert len(oracle) == 2100
+
+
+class TestMergeLabels:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("radius", [0.05, 0.3, 1.0])
+    def test_matches_pairwise_oracle(self, d, radius):
+        rng = np.random.default_rng(10 * d + int(10 * radius))
+        positions = rng.standard_normal((int(rng.integers(300, 600)), d))
+        positions[::7] = np.round(positions[::7] * 4.0) / 4.0  # ties, duplicates
+        assert merge_groups(positions, radius) == pairwise_groups(positions, radius)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_joins_pairs_several_cells_apart(self, d):
+        # a sits just inside cell 0 and b at cell ceil(sqrt(d)) + 1 along
+        # axis 0, 0.999999999 apart. A neighbour walk reaching ceil(sqrt(d))
+        # cells never compared them once 2100 fillers took the point count
+        # past 2048, although the pairwise path joined them below it.
+        side = 1.0 / (math.sqrt(d) * (1.0 + 1e-9))
+        a, b = np.zeros(d), np.zeros(d)
+        a[0] = side * (1.0 - 1e-12)
+        b[0] = (math.ceil(math.sqrt(d)) + 1) * side
+        filler = 10.0 + 5.0 * np.arange(2100)[:, None] * np.ones(d)
+        positions = np.vstack([a, b, filler])
+        labels = _merge_labels(positions, 1.0)
+        assert labels[0] == labels[1]
+        assert merge_groups(positions, 1.0) == pairwise_groups(positions, 1.0)
+
+    def test_six_dimensions_finish_within_budget(self):
+        # The neighbour walk once visited 7^6 offsets per occupied cell in
+        # Python and took about two minutes on these points.
+        positions = np.random.default_rng(2).standard_normal((2100, 6))
+        start = time.perf_counter()
+        groups = merge_groups(positions, 0.5)
+        elapsed = time.perf_counter() - start
+        assert groups == pairwise_groups(positions, 0.5)
+        assert elapsed < 20.0
+
+    def ragged_totals(self, monkeypatch):
+        # Entries of each ragged enumeration: the cell pairs first, then
+        # the member pairs compared for each block of cell pairs.
+        totals = []
+        inner = clustering._ragged
+
+        def recording(counts):
+            totals.append(int(counts.sum()))
+            return inner(counts)
+
+        monkeypatch.setattr(clustering, "_ragged", recording)
+        return totals
+
+    def test_upper_bound_joins_cells_without_member_check(self, monkeypatch):
+        # Radius 1 in 1-D: cells of side ~1, so 0.9 and 1.1 sit in cells 0
+        # and 1, whose boxes lie wholly within the radius of each other.
+        totals = self.ragged_totals(monkeypatch)
+        labels = _merge_labels(np.array([[0.9], [1.1], [5.0]]), 1.0)
+        assert labels.tolist() == [0, 0, 1]
+        assert totals == [1, 0]
+
+    @pytest.mark.parametrize("far, joined", [(0.9, True), (1.0, False)])
+    def test_member_check_decides_straddling_cells(self, monkeypatch, far, joined):
+        # Radius 1 in 2-D: cells of side ~0.707. Cell (0, 0) holds two
+        # opposite corners and cell (1, 1) the point (far, far); the boxes
+        # lie less than the radius apart but span more than it, so the
+        # members decide (the nearest lie 0.886 or 1.012 apart).
+        totals = self.ragged_totals(monkeypatch)
+        positions = np.array([[0.05, 0.65], [0.65, 0.05], [far, far]])
+        labels = _merge_labels(positions, 1.0)
+        assert labels[0] == labels[1]
+        assert bool(labels[1] == labels[2]) is joined
+        assert totals == [1, 2]
+        assert merge_groups(positions, 1.0) == pairwise_groups(positions, 1.0)
+
+    def test_peak_memory_is_one_block_plus_linear_scratch(self):
+        positions = np.random.default_rng(6).uniform(size=(20000, 2))
+        tracemalloc.start()
+        try:
+            labels = _merge_labels(positions, 1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (20000,)
+        assert peak <= 8 * (clustering._CHUNK_TARGET + 32 * positions.size)
 
 
 class TestSoftAssign:
