@@ -211,7 +211,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     gt_planes = []
     for idx in range(1, gt_seg.n_instances + 1):
         members = np.nonzero((gt_seg.labels == idx) & gt_points.validity)[0]
-        plane, _ = fit_plane_lsq(gt_points, members)
+        try:
+            plane, _ = fit_plane_lsq(gt_points, members)
+        except ValueError as exc:
+            raise ValueError(f"reference segment {idx}: {exc}") from exc
         gt_planes.append(plane)
 
     depth_curve = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, intr)

@@ -108,7 +108,13 @@ def _render(
         np.ascontiguousarray(column).take(labels).reshape(grid.height, grid.width)
         for column in normals.T
     )
-    denom = (nx * x + ny * y[:, None] + nz).reshape(-1)
+    # denom = nx * x + ny * y + nz, summed in that order in the gathered
+    # buffers
+    np.multiply(nx, x, out=nx)
+    np.multiply(ny, y[:, None], out=ny)
+    nx += ny
+    nx += nz
+    denom = nx.reshape(-1)
     valid = denom > EPS_RAY
     depth = np.zeros(grid.n_pixels, dtype=np.float64)
     np.divide(1.0, denom, out=depth, where=valid)
@@ -224,19 +230,28 @@ def fit_plane_lsq(
 ) -> Tuple[Plane, float]:
     """Least-squares plane through the valid points at ``subset`` indices.
 
-    Solves for n minimizing |Q n - 1|^2 via SVD and returns the plane
-    together with the residual RMS.
+    Solves for n minimizing |Q n - 1|^2 from one Householder QR of the
+    (m, 4) block [Q 1]: n = R[:3, :3]^-1 R[:3, 3], and the residual norm
+    is |R[3, 3]| (0 when m = 3). Returns the plane with the residual
+    RMS. Q has the singular values of R[:3, :3], so the points are
+    rejected as collinear or coincident when the smallest of them is at
+    most m * eps times the largest, the tolerance of ``matrix_rank``.
     """
     subset = np.asarray(subset, dtype=np.int64).ravel()
     keep = subset[points.validity[subset]]
-    q = points.points[keep]
-    if q.shape[0] < 3:
+    m = keep.shape[0]
+    if m < 3:
         raise ValueError("degenerate point set: need >= 3 valid points")
-    if np.linalg.matrix_rank(q) < 3:
+    block = np.empty((4, m), dtype=np.float64)
+    for axis in range(3):
+        block[axis] = points.points[:, axis][keep]
+    block[3] = 1.0
+    r = np.linalg.qr(block.T, mode="r")
+    s = np.linalg.svd(r[:3, :3], compute_uv=False)
+    if s[-1] <= s[0] * m * np.finfo(np.float64).eps:
         raise ValueError("degenerate point set: points are collinear or coincident")
-    n, _, _, _ = np.linalg.lstsq(q, np.ones(q.shape[0]), rcond=None)
-    residual = q @ n - 1.0
-    rms = float(np.sqrt(np.mean(residual**2)))
+    n = np.linalg.solve(r[:3, :3], r[:3, 3])
+    rms = float(abs(r[3, 3]) / np.sqrt(m)) if m > 3 else 0.0
     return Plane(n), rms
 
 

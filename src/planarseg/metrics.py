@@ -315,7 +315,14 @@ def segmentation_covering(
 
 
 def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:
-    """Error statistics over jointly valid pixels."""
+    """Error statistics over jointly valid pixels.
+
+    The jointly valid depths p and g are gathered once, and every later
+    term is computed in place in four buffers of that length. Both log
+    errors come from one natural log of p / g (``log10`` divides its
+    mean by ln 10). ``acc_k`` is the share with max(p / g, g / p) <
+    1.25^k, so a ratio of exactly 1.25^k fails it.
+    """
     if pred.grid != gt.grid:
         raise ValueError("depth grids must match")
     joint = pred.validity & gt.validity
@@ -324,17 +331,18 @@ def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:
     p = pred.depth[joint]
     g = gt.depth[joint]
     diff = p - g
-    ratio = np.maximum(p / g, g / p)
-    return DepthMetrics(
-        rel=float(np.mean(np.abs(diff) / g)),
-        rel_sqr=float(np.mean(diff**2 / g)),
-        log10=float(np.mean(np.abs(np.log10(p) - np.log10(g)))),
-        rmse=float(np.sqrt(np.mean(diff**2))),
-        rmse_log=float(np.sqrt(np.mean((np.log(p) - np.log(g)) ** 2))),
-        acc_1=float(100.0 * np.mean(ratio < 1.25)),
-        acc_2=float(100.0 * np.mean(ratio < 1.25**2)),
-        acc_3=float(100.0 * np.mean(ratio < 1.25**3)),
-    )
+    sq = diff**2
+    rmse = float(np.sqrt(np.mean(sq)))
+    rel_sqr = float(np.mean(np.divide(sq, g, out=sq)))
+    rel = float(np.mean(np.divide(np.abs(diff, out=diff), g, out=diff)))
+    forward = np.divide(p, g, out=sq)
+    log_ratio = np.log(forward, out=diff)
+    ratio = np.maximum(forward, np.divide(g, p, out=p), out=forward)
+    n = ratio.size
+    acc = [100.0 * (np.count_nonzero(ratio < 1.25**k) / n) for k in (1, 2, 3)]
+    rmse_log = float(np.sqrt(np.mean(np.square(log_ratio, out=g))))
+    log10 = float(np.mean(np.abs(log_ratio, out=log_ratio)) / np.log(10.0))
+    return DepthMetrics(rel, rel_sqr, log10, rmse, rmse_log, *acc)
 
 
 def plane_count_histogram(

@@ -369,6 +369,24 @@ class TestEvalCommand:
         assert code == 2
         assert "instance params rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["two_pixels", "label_gap"])
+    def test_unfittable_reference_segment_named(self, tmp_path, capsys, case):
+        scene = run_synth(tmp_path)
+        labels = read_tensor(scene / "segmentation.pten")
+        segment = np.flatnonzero(labels == 2)
+        spare = segment[2:] if case == "two_pixels" else segment
+        labels.reshape(-1)[spare] = 1
+        gt_labels = tmp_path / "gt_labels.pten"
+        write_tensor(gt_labels, labels)
+        args = self.eval_args(scene, tmp_path / "eval")
+        args[args.index("--gt-labels") + 1] = str(gt_labels)
+        code = main(args)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: reference segment 2: degenerate point set: "
+            "need >= 3 valid points\n"
+        )
+
     def test_grid_mismatch_exits_two(self, tmp_path, capsys):
         scene = run_synth(tmp_path)
         small = tmp_path / "small_labels.pten"

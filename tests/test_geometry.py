@@ -330,6 +330,89 @@ class TestFitPlaneLsq:
         assert rel < 1e-8
 
 
+def oracle_fit_plane(q):
+    """The SVD fit: a ``matrix_rank`` test, ``lstsq``, then a residual pass."""
+    if q.shape[0] < 3:
+        raise ValueError("degenerate point set: need >= 3 valid points")
+    if np.linalg.matrix_rank(q) < 3:
+        raise ValueError("degenerate point set: points are collinear or coincident")
+    n, _, _, _ = np.linalg.lstsq(q, np.ones(q.shape[0]), rcond=None)
+    return n, float(np.sqrt(np.mean((q @ n - 1.0) ** 2)))
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def patch_points(kind, rng):
+    """Points on a random plane patch, with a little off-plane noise.
+
+    ``small``: 1 cm across at 1-5 m; ``far``: a few metres across at
+    50-200 m; ``tilted``: seen at a grazing angle; ``three``: three
+    corners of a triangle 1 m across.
+    """
+    depth = rng.uniform(50.0, 200.0) if kind == "far" else rng.uniform(1.0, 5.0)
+    center = depth * np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4), 1.0])
+    if kind == "tilted":
+        view = _unit(center)
+        normal = _unit(np.cross(view, rng.normal(size=3)) + 0.05 * view)
+    else:
+        normal = _unit(rng.uniform(-0.5, 0.5, 3) - _unit(center))
+    u = _unit(np.cross(normal, rng.normal(size=3)))
+    v = np.cross(normal, u)
+    size = {"small": 0.01, "far": rng.uniform(1.0, 5.0)}.get(kind, 1.0)
+    if kind == "three":
+        angle = 2.0 * np.pi * np.arange(3) / 3.0 + rng.uniform(-0.5, 0.5, 3)
+        a, b = size * np.cos(angle), size * np.sin(angle)
+        return center + a[:, None] * u + b[:, None] * v
+    m = int(rng.integers(4, 60))
+    a, b = rng.uniform(-size, size, (2, m))
+    noise = 1e-3 * size * rng.normal(size=(m, 1))
+    return center + a[:, None] * u + b[:, None] * v + noise * normal
+
+
+class TestFitPlaneLsqOracle:
+    """The QR fit against the SVD fit it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["small", "far", "tilted", "three"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_on_patches(self, kind, seed):
+        q = patch_points(kind, np.random.default_rng(seed))
+        n_ref, rms_ref = oracle_fit_plane(q)
+        m = q.shape[0]
+        plane, rms = fit_plane_lsq(PointMap(ImageGrid(1, m), q), np.arange(m))
+        rel = np.linalg.norm(plane.n - n_ref) / np.linalg.norm(n_ref)
+        assert rel <= 1e-9
+        assert abs(rms - rms_ref) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        exponent=st.floats(3.0, 12.0),
+        scale=st.floats(0.0, 4.0),
+        m=st.integers(3, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_decision_near_collinear(self, exponent, scale, m, seed):
+        # m points on a line 10^scale from the camera; one moved off it
+        # by 10^-exponent
+        rng = np.random.default_rng(seed)
+        direction = _unit(rng.normal(size=3))
+        origin = 10.0**scale * _unit(rng.normal(size=3))
+        q = origin + rng.uniform(-1.0, 1.0, (m, 1)) * direction
+        q[0] += 10.0**-exponent * _unit(np.cross(direction, rng.normal(size=3)))
+        pm = PointMap(ImageGrid(1, m), q)
+        try:
+            oracle_fit_plane(q)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                fit_plane_lsq(pm, np.arange(m))
+        else:
+            fit_plane_lsq(pm, np.arange(m))
+
+
 def two_segment_points(z_left, z_right, grid=None):
     grid = grid or ImageGrid(6, 8)
     intr = CameraIntrinsics(fx=50.0, fy=50.0, cx=3.5, cy=2.5)

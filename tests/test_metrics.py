@@ -495,7 +495,59 @@ class TestRecallCurveType:
             curve.plane_recall[0] = 0.0
 
 
+def oracle_depth_metrics(pred, gt):
+    """The four-log formulas: log10 and ln of each depth taken apart."""
+    joint = pred.validity & gt.validity
+    p = pred.depth[joint]
+    g = gt.depth[joint]
+    diff = p - g
+    ratio = np.maximum(p / g, g / p)
+    return DepthMetrics(
+        rel=float(np.mean(np.abs(diff) / g)),
+        rel_sqr=float(np.mean(diff**2 / g)),
+        log10=float(np.mean(np.abs(np.log10(p) - np.log10(g)))),
+        rmse=float(np.sqrt(np.mean(diff**2))),
+        rmse_log=float(np.sqrt(np.mean((np.log(p) - np.log(g)) ** 2))),
+        acc_1=float(100.0 * np.mean(ratio < 1.25)),
+        acc_2=float(100.0 * np.mean(ratio < 1.25**2)),
+        acc_3=float(100.0 * np.mean(ratio < 1.25**3)),
+    )
+
+
 class TestDepthMetrics:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3000),
+        spread=st.floats(0.01, 3.0),
+    )
+    def test_matches_four_log_oracle(self, seed, n, spread):
+        rng = np.random.default_rng(seed)
+        grid = ImageGrid(1, n)
+        g = rng.uniform(0.1, 50.0, n)
+        p = g * np.exp(rng.normal(0.0, spread, n))
+        pred_valid, gt_valid = rng.random((2, n)) < 0.9
+        pred_valid[0] = gt_valid[0] = True
+        pred, gt = DepthMap(grid, p, pred_valid), DepthMap(grid, g, gt_valid)
+        got = depth_metrics(pred, gt).as_dict()
+        want = oracle_depth_metrics(pred, gt).as_dict()
+        for key in ("rel", "rel_sqr", "rmse", "acc_1", "acc_2", "acc_3"):
+            assert got[key] == want[key], key
+        for key in ("log10", "rmse_log"):
+            assert abs(got[key] - want[key]) <= 1e-12, key
+
+    def test_ratio_ties_fail_accuracy(self):
+        # frozen: a ratio of exactly 1.25^k fails acc_k, either way round
+        grid = ImageGrid(1, 6)
+        g = np.array([1.0, 1.0, 1.0, 1.25, 1.5625, 1.953125])
+        p = np.array([1.25, 1.5625, 1.953125, 1.0, 1.0, 1.0])
+        m = depth_metrics(DepthMap(grid, p), DepthMap(grid, g))
+        assert m.acc_1 == 0.0
+        assert m.acc_2 == pytest.approx(100.0 / 3.0)
+        assert m.acc_3 == pytest.approx(200.0 / 3.0)
+        want = oracle_depth_metrics(DepthMap(grid, p), DepthMap(grid, g))
+        assert (m.acc_1, m.acc_2, m.acc_3) == (want.acc_1, want.acc_2, want.acc_3)
+
     def test_exact_prediction(self):
         grid = ImageGrid(2, 3)
         gt = DepthMap(grid, np.linspace(1.0, 3.0, 6))
