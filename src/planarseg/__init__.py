@@ -24,15 +24,10 @@ from .core import (
 )
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .clustering import (
-    AnchorState,
     ClusterSet,
     MeanShiftConfig,
     cluster,
-    filter_low_density,
     hard_labels,
-    init_anchors,
-    merge_anchors,
-    shift_anchors,
     soft_assign,
     vanilla_mean_shift,
 )
@@ -41,7 +36,6 @@ from .geometry import (
     backproject,
     depth_from_plane,
     fit_plane_lsq,
-    fit_planes_ransac_merge,
     normal_angle,
     one_hot_assignment,
     pool_instance_params,
@@ -63,7 +57,6 @@ from .metrics import (
     DepthMetrics,
     RecallCurve,
     depth_metrics,
-    iou_matrix,
     plane_count_histogram,
     rand_index,
     recall_depth,
@@ -100,22 +93,16 @@ __all__ = [
     "TensorFormatError",
     "read_tensor",
     "write_tensor",
-    "AnchorState",
     "ClusterSet",
     "MeanShiftConfig",
     "cluster",
-    "filter_low_density",
     "hard_labels",
-    "init_anchors",
-    "merge_anchors",
-    "shift_anchors",
     "soft_assign",
     "vanilla_mean_shift",
     "Plane",
     "backproject",
     "depth_from_plane",
     "fit_plane_lsq",
-    "fit_planes_ransac_merge",
     "normal_angle",
     "one_hot_assignment",
     "pool_instance_params",
@@ -134,7 +121,6 @@ __all__ = [
     "DepthMetrics",
     "RecallCurve",
     "depth_metrics",
-    "iou_matrix",
     "plane_count_histogram",
     "rand_index",
     "recall_depth",

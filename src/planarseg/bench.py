@@ -20,9 +20,8 @@ from .core import EmbeddingMap, ImageGrid, PlanarMask
 from .clustering import (
     MeanShiftConfig,
     _gaussian_shift,
+    _seed_anchors,
     cluster,
-    filter_low_density,
-    init_anchors,
     vanilla_mean_shift,
 )
 
@@ -117,8 +116,7 @@ def bench_clustering(
             config = MeanShiftConfig(
                 anchors_per_dim=k, dim=2, bandwidth=0.5, iterations=t_iters
             )
-            state = filter_low_density(init_anchors(emb, mask, config), config)
-            anchor_pos = state.positions
+            anchor_pos = _seed_anchors(emb, mask, config)[0]
             values = emb.values
 
             iter_fast = _median_time(

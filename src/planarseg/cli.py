@@ -176,6 +176,8 @@ def _read_segmentation(path: str) -> InstanceSegmentation:
     raw = _load_tensor(path)
     if raw.ndim != 2:
         raise UsageError(f"labels must be a (H, W) tensor, got shape {raw.shape}")
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+        raise UsageError(f"labels in {path} must be finite integers")
     grid = ImageGrid(*raw.shape)
     return InstanceSegmentation(grid, raw.reshape(-1).astype(np.int64))
 

@@ -2,11 +2,12 @@
 
 Two variants share one Gaussian-kernel shift step:
 
-* :func:`cluster` moves a small grid of anchors instead of every pixel.
-  One O(N) pass first bins the masked embeddings, gathered once as d
-  columns, into cells of side ``BIN_SIDE * bandwidth`` and keeps each
-  occupied cell's centroid and pixel count; anchor densities and every
-  shift then run against those B weighted centroids. The Gaussian
+* :func:`cluster`, the one entry point to the anchor mean shift, moves
+  a small grid of anchors instead of every pixel. One O(N) pass first
+  bins the masked embeddings, gathered once as d columns, into cells of
+  side ``BIN_SIDE * bandwidth`` and keeps each occupied cell's centroid
+  and pixel count; the anchor densities, the one density filter and
+  every shift then run against those B weighted centroids. The Gaussian
   factors over axes, so the k^d grid densities cost O(d * k * B) exps
   plus a GEMM, and each shift of M anchors costs O(M * B) with B <= N
   rather than O(N^2), over kernel tiles small enough for a core's L2
@@ -15,7 +16,7 @@ Two variants share one Gaussian-kernel shift step:
   correctness oracle; it runs the exact, unweighted kernel on every
   pixel.
 
-Both fuse modes closer than the merge radius, transitively, in one exact
+Both fuse modes closer than the bandwidth, transitively, in one exact
 pass (:func:`_merge_labels`): modes are grouped into cells, pairs of
 cells are decided by the boxes of their members, and members are
 compared only where the boxes straddle the radius.
@@ -40,12 +41,7 @@ from .core import EmbeddingMap, InstanceSegmentation, PlanarMask, SoftAssignment
 
 __all__ = [
     "MeanShiftConfig",
-    "AnchorState",
     "ClusterSet",
-    "init_anchors",
-    "shift_anchors",
-    "filter_low_density",
-    "merge_anchors",
     "soft_assign",
     "cluster",
     "vanilla_mean_shift",
@@ -91,7 +87,7 @@ BIN_SIDE = 0.05
 _DENSE_KEYS_PER_POINT = 8
 
 # Most anchors a config may place (anchors_per_dim ** dim). The grid's
-# positions, mesh and frozen copy then stay within a few hundred MiB
+# positions, mesh and filtered copy then stay within a few hundred MiB
 # (a process peak of about 200 MiB at d = 6, k = 10); k = 10 at d = 8
 # would need 6.4 GB for the positions alone.
 MAX_ANCHORS = 1 << 20
@@ -101,10 +97,10 @@ MAX_ANCHORS = 1 << 20
 class MeanShiftConfig:
     """Hyper-parameters of the anchor-based mean shift.
 
-    ``merge_radius`` defaults to the bandwidth when left as None.
-    ``early_exit`` stops iterating once the largest anchor displacement
-    falls below 1e-5 * bandwidth; off by default so the iteration count
-    is exactly ``iterations``.
+    ``anchors_per_dim ** dim`` anchors start on the grid; those whose
+    density is below ``density_fraction`` of the largest are dropped,
+    and the rest shift exactly ``iterations`` times before modes closer
+    than ``bandwidth`` merge.
     """
 
     anchors_per_dim: int = 10
@@ -112,8 +108,6 @@ class MeanShiftConfig:
     bandwidth: float = 0.5
     iterations: int = 10
     density_fraction: float = 0.1
-    merge_radius: Optional[float] = None
-    early_exit: bool = False
 
     def __post_init__(self) -> None:
         if self.anchors_per_dim < 2:
@@ -132,39 +126,6 @@ class MeanShiftConfig:
             raise ValueError("iterations must be >= 1")
         if not 0.0 <= self.density_fraction < 1.0:
             raise ValueError("density_fraction must lie in [0, 1)")
-        if self.merge_radius is not None and not self.merge_radius > 0.0:
-            raise ValueError("merge_radius must be > 0")
-
-    @property
-    def effective_merge_radius(self) -> float:
-        return self.bandwidth if self.merge_radius is None else self.merge_radius
-
-
-@dataclass(frozen=True)
-class AnchorState:
-    """Anchor positions with their current kernel densities."""
-
-    positions: np.ndarray
-    densities: np.ndarray
-
-    def __post_init__(self) -> None:
-        positions = np.array(self.positions, dtype=np.float64, copy=True)
-        densities = np.array(self.densities, dtype=np.float64, copy=True)
-        if positions.ndim != 2:
-            raise ValueError(f"positions must be (M, d), got {positions.shape}")
-        if densities.shape != (positions.shape[0],):
-            raise ValueError("densities must have one entry per anchor")
-        if not np.all(np.isfinite(positions)):
-            raise ValueError("anchor positions must be finite")
-        if densities.size and densities.min() < 0.0:
-            raise ValueError("densities must be >= 0")
-        positions.flags.writeable = False
-        densities.flags.writeable = False
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "densities", densities)
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
 
 
 @dataclass(frozen=True)
@@ -193,17 +154,18 @@ class ClusterSet:
 
 
 def _check_bandwidth(bandwidth: float) -> None:
-    """Reject a bandwidth the Gaussian kernel cannot use: not positive, or
-    so small that the exponent's scale 1 / (2 * b * b) is not finite (the
-    square underflows to 0 or to a subnormal whose reciprocal overflows)."""
+    """Reject a bandwidth the Gaussian kernel cannot use: not positive,
+    infinite, or so small that the exponent's scale 1 / (2 * b * b) is not
+    finite (the square underflows to 0 or to a subnormal whose reciprocal
+    overflows)."""
     if not (
-        bandwidth > 0.0
+        0.0 < bandwidth < math.inf
         and 2.0 * bandwidth * bandwidth > 0.0
         and math.isfinite(1.0 / (2.0 * bandwidth * bandwidth))
     ):
         raise ValueError(
-            "bandwidth must be > 0 and large enough that 1/(2*b*b) is finite, "
-            f"got {bandwidth!r}"
+            "bandwidth must be > 0, finite and large enough that 1/(2*b*b) "
+            f"is finite, got {bandwidth!r}"
         )
 
 
@@ -276,14 +238,30 @@ def _gaussian_shift(
 
 
 def _masked_columns(embeddings: EmbeddingMap, mask: PlanarMask) -> List[np.ndarray]:
-    """The masked embeddings as d contiguous columns, one gather each."""
+    """The masked embeddings as d contiguous columns, one gather each.
+
+    Every masked |coordinate| must lie below c = sqrt(max_float / (4 d)),
+    so that no kernel overflows: for two such points a and p, the terms
+    |a|^2, 2 |a . p| and |p|^2 of the shift's expanded squared distance
+    stay below max_float / 4, / 2 and / 4, and the squared distance
+    |a - p|^2 <= 4 d c^2 of the grid densities and the soft assignment
+    stays below max_float.
+    """
     if embeddings.grid != mask.grid:
         raise ValueError("embedding and mask grids must match")
     idx = np.flatnonzero(mask.mask)
     if idx.shape[0] == 0:
         raise ValueError("no planar pixels")
     values = embeddings.values
-    return [values[:, a].take(idx) for a in range(values.shape[1])]
+    columns = [values[:, a].take(idx) for a in range(values.shape[1])]
+    limit = math.sqrt(np.finfo(np.float64).max / (4 * len(columns)))
+    largest = max(max(column.max(), -column.min()) for column in columns)
+    if not largest < limit:
+        raise ValueError(
+            f"masked embeddings must lie within +-{limit:.4g} so that squared "
+            f"distances stay finite, got a coordinate of magnitude {largest:.4g}"
+        )
+    return columns
 
 
 def _group_rows(
@@ -422,62 +400,43 @@ def _anchor_grid(
     centroids: np.ndarray,
     counts: np.ndarray,
     config: MeanShiftConfig,
-) -> AnchorState:
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions and densities of k^d anchors on a uniform grid over the
+    bounding box, in C order.
+
+    Endpoints are inclusive; a zero-extent axis collapses to its single
+    coordinate. Densities are the kernel sums at the grid nodes over the
+    count-weighted bin centroids: because the Gaussian factors over axes,
+    O(d * k * B) exps for B occupied bins plus a GEMM that contracts the
+    per-axis factors into the k^d sums (see :func:`_grid_densities`).
+    """
     lo, hi = box
     axes = [np.linspace(lo[a], hi[a], config.anchors_per_dim) for a in range(config.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     positions = np.stack([m.ravel() for m in mesh], axis=1)
-    return AnchorState(
-        positions, _grid_densities(axes, centroids, counts, config.bandwidth)
-    )
+    return positions, _grid_densities(axes, centroids, counts, config.bandwidth)
 
 
-def init_anchors(
+def _dense_anchors(
+    positions: np.ndarray, densities: np.ndarray, fraction: float
+) -> np.ndarray:
+    """The anchors whose density is at least ``fraction`` of the largest.
+
+    The maximum-density anchor always survives because the fraction is
+    below 1.
+    """
+    return positions[densities >= fraction * densities.max()]
+
+
+def _seed_anchors(
     embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig
-) -> AnchorState:
-    """Place k^d anchors on a uniform grid over the masked bounding box.
-
-    Endpoints are inclusive; a zero-extent axis collapses to its single
-    coordinate. Densities are the kernel sums at the initial positions,
-    taken over the count-weighted bin centroids (see :func:`_bin_points`):
-    one O(N) binning pass, then, because the Gaussian factors over axes,
-    O(d * k * B) exps for B occupied bins plus a GEMM that contracts the
-    per-axis factors into the k^d sums (see :func:`_grid_densities`).
-    """
-    return _anchor_grid(*_binned_values(embeddings, mask, config), config)
-
-
-def shift_anchors(
-    state: AnchorState,
-    embeddings: EmbeddingMap,
-    mask: PlanarMask,
-    config: MeanShiftConfig,
-) -> AnchorState:
-    """Move every anchor to the kernel-weighted mean of masked embeddings.
-
-    The mean runs over the count-weighted bin centroids: one O(N)
-    binning pass, then O(k^d * B) for B occupied bins. :func:`cluster`
-    bins once and reuses the bins for every shift.
-    """
-    if len(state) == 0:
-        raise ValueError("anchor state is empty")
-    _, centroids, counts = _binned_values(embeddings, mask, config)
-    return AnchorState(
-        *_gaussian_shift(state.positions, centroids, config.bandwidth, weights=counts)
-    )
-
-
-def filter_low_density(state: AnchorState, config: MeanShiftConfig) -> AnchorState:
-    """Drop anchors whose density falls below the relative threshold.
-
-    The maximum-density anchor always survives because the threshold is
-    a fraction < 1 of the maximum.
-    """
-    if len(state) == 0:
-        raise ValueError("anchor state is empty")
-    cutoff = config.density_fraction * state.densities.max()
-    keep = state.densities >= cutoff
-    return AnchorState(state.positions[keep], state.densities[keep])
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin the masked embeddings once, place the anchor grid and drop its
+    low-density anchors: (anchors, bin centroids, bin counts)."""
+    box, centroids, counts = _binned_values(embeddings, mask, config)
+    positions, densities = _anchor_grid(box, centroids, counts, config)
+    anchors = _dense_anchors(positions, densities, config.density_fraction)
+    return anchors, centroids, counts
 
 
 def _norm(gaps: Iterable[np.ndarray]) -> np.ndarray:
@@ -596,13 +555,6 @@ def _merge_points(positions: np.ndarray, radius: float) -> ClusterSet:
     return ClusterSet(centers[order], counts[order])
 
 
-def merge_anchors(state: AnchorState, config: MeanShiftConfig) -> ClusterSet:
-    """Fuse anchors within the merge radius; centers are member means."""
-    if len(state) == 0:
-        raise ValueError("anchor state is empty")
-    return _merge_points(state.positions, config.effective_merge_radius)
-
-
 def soft_assign(
     embeddings: EmbeddingMap,
     mask: PlanarMask,
@@ -696,23 +648,15 @@ def _assign_span(values: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> n
 
 def _anchor_modes(
     embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig
-) -> AnchorState:
-    """Bin once, init, density-filter once, then shift T times against the
-    weighted bin centroids. The bins are freed on return."""
-    box, centroids, counts = _binned_values(embeddings, mask, config)
-    state = filter_low_density(_anchor_grid(box, centroids, counts, config), config)
-    threshold = 1e-5 * config.bandwidth
+) -> np.ndarray:
+    """Seed the anchors, then shift them T times against the weighted bin
+    centroids. The bins are freed on return."""
+    anchors, centroids, counts = _seed_anchors(embeddings, mask, config)
     for _ in range(config.iterations):
-        moved = AnchorState(
-            *_gaussian_shift(state.positions, centroids, config.bandwidth, weights=counts)
+        anchors, _ = _gaussian_shift(
+            anchors, centroids, config.bandwidth, weights=counts
         )
-        displacement = float(
-            np.max(np.linalg.norm(moved.positions - state.positions, axis=1))
-        )
-        state = moved
-        if config.early_exit and displacement < threshold:
-            break
-    return state
+    return anchors
 
 
 def cluster(
@@ -720,10 +664,15 @@ def cluster(
     mask: PlanarMask,
     config: MeanShiftConfig = MeanShiftConfig(),
 ) -> Tuple[ClusterSet, SoftAssignment]:
-    """Anchor-based mean shift: bin the masked embeddings once, init,
-    density-filter once, shift T times against the weighted bin
-    centroids, merge, then soft-assign pixels to the surviving centers."""
-    clusters = merge_anchors(_anchor_modes(embeddings, mask, config), config)
+    """Anchor-based mean shift: bin the masked embeddings once, place the
+    anchor grid, density-filter it once, shift T times against the
+    weighted bin centroids, merge modes closer than the bandwidth, then
+    soft-assign pixels to the surviving centers.
+
+    Masked embeddings must lie within the bound of :func:`_masked_columns`
+    (about 4.7e153 at d = 2), which is checked before any kernel runs.
+    """
+    clusters = _merge_points(_anchor_modes(embeddings, mask, config), config.bandwidth)
     assignment = soft_assign(embeddings, mask, clusters)
     return clusters, assignment
 
@@ -739,7 +688,8 @@ def vanilla_mean_shift(
 
     Seeds iterate under the same Gaussian kernel until the largest
     displacement drops below ``tol`` or ``max_iters`` passes, then modes
-    within one bandwidth merge into clusters.
+    within one bandwidth merge into clusters. Masked embeddings must lie
+    within the same bound as for :func:`cluster`.
     """
     _check_bandwidth(bandwidth)
     if max_iters < 1:

@@ -8,10 +8,9 @@ a plain 3-vector.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -36,13 +35,11 @@ __all__ = [
     "pool_instance_params",
     "one_hot_assignment",
     "fit_plane_lsq",
-    "fit_planes_ransac_merge",
     "normal_angle",
 ]
 
 EPS_PLANE = 1e-6
 EPS_RAY = 1e-8
-RANSAC_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -253,127 +250,6 @@ def fit_plane_lsq(
     n = np.linalg.solve(r[:3, :3], r[:3, 3])
     rms = float(abs(r[3, 3]) / np.sqrt(m)) if m > 3 else 0.0
     return Plane(n), rms
-
-
-def _point_plane_distance(q: np.ndarray, plane: Plane) -> np.ndarray:
-    """Euclidean point-to-plane distances for rows of ``q``."""
-    scale = np.linalg.norm(plane.n)
-    return np.abs(q @ plane.n - 1.0) / scale
-
-
-def _ransac_plane(
-    q: np.ndarray, inlier_tol: float, rng: np.random.Generator
-) -> Optional[Tuple[np.ndarray, int]]:
-    """Best-consensus plane vector over fixed random 3-point samples."""
-    m = q.shape[0]
-    best_n: Optional[np.ndarray] = None
-    best_count = 0
-    for _ in range(RANSAC_ITERATIONS):
-        pick = rng.choice(m, size=3, replace=False)
-        sample = q[pick]
-        if np.linalg.matrix_rank(sample) < 3:
-            continue
-        n = np.linalg.solve(
-            sample.T @ sample + 1e-10 * np.eye(3), sample.sum(axis=0)
-        )
-        norm = np.linalg.norm(n)
-        if norm < EPS_PLANE:
-            continue
-        dist = np.abs(q @ n - 1.0) / norm
-        count = int((dist < inlier_tol).sum())
-        if count > best_count:
-            best_count = count
-            best_n = n
-    if best_n is None or best_count < 3:
-        return None
-    return best_n, best_count
-
-
-def _segment_mean_distance(
-    q_a: np.ndarray, plane_b: Plane, q_b: np.ndarray, plane_a: Plane
-) -> float:
-    """Symmetric mean distance between two fitted segments."""
-    forward = float(np.mean(_point_plane_distance(q_a, plane_b)))
-    backward = float(np.mean(_point_plane_distance(q_b, plane_a)))
-    return 0.5 * (forward + backward)
-
-
-def fit_planes_ransac_merge(
-    points: PointMap,
-    segments: InstanceSegmentation,
-    inlier_tol: float = 0.01,
-    merge_tol: float = 0.10,
-    rng_seed: int = 0,
-) -> Tuple[InstanceSegmentation, List[Plane]]:
-    """Fit one plane per segment by RANSAC, then merge coplanar segments.
-
-    Segments with fewer than 3 usable points (or no consensus) drop to
-    label 0. Merging is greedy best-first: while some segment pair's
-    symmetric mean point-to-plane distance is below ``merge_tol``, fuse
-    the closest pair and refit on the union. Deterministic per seed.
-    """
-    if segments.n_instances < 1:
-        raise ValueError("segmentation has no instances")
-    rng = np.random.default_rng(rng_seed)
-    groups: List[np.ndarray] = []
-    planes: List[Plane] = []
-    for idx in range(1, segments.n_instances + 1):
-        members = np.nonzero((segments.labels == idx) & points.validity)[0]
-        if members.shape[0] < 3:
-            continue
-        q = points.points[members]
-        found = _ransac_plane(q, inlier_tol, rng)
-        if found is None:
-            continue
-        n, _ = found
-        inliers = members[_point_plane_distance(q, Plane(n)) < inlier_tol]
-        if inliers.shape[0] < 3:
-            continue
-        try:
-            plane, _ = fit_plane_lsq(points, inliers)
-        except ValueError:
-            continue
-        groups.append(members)
-        planes.append(plane)
-
-    def pair_distance(i: int, j: int) -> float:
-        return _segment_mean_distance(
-            points.points[groups[i]], planes[j], points.points[groups[j]], planes[i]
-        )
-
-    alive = list(range(len(groups)))
-    heap: List[Tuple[float, int, int]] = []
-    for pos, i in enumerate(alive):
-        for j in alive[pos + 1 :]:
-            score = pair_distance(i, j)
-            if score < merge_tol:
-                heapq.heappush(heap, (score, i, j))
-    active = set(alive)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if i not in active or j not in active:
-            continue
-        union = np.concatenate([groups[i], groups[j]])
-        plane, _ = fit_plane_lsq(points, union[points.validity[union]])
-        groups.append(union)
-        planes.append(plane)
-        new_idx = len(groups) - 1
-        active.discard(i)
-        active.discard(j)
-        for k in sorted(active):
-            fresh = pair_distance(k, new_idx)
-            if fresh < merge_tol:
-                heapq.heappush(heap, (fresh, min(k, new_idx), max(k, new_idx)))
-        active.add(new_idx)
-
-    survivors = sorted(active, key=lambda i: int(groups[i].min()))
-    labels = np.zeros(segments.grid.n_pixels, dtype=np.int64)
-    out_planes: List[Plane] = []
-    for new_id, i in enumerate(survivors, start=1):
-        labels[groups[i]] = new_id
-        out_planes.append(planes[i])
-    seg = InstanceSegmentation(segments.grid, labels, len(out_planes))
-    return seg, out_planes
 
 
 def normal_angle(a: Plane, b: Plane) -> float:

@@ -223,7 +223,9 @@ def run_gradient_checks(
     h: float = 1e-5,
     tolerance: float = 1e-4,
 ) -> List[GradCheckResult]:
-    """Sweep every loss over ``samples`` random off-kink points."""
+    """Sweep every loss over ``samples`` (at least 1) random off-kink points."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     results = []
     for name in LOSS_NAMES:

@@ -25,7 +25,6 @@ __all__ = [
     "DepthMetrics",
     "DEPTH_THRESHOLDS",
     "NORMAL_THRESHOLDS",
-    "iou_matrix",
     "recall_depth",
     "recall_normal",
     "rand_index",
@@ -98,13 +97,6 @@ def _contingency(
     cols = b.n_instances + 1
     flat = a.labels * cols + b.labels
     return np.bincount(flat, minlength=rows * cols).reshape(rows, cols)
-
-
-def iou_matrix(
-    pred: InstanceSegmentation, gt: InstanceSegmentation
-) -> np.ndarray:
-    """Intersection-over-union per (pred, gt) instance pair, label 0 excluded."""
-    return _iou(_contingency(pred, gt))
 
 
 def _iou(table: np.ndarray) -> np.ndarray:

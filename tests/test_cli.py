@@ -206,7 +206,7 @@ class TestClusterCommand:
         assert code == 2
         assert "grid mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bandwidth", ["1e-300", "1e-160", "-0.5"])
+    @pytest.mark.parametrize("bandwidth", ["1e-300", "1e-160", "-0.5", "inf"])
     def test_unusable_bandwidth_exits_one(self, tmp_path, capsys, bandwidth):
         scene = run_synth(tmp_path)
         out = tmp_path / "pred"
@@ -247,6 +247,26 @@ class TestClusterCommand:
         assert done.returncode == 0
         assert done.stderr == ""
         assert (out / "labels.pten").exists()
+
+    @pytest.mark.parametrize("scale, code", [(1e308, 1), (1e150, 0)])
+    def test_huge_embeddings(self, tmp_path, capsys, scale, code):
+        # 1e308 lies beyond the kernels' bound of ~4.7e153 at d = 2 and is
+        # refused with one line; 1e150 lies within it and clusters with no
+        # numpy warning (which the test settings turn into an error).
+        scene = run_synth(tmp_path)
+        embeddings = tmp_path / "huge.pten"
+        values = read_tensor(scene / "embeddings.pten")
+        write_tensor(embeddings, values * (scale / np.abs(values).max()))
+        out = tmp_path / "pred"
+        args = ["cluster", str(embeddings), str(scene / "probs.pten"), "--out", str(out)]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: masked embeddings must lie within")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+            assert (out / "labels.pten").exists()
 
     def test_anchor_grid_beyond_bound_exits_one(self, tmp_path, capsys):
         # 100000^2 anchors would need 74.5 GiB; the config refuses them
@@ -387,6 +407,31 @@ class TestEvalCommand:
             "need >= 3 valid points\n"
         )
 
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf])
+    def test_non_integral_labels_exit_two(self, tmp_path, capsys, bad):
+        scene = run_synth(tmp_path)
+        labels = read_tensor(scene / "segmentation.pten").astype(np.float64)
+        labels[0, 0] += bad
+        pred_labels = tmp_path / "float_labels.pten"
+        write_tensor(pred_labels, labels)
+        out = tmp_path / "eval"
+        assert main(self.eval_args(scene, out, pred_labels=pred_labels)) == 2
+        assert capsys.readouterr().err == (
+            f"error: labels in {pred_labels} must be finite integers\n"
+        )
+        assert not out.exists()
+
+    def test_integral_float_labels_load_as_integers(self, tmp_path):
+        scene = run_synth(tmp_path)
+        labels = read_tensor(scene / "segmentation.pten")
+        pred_labels = tmp_path / "float_labels.pten"
+        write_tensor(pred_labels, labels.astype(np.float32))
+        as_int, as_float = tmp_path / "int", tmp_path / "float"
+        assert main(self.eval_args(scene, as_int)) == 0
+        assert main(self.eval_args(scene, as_float, pred_labels=pred_labels)) == 0
+        for name in ("metrics.json", "recall_depth.csv", "recall_normal.csv"):
+            assert (as_float / name).read_bytes() == (as_int / name).read_bytes()
+
     def test_grid_mismatch_exits_two(self, tmp_path, capsys):
         scene = run_synth(tmp_path)
         small = tmp_path / "small_labels.pten"
@@ -404,6 +449,12 @@ class TestGradcheckCommand:
         assert len(lines) == 5
         assert all(line.startswith("PASS") for line in lines)
         assert "max rel err" in lines[0]
+
+    def test_zero_samples_exits_one(self, capsys):
+        assert main(["gradcheck", "--samples", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samples must be >= 1, got 0\n"
 
     def test_corrupt_run_exits_one(self, monkeypatch, capsys):
         # pull_loss keeps its value but reports a gradient 1% too large.

@@ -1,5 +1,6 @@
 """Anchor-based mean shift and its per-pixel oracle."""
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -15,19 +16,24 @@ from planarseg.clustering import (
     BIN_SIDE,
     MAX_ANCHORS,
     ZERO_DENSITY,
-    AnchorState,
     ClusterSet,
     MeanShiftConfig,
     cluster,
-    filter_low_density,
     hard_labels,
-    init_anchors,
-    merge_anchors,
-    shift_anchors,
     soft_assign,
     vanilla_mean_shift,
 )
-from planarseg.clustering import _bin_points, _gaussian_shift, _group_rows, _merge_labels
+from planarseg.clustering import (
+    _anchor_grid,
+    _anchor_modes,
+    _bin_points,
+    _binned_values,
+    _dense_anchors,
+    _gaussian_shift,
+    _group_rows,
+    _merge_labels,
+    _merge_points,
+)
 from planarseg.core import (
     EmbeddingMap,
     ImageGrid,
@@ -83,6 +89,20 @@ def merge_groups(positions, radius):
     return sorted(np.flatnonzero(labels == g).tolist() for g in range(labels.max() + 1))
 
 
+def initial_anchors(emb, mask, config):
+    """Positions and densities of the anchor grid that :func:`cluster`
+    places, before its density filter."""
+    return _anchor_grid(*_binned_values(emb, mask, config), config)
+
+
+def shift_once(positions, emb, mask, config):
+    """One binned shift of ``positions`` against the masked embeddings,
+    the step that :func:`cluster` repeats: (new positions, densities)."""
+    _, centroids, counts = _binned_values(emb, mask, config)
+    seeds = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+    return _gaussian_shift(seeds, centroids, config.bandwidth, weights=counts)
+
+
 def three_blob_input(seed=0, n_per=400, spread=0.05):
     rng = np.random.default_rng(seed)
     centers = np.array([[1.0, 1.0], [4.0, 1.5], [2.5, 5.0]])
@@ -95,9 +115,11 @@ def three_blob_input(seed=0, n_per=400, spread=0.05):
 
 
 class TestConfig:
-    def test_merge_radius_defaults_to_bandwidth(self):
-        assert MeanShiftConfig(bandwidth=0.7).effective_merge_radius == 0.7
-        assert MeanShiftConfig(merge_radius=0.3).effective_merge_radius == 0.3
+    def test_has_five_fields(self):
+        names = [f.name for f in dataclasses.fields(MeanShiftConfig)]
+        assert names == [
+            "anchors_per_dim", "dim", "bandwidth", "iterations", "density_fraction"
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -107,7 +129,7 @@ class TestConfig:
             {"iterations": 0},
             {"density_fraction": 1.0},
             {"density_fraction": -0.1},
-            {"merge_radius": 0.0},
+            {"bandwidth": math.inf},
             {"dim": 0},
             {"bandwidth": -0.5},
             {"bandwidth": 1e-300},
@@ -158,45 +180,48 @@ class TestPairwisePotential:
     def test_requires_positive_bandwidth(self):
         # 1e-300 squares to 0 and 1e-160 to a subnormal whose reciprocal is inf
         emb, mask = embedding_fixture([[0.0]])
-        for bandwidth in (0.0, -0.5, 1e-300, 1e-160):
+        for bandwidth in (0.0, -0.5, 1e-300, 1e-160, math.inf):
             with pytest.raises(ValueError, match=f"bandwidth must be > 0.*got {bandwidth!r}"):
                 vanilla_mean_shift(emb, mask, bandwidth)
 
 
 class TestInitAnchors:
+    """The anchor grid (:func:`_anchor_grid`) and the checks that
+    :func:`cluster` makes before placing it."""
+
     def test_corner_grid(self):
         emb, mask = embedding_fixture([[0, 0], [1, 0], [0, 1], [1, 1]])
-        state = init_anchors(emb, mask, MeanShiftConfig(anchors_per_dim=2))
+        positions, _ = initial_anchors(emb, mask, MeanShiftConfig(anchors_per_dim=2))
         expected = {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
-        assert {tuple(p) for p in state.positions} == expected
+        assert {tuple(p) for p in positions} == expected
 
     def test_zero_extent_box_collapses(self):
         emb, mask = embedding_fixture([[2.5, -1.0]] * 5)
-        state = init_anchors(emb, mask, MeanShiftConfig(anchors_per_dim=3))
-        assert len(state) == 9
-        np.testing.assert_allclose(state.positions, [[2.5, -1.0]] * 9)
+        positions, densities = initial_anchors(emb, mask, MeanShiftConfig(anchors_per_dim=3))
+        assert positions.shape == (9, 2) and densities.shape == (9,)
+        np.testing.assert_allclose(positions, [[2.5, -1.0]] * 9)
 
     def test_default_anchor_count(self):
         emb, mask, _ = three_blob_input()
-        state = init_anchors(emb, mask, MeanShiftConfig())
-        assert len(state) == 100
+        positions, densities = initial_anchors(emb, mask, MeanShiftConfig())
+        assert positions.shape == (100, 2) and densities.shape == (100,)
 
     def test_masked_pixels_ignored(self):
         emb, _ = embedding_fixture([[0, 0], [1, 1], [100, 100]])
         mask = PlanarMask(emb.grid, np.array([True, True, False]))
-        state = init_anchors(emb, mask, MeanShiftConfig(anchors_per_dim=2))
-        assert state.positions.max() == 1.0
+        positions, _ = initial_anchors(emb, mask, MeanShiftConfig(anchors_per_dim=2))
+        assert positions.max() == 1.0
 
     def test_empty_mask_rejected(self):
         emb, _ = embedding_fixture([[0, 0], [1, 1]])
         mask = PlanarMask(emb.grid, np.zeros(2, dtype=bool))
         with pytest.raises(ValueError, match="no planar pixels"):
-            init_anchors(emb, mask, MeanShiftConfig())
+            cluster(emb, mask, MeanShiftConfig())
 
     def test_dim_mismatch_rejected(self):
         emb, mask = embedding_fixture([[0, 0], [1, 1]])
         with pytest.raises(ValueError, match="dim"):
-            init_anchors(emb, mask, MeanShiftConfig(dim=3))
+            cluster(emb, mask, MeanShiftConfig(dim=3))
 
     @pytest.mark.parametrize(
         "d, flat_axis, target",
@@ -220,16 +245,16 @@ class TestInitAnchors:
         config = MeanShiftConfig(anchors_per_dim=7, dim=d, bandwidth=0.5)
         _, centroids, counts = _bin_points(values.T, BIN_SIDE * config.bandwidth)
         assert counts.max() >= 2
-        state = init_anchors(emb, mask, config)
-        _, expected = _gaussian_shift(state.positions, centroids, 0.5, weights=counts)
-        np.testing.assert_allclose(state.densities, expected, rtol=1e-13, atol=0.0)
+        positions, densities = initial_anchors(emb, mask, config)
+        _, expected = _gaussian_shift(positions, centroids, 0.5, weights=counts)
+        np.testing.assert_allclose(densities, expected, rtol=1e-13, atol=0.0)
 
     def test_separable_contraction_stays_within_chunk_target(self):
         # d = 4, k = 10 against ~25k bins: the outer product of the first
         # three axes' tables over every bin would be 1000 x 25k floats
         # (200 MB). One span's tables and products stay within
         # _CHUNK_TARGET floats; beyond them only the k^d-row positions
-        # (grid, mesh and frozen copy) and the O(N d) columns, keys and
+        # (grid, mesh and filtered copy) and the O(N d) columns, keys and
         # bins may be live.
         n, d, k = 25_000, 4, 10
         values = np.random.default_rng(6).uniform(0.0, 1.0, size=(n, d))
@@ -237,53 +262,54 @@ class TestInitAnchors:
         config = MeanShiftConfig(anchors_per_dim=k, dim=d, bandwidth=0.5)
         tracemalloc.start()
         try:
-            state = init_anchors(emb, mask, config)
+            positions, _ = initial_anchors(emb, mask, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         _, _, counts = _bin_points(values.T, BIN_SIDE * config.bandwidth)
-        assert counts.shape[0] >= 20_000 and len(state) == k**d
+        assert counts.shape[0] >= 20_000 and positions.shape[0] == k**d
         assert peak <= 8 * (clustering._CHUNK_TARGET + 4 * k**d * d + 4 * n * d)
 
 
 class TestShiftAnchors:
+    """One binned shift step (:func:`shift_once`) and the shift loop of
+    :func:`_anchor_modes`."""
+
     def test_single_point_fixed_point(self):
         emb, mask = embedding_fixture([[3.0, -2.0]])
-        state = AnchorState(np.array([[10.0, 10.0]]), np.array([1.0]))
-        shifted = shift_anchors(state, emb, mask, MeanShiftConfig())
-        np.testing.assert_allclose(shifted.positions, [[3.0, -2.0]], atol=1e-12)
+        shifted, _ = shift_once([[10.0, 10.0]], emb, mask, MeanShiftConfig())
+        np.testing.assert_allclose(shifted, [[3.0, -2.0]], atol=1e-12)
 
     def test_symmetric_mode_is_stationary(self):
         emb, mask = embedding_fixture([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
-        state = AnchorState(np.array([[0.0, 0.0]]), np.array([1.0]))
-        shifted = shift_anchors(state, emb, mask, MeanShiftConfig())
-        np.testing.assert_allclose(shifted.positions, [[0.0, 0.0]], atol=1e-12)
+        shifted, _ = shift_once([[0.0, 0.0]], emb, mask, MeanShiftConfig())
+        np.testing.assert_allclose(shifted, [[0.0, 0.0]], atol=1e-12)
 
     def test_equal_weights_stay_centered(self):
         # frozen: embeddings at 0 and 1 give equal kernel weights at 0.5
         emb, mask = embedding_fixture(np.array([[0.0], [1.0]]))
-        state = AnchorState(np.array([[0.5]]), np.array([1.0]))
         config = MeanShiftConfig(dim=1, bandwidth=0.5)
-        shifted = shift_anchors(state, emb, mask, config)
-        np.testing.assert_allclose(shifted.positions, [[0.5]], atol=1e-12)
+        shifted, _ = shift_once([[0.5]], emb, mask, config)
+        np.testing.assert_allclose(shifted, [[0.5]], atol=1e-12)
 
     def test_zero_density_anchor_stays(self):
         # kernel underflows at ~27 bandwidths: anchor must not move or NaN
         emb, mask = embedding_fixture([[0.0, 0.0]])
-        state = AnchorState(np.array([[50.0, 50.0]]), np.array([0.0]))
-        shifted = shift_anchors(state, emb, mask, MeanShiftConfig(bandwidth=0.5))
-        np.testing.assert_array_equal(shifted.positions, [[50.0, 50.0]])
-        assert shifted.densities[0] == 0.0
+        shifted, densities = shift_once(
+            [[50.0, 50.0]], emb, mask, MeanShiftConfig(bandwidth=0.5)
+        )
+        np.testing.assert_array_equal(shifted, [[50.0, 50.0]])
+        assert densities[0] == 0.0
 
     def test_densities_match_potential_sums(self):
         emb, mask = embedding_fixture([[0.0, 0.0], [1.0, 0.0]])
-        state = AnchorState(np.array([[0.25, 0.0]]), np.array([0.0]))
+        anchor = [0.25, 0.0]
         config = MeanShiftConfig(bandwidth=0.5)
-        shifted = shift_anchors(state, emb, mask, config)
-        expected = pairwise_potential(
-            state.positions[0], emb.values[0], 0.5
-        ) + pairwise_potential(state.positions[0], emb.values[1], 0.5)
-        assert shifted.densities[0] == pytest.approx(expected, rel=1e-12)
+        _, densities = shift_once([anchor], emb, mask, config)
+        expected = pairwise_potential(anchor, emb.values[0], 0.5) + pairwise_potential(
+            anchor, emb.values[1], 0.5
+        )
+        assert densities[0] == pytest.approx(expected, rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -291,12 +317,11 @@ class TestShiftAnchors:
         rng = np.random.default_rng(seed)
         values = rng.uniform(-5.0, 5.0, size=(40, 2))
         emb, mask = embedding_fixture(values)
-        config = MeanShiftConfig(anchors_per_dim=4, bandwidth=1.0)
-        state = init_anchors(emb, mask, config)
-        for _ in range(3):
-            state = shift_anchors(state, emb, mask, config)
-            assert np.all(state.positions >= values.min(axis=0) - 1e-12)
-            assert np.all(state.positions <= values.max(axis=0) + 1e-12)
+        for iterations in (1, 2, 3):
+            config = MeanShiftConfig(anchors_per_dim=4, bandwidth=1.0, iterations=iterations)
+            anchors = _anchor_modes(emb, mask, config)
+            assert np.all(anchors >= values.min(axis=0) - 1e-12)
+            assert np.all(anchors <= values.max(axis=0) + 1e-12)
 
 
 def reference_shift(seeds, points, bandwidth, weights=None):
@@ -390,12 +415,12 @@ class TestBinning:
         np.testing.assert_array_equal(
             centroids[np.lexsort(centroids.T)], values[np.lexsort(values.T)]
         )
-        state = init_anchors(emb, mask, config)
-        exact, exact_dens = _gaussian_shift(state.positions, values, config.bandwidth)
-        np.testing.assert_allclose(state.densities, exact_dens, rtol=1e-12)
-        shifted = shift_anchors(state, emb, mask, config)
-        np.testing.assert_allclose(shifted.positions, exact, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(shifted.densities, exact_dens, rtol=1e-12)
+        positions, densities = initial_anchors(emb, mask, config)
+        exact, exact_dens = _gaussian_shift(positions, values, config.bandwidth)
+        np.testing.assert_allclose(densities, exact_dens, rtol=1e-12)
+        shifted, shifted_dens = shift_once(positions, emb, mask, config)
+        np.testing.assert_allclose(shifted, exact, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(shifted_dens, exact_dens, rtol=1e-12)
 
     def test_sparse_key_fallback_matches_dense_counting(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -438,58 +463,54 @@ class TestBinning:
 
 
 class TestFilterLowDensity:
+    """The density filter (:func:`_dense_anchors`)."""
+
     def test_zero_fraction_keeps_all(self):
-        state = AnchorState(np.zeros((3, 2)), np.array([5.0, 1.0, 0.0]))
-        kept = filter_low_density(state, MeanShiftConfig(density_fraction=0.0))
+        kept = _dense_anchors(np.zeros((3, 2)), np.array([5.0, 1.0, 0.0]), 0.0)
         assert len(kept) == 3
 
     def test_uniform_densities_survive(self):
-        state = AnchorState(np.zeros((4, 2)), np.full(4, 2.0))
-        kept = filter_low_density(state, MeanShiftConfig(density_fraction=0.9))
+        kept = _dense_anchors(np.zeros((4, 2)), np.full(4, 2.0), 0.9)
         assert len(kept) == 4
 
     def test_threshold_arithmetic(self):
         # frozen: densities (10, 1) with fraction 0.5 keep only the first
-        state = AnchorState(np.array([[0.0], [1.0]]), np.array([10.0, 1.0]))
-        kept = filter_low_density(state, MeanShiftConfig(density_fraction=0.5))
+        kept = _dense_anchors(np.array([[0.0], [1.0]]), np.array([10.0, 1.0]), 0.5)
         assert len(kept) == 1
-        assert kept.positions[0, 0] == 0.0
+        assert kept[0, 0] == 0.0
 
     def test_max_density_anchor_always_survives(self):
-        state = AnchorState(np.array([[0.0], [1.0]]), np.array([3.0, 1.0]))
-        kept = filter_low_density(state, MeanShiftConfig(density_fraction=0.99))
+        kept = _dense_anchors(np.array([[0.0], [1.0]]), np.array([3.0, 1.0]), 0.99)
         assert len(kept) >= 1
-        assert 0.0 in kept.positions
+        assert 0.0 in kept
 
 
 class TestMergeAnchors:
+    """The merge of shifted anchors (:func:`_merge_points`), which
+    :func:`cluster` runs at the bandwidth."""
+
     def test_single_component_mean(self):
-        state = AnchorState(np.array([[0.0], [0.2], [0.4]]), np.ones(3))
-        merged = merge_anchors(state, MeanShiftConfig(dim=1, bandwidth=0.5))
+        merged = _merge_points(np.array([[0.0], [0.2], [0.4]]), 0.5)
         assert len(merged) == 1
         assert merged.centers[0, 0] == pytest.approx(0.2)
         assert merged.member_anchor_counts.tolist() == [3]
 
     def test_distance_two_bandwidths_stays_split(self):
-        state = AnchorState(np.array([[0.0], [1.0]]), np.ones(2))
-        merged = merge_anchors(state, MeanShiftConfig(dim=1, bandwidth=0.5))
+        merged = _merge_points(np.array([[0.0], [1.0]]), 0.5)
         assert len(merged) == 2
 
     def test_chain_merges_transitively(self):
         # frozen: chain 0, 0.4, 0.8 under radius 0.5 is one component at 0.4
-        state = AnchorState(np.array([[0.0], [0.4], [0.8]]), np.ones(3))
-        merged = merge_anchors(state, MeanShiftConfig(dim=1, bandwidth=0.5))
+        merged = _merge_points(np.array([[0.0], [0.4], [0.8]]), 0.5)
         assert len(merged) == 1
         assert merged.centers[0, 0] == pytest.approx(0.4)
 
     def test_exact_radius_does_not_merge(self):
-        state = AnchorState(np.array([[0.0], [0.5]]), np.ones(2))
-        merged = merge_anchors(state, MeanShiftConfig(dim=1, bandwidth=0.5))
+        merged = _merge_points(np.array([[0.0], [0.5]]), 0.5)
         assert len(merged) == 2
 
     def test_centers_sorted_lexicographically(self):
-        state = AnchorState(np.array([[5.0, 0.0], [1.0, 2.0], [1.0, 1.0]]), np.ones(3))
-        merged = merge_anchors(state, MeanShiftConfig(bandwidth=0.5))
+        merged = _merge_points(np.array([[5.0, 0.0], [1.0, 2.0], [1.0, 1.0]]), 0.5)
         assert merged.centers.tolist() == [[1.0, 1.0], [1.0, 2.0], [5.0, 0.0]]
 
 
@@ -533,9 +554,7 @@ class TestGroupRows:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             groups = merge_groups(positions, radius)
-            merged = merge_anchors(
-                AnchorState(positions, np.ones(3000)), MeanShiftConfig(merge_radius=radius)
-            )
+            merged = _merge_points(positions, radius)
         assert groups == oracle
         assert len(merged) == len(oracle) == 2000
 
@@ -842,11 +861,36 @@ class TestCluster:
         np.testing.assert_array_equal(hard_labels(after).labels, oracle)
         np.testing.assert_array_equal(before.weights, after.weights)
 
-    def test_early_exit_matches_full_run_on_converged_input(self):
-        emb, mask, _ = three_blob_input(seed=2)
-        full, _ = cluster(emb, mask, MeanShiftConfig(iterations=30))
-        short, _ = cluster(emb, mask, MeanShiftConfig(iterations=30, early_exit=True))
-        np.testing.assert_allclose(full.centers, short.centers, atol=1e-4)
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_embeddings_just_below_the_bound_run_without_warnings(self, d):
+        # Anchors and points at +-c on every axis: the expanded squared
+        # distance of the shift sums to almost max_float but stays finite.
+        limit = math.sqrt(np.finfo(np.float64).max / (4 * d))
+        values = np.zeros((6, d))
+        values[:2] = np.nextafter(limit, 0.0)
+        values[2:4] = -values[0]
+        emb, mask = embedding_fixture(values)
+        config = MeanShiftConfig(anchors_per_dim=2, dim=d)
+        runs = (lambda: cluster(emb, mask, config), lambda: vanilla_mean_shift(emb, mask, 0.5))
+        for run in runs:
+            clusters, assignment = run()
+            assert len(clusters) >= 2
+            assert np.isfinite(assignment.weights).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 1e150])
+    def test_embeddings_at_or_beyond_the_bound_rejected(self, scale):
+        limit = math.sqrt(np.finfo(np.float64).max / 8.0)
+        emb, mask = embedding_fixture([[0.0, 0.0], [-limit * scale, 0.0]])
+        runs = (lambda: cluster(emb, mask), lambda: vanilla_mean_shift(emb, mask, 0.5))
+        for run in runs:
+            with pytest.raises(ValueError, match="masked embeddings must lie within"):
+                run()
+
+    def test_unmasked_huge_embeddings_are_ignored(self):
+        emb, _ = embedding_fixture([[0.0, 0.0], [1e308, 1e308]])
+        mask = PlanarMask(emb.grid, np.array([True, False]))
+        clusters, _ = cluster(emb, mask)
+        assert len(clusters) == 1
 
 
 class TestVanilla:
@@ -874,7 +918,7 @@ class TestVanilla:
 
     def test_validates_arguments(self):
         emb, mask = embedding_fixture([[0.0]])
-        for bandwidth in (0.0, -0.5, 1e-300, 1e-160):
+        for bandwidth in (0.0, -0.5, 1e-300, 1e-160, math.inf, math.nan):
             with pytest.raises(ValueError, match="bandwidth must be > 0"):
                 vanilla_mean_shift(emb, mask, bandwidth=bandwidth)
         with pytest.raises(ValueError):

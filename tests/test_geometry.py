@@ -1,4 +1,4 @@
-"""Plane geometry: backprojection, rendering, pooling, fitting, merging."""
+"""Plane geometry: backprojection, rendering, pooling, fitting."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from planarseg.geometry import (
     backproject,
     depth_from_plane,
     fit_plane_lsq,
-    fit_planes_ransac_merge,
     normal_angle,
     one_hot_assignment,
     pool_instance_params,
@@ -411,81 +410,6 @@ class TestFitPlaneLsqOracle:
                 fit_plane_lsq(pm, np.arange(m))
         else:
             fit_plane_lsq(pm, np.arange(m))
-
-
-def two_segment_points(z_left, z_right, grid=None):
-    grid = grid or ImageGrid(6, 8)
-    intr = CameraIntrinsics(fx=50.0, fy=50.0, cx=3.5, cy=2.5)
-    cols = np.arange(grid.n_pixels) % grid.width
-    labels = np.where(cols < grid.width // 2, 1, 2)
-    depth = np.where(labels == 1, float(z_left), float(z_right))
-    pm = backproject(DepthMap(grid, depth), intr)
-    return pm, InstanceSegmentation(grid, labels), grid
-
-
-class TestRansacMerge:
-    def test_coplanar_segments_merge(self):
-        pm, seg, _ = two_segment_points(2.0, 2.0)
-        merged, planes = fit_planes_ransac_merge(pm, seg)
-        assert len(planes) == 1
-        assert merged.n_instances == 1
-        np.testing.assert_allclose(planes[0].n, [0, 0, 0.5], atol=1e-9)
-        assert (merged.labels == 1).all()
-
-    def test_close_planes_merge_within_tolerance(self):
-        # frozen: |0.5 * 2.05 - 1| / 0.5 = 0.05 mean distance, below 0.10
-        pm, seg, _ = two_segment_points(2.0, 2.05)
-        merged, planes = fit_planes_ransac_merge(pm, seg, merge_tol=0.10)
-        assert len(planes) == 1
-
-    def test_far_planes_stay_apart(self):
-        pm, seg, _ = two_segment_points(2.0, 3.0)
-        merged, planes = fit_planes_ransac_merge(pm, seg, merge_tol=0.10)
-        assert len(planes) == 2
-        assert merged.n_instances == 2
-
-    def test_small_segment_dropped(self):
-        grid = ImageGrid(1, 6)
-        pts = np.array(
-            [
-                [0.0, 0.0, 2.0],
-                [1.0, 0.0, 2.0],
-                [0.0, 1.0, 2.0],
-                [1.0, 1.0, 2.0],
-                [0.5, 0.5, 2.0],
-                [9.0, 9.0, 9.0],
-            ]
-        )
-        pm = PointMap(grid, pts)
-        seg = InstanceSegmentation(grid, np.array([1, 1, 1, 1, 1, 2]))
-        merged, planes = fit_planes_ransac_merge(pm, seg)
-        assert len(planes) == 1
-        assert merged.labels[5] == 0
-
-    def test_idempotent(self):
-        pm, seg, _ = two_segment_points(2.0, 3.0)
-        once_seg, once_planes = fit_planes_ransac_merge(pm, seg, rng_seed=9)
-        twice_seg, twice_planes = fit_planes_ransac_merge(pm, once_seg, rng_seed=9)
-        np.testing.assert_array_equal(once_seg.labels, twice_seg.labels)
-        for a, b in zip(once_planes, twice_planes):
-            np.testing.assert_allclose(a.n, b.n, atol=1e-12)
-
-    def test_deterministic_per_seed(self):
-        rng = np.random.default_rng(0)
-        grid = ImageGrid(6, 8)
-        intr = CameraIntrinsics(fx=50.0, fy=50.0, cx=3.5, cy=2.5)
-        depth_arr = np.where(
-            np.arange(grid.n_pixels) % grid.width < 4, 2.0, 3.0
-        ) + rng.normal(0, 0.005, grid.n_pixels)
-        pm = backproject(DepthMap(grid, depth_arr), intr)
-        seg = InstanceSegmentation(
-            grid, np.where(np.arange(grid.n_pixels) % grid.width < 4, 1, 2)
-        )
-        a_seg, a_planes = fit_planes_ransac_merge(pm, seg, rng_seed=5)
-        b_seg, b_planes = fit_planes_ransac_merge(pm, seg, rng_seed=5)
-        np.testing.assert_array_equal(a_seg.labels, b_seg.labels)
-        for a, b in zip(a_planes, b_planes):
-            np.testing.assert_array_equal(a.n, b.n)
 
 
 class TestNormalAngle:

@@ -28,6 +28,11 @@ class TestRunGradientChecks:
             assert r.passed, f"{r.name}: {r.max_rel_err}"
             assert r.max_rel_err < 1e-4
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_fewer_than_one_sample(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            run_gradient_checks(samples=samples)
+
     def test_deterministic_per_seed(self):
         a = run_gradient_checks(samples=5, seed=3)
         b = run_gradient_checks(samples=5, seed=3)

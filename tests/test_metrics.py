@@ -17,7 +17,6 @@ from planarseg.metrics import (
     DepthMetrics,
     RecallCurve,
     depth_metrics,
-    iou_matrix,
     metrics_to_json,
     plane_count_histogram,
     rand_index,
@@ -27,6 +26,7 @@ from planarseg.metrics import (
     segmentation_covering,
     variation_of_information,
 )
+from planarseg.metrics import _contingency, _iou
 
 
 def seg(labels, n_instances=None, width=None):
@@ -87,6 +87,11 @@ def all_partitions(n):
         for b in range(1, blocks + 1):
             yield part + [b]
         yield part + [blocks + 1]
+
+
+def iou_matrix(pred, gt):
+    """IOU per (pred, gt) instance pair, as the recall matching takes it."""
+    return _iou(_contingency(pred, gt))
 
 
 class TestIouMatrix:
