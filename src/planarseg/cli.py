@@ -119,6 +119,22 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _check_out_dir(path: str) -> None:
+    """Reject an output directory that :func:`_out_dir` could not create
+    or write, without creating it: the path, or else its nearest existing
+    ancestor, must be a writable directory."""
+    out = Path(path).absolute()
+    existing = out
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        raise UsageError(
+            f"cannot create output directory {path}: {existing} is not a directory"
+        )
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise UsageError(f"output directory not writable: {path}")
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     emb_raw = _load_tensor(args.embeddings)
     prob_raw = _load_tensor(args.probs)
@@ -146,19 +162,18 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         iterations=args.iters,
         density_fraction=args.tau,
     )
-    out = _out_dir(args.out)
+    _check_out_dir(args.out)  # before the clustering work; created once it succeeds
     start = time.perf_counter()
     clusters, assignment = cluster(embeddings, mask, config)
     wall_ms = (time.perf_counter() - start) * 1000.0
     labels = hard_labels(assignment)
+    weights = assignment.weights
+    out = _out_dir(args.out)
     write_tensor(
         out / "labels.pten",
         labels.labels.reshape(grid.height, grid.width).astype(np.int32),
     )
-    write_tensor(
-        out / "assignment.pten",
-        assignment.weights.reshape(grid.height, grid.width, -1),
-    )
+    write_tensor(out / "assignment.pten", weights.reshape(grid.height, grid.width, -1))
     summary = {
         "cluster_count": len(clusters),
         "iterations": config.iterations,
@@ -176,8 +191,11 @@ def _read_segmentation(path: str) -> InstanceSegmentation:
     raw = _load_tensor(path)
     if raw.ndim != 2:
         raise UsageError(f"labels must be a (H, W) tensor, got shape {raw.shape}")
-    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
-        raise UsageError(f"labels in {path} must be finite integers")
+    if raw.dtype.kind == "f":
+        if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise UsageError(f"labels in {path} must be finite integers")
+        if not np.all(np.abs(raw) < 2.0**63):  # else the int64 cast is undefined
+            raise UsageError(f"labels in {path} must lie within the int64 range")
     grid = ImageGrid(*raw.shape)
     return InstanceSegmentation(grid, raw.reshape(-1).astype(np.int64))
 

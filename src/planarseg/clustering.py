@@ -25,7 +25,13 @@ Both produce a :class:`ClusterSet` (centers sorted lexicographically so
 runs and variants are comparable) and a row-stochastic soft assignment
 that is labels first: its hard labels and its dense N x C weights are
 each built on their first read, so inference that reads only labels
-never holds an N x C array.
+never holds an N x C array. The weights come from an exact span kernel
+over every pixel. :func:`cluster` keeps each pixel's bin, so its labels
+are decided a bin at a time in O(B * C * d + N) (:func:`_binned_labels`):
+a bin whose nearest center is sure for every member, by a proven bound
+on the members' spread, labels them all at once, and only the pixels of
+the few other bins run the span kernel. The labels equal the span
+kernel's first-maximum labels bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,9 +72,12 @@ _TILE_TARGET = 1 << 17
 
 # Masked pixels per soft-assignment span: each span's (C, span) block
 # stays a few MiB for the usual cluster counts, and the per-center calls
-# of a span cost little beside its work. On 480x640 scenes with C = 8
-# (one core of a 2-core Xeon) the label pass took about 23 ms per image
-# at 2^15, 24-26 ms at 2^14 and 2^16 and 25-26 ms at 2^13.
+# of a span cost little beside its work. The span kernel builds the
+# weights, every label of soft_assign and vanilla_mean_shift, and the
+# fallback pixels of cluster's binned labels. On 480x640 scenes with
+# C = 8 (one core of a 2-core Xeon) a label pass over every pixel took
+# about 23 ms per image at 2^15, 24-26 ms at 2^14 and 2^16 and 25-26 ms
+# at 2^13.
 _ASSIGN_SPAN = 1 << 15
 
 # Side of a binning cell as a fraction of the bandwidth. Binning at each
@@ -290,14 +299,15 @@ def _group_rows(
 
 def _bin_points(
     columns: Sequence[np.ndarray], side: float
-) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """Group points, given as d columns, into cubic cells of the given
     side, in one O(N) pass.
 
-    Returns (box, centroids, counts): the per-axis (min, max) of the
-    points, the mean of the points in each occupied cell and how many
-    points it holds (as float64 kernel weights), with cells ordered
-    lexicographically by their integer coordinates. Each axis's bounds
+    Returns (box, centroids, counts, inverse): the per-axis (min, max) of
+    the points, the mean of the points in each occupied cell, how many
+    points it holds (as float64 kernel weights) and each point's cell
+    (int64), with cells ordered lexicographically by their integer
+    coordinates ``floor((x - min) / side)``. Each axis's bounds
     and cell keys come from its own column. Key spaces of up to
     ``_DENSE_KEYS_PER_POINT`` cells per point are counted densely with
     ``np.bincount`` over a flat key built column by column; larger ones
@@ -333,13 +343,14 @@ def _bin_points(
     sums = np.stack(
         [np.bincount(inverse, column, minlength=bins) for column in columns], axis=1
     )
-    return (lo, hi), sums / counts[:, None], counts
+    return (lo, hi), sums / counts[:, None], counts, inverse
 
 
 def _binned_values(
     embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig
-) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """Bounding box of the masked embeddings, their bin centroids and counts.
+) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Bounding box of the masked embeddings, their bin centroids and
+    counts, and each masked pixel's bin (see :func:`_bin_points`).
 
     The per-pixel values themselves are not returned, so callers do not
     hold them while later stages allocate.
@@ -430,13 +441,14 @@ def _dense_anchors(
 
 def _seed_anchors(
     embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, tuple]:
     """Bin the masked embeddings once, place the anchor grid and drop its
-    low-density anchors: (anchors, bin centroids, bin counts)."""
-    box, centroids, counts = _binned_values(embeddings, mask, config)
-    positions, densities = _anchor_grid(box, centroids, counts, config)
+    low-density anchors: (anchors, bins), with the bins of
+    :func:`_binned_values`."""
+    bins = _binned_values(embeddings, mask, config)
+    positions, densities = _anchor_grid(*bins[:3], config)
     anchors = _dense_anchors(positions, densities, config.density_fraction)
-    return anchors, centroids, counts
+    return anchors, bins
 
 
 def _norm(gaps: Iterable[np.ndarray]) -> np.ndarray:
@@ -571,18 +583,33 @@ def soft_assign(
     O(N * C * d) span kernel (:func:`_assign_span`) when first read.
     The labels take each pixel's first largest weight span by span, so
     reading them builds no N x C array; the weights are written span by
-    span straight into the array the assignment keeps.
+    span straight into the array the assignment keeps. Given centers
+    come with no binning of the pixels, so every label here runs the
+    span kernel; :func:`cluster` decides most of its labels a bin at a
+    time instead, with the same result.
     """
     if embeddings.grid != mask.grid:
         raise ValueError("embedding and mask grids must match")
     if len(clusters) == 0:
         raise ValueError("cluster set is empty")
+    return _assignment(embeddings, mask, clusters, _span_labels)
+
+
+def _assignment(
+    embeddings: EmbeddingMap,
+    mask: PlanarMask,
+    clusters: ClusterSet,
+    labels: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> SoftAssignment:
+    """The soft assignment whose labels ``labels(values, mask, centers)``
+    builds on first read and whose weights :func:`_span_weights` builds
+    on theirs."""
     source = (embeddings.values, mask.mask, clusters.centers)
     return SoftAssignment._from_source(
         embeddings.grid,
         len(clusters),
         mask.mask,
-        labels=partial(_span_labels, *source),
+        labels=partial(labels, *source),
         weights=partial(_span_weights, *source),
     )
 
@@ -593,9 +620,17 @@ def _span_labels(values: np.ndarray, mask: np.ndarray, centers: np.ndarray) -> n
     only on its own pixel, so this equals the argmax of the dense
     weights, ties included."""
     labels = np.zeros(mask.shape[0], dtype=np.int64)
-    idx = np.flatnonzero(mask)
-    for start, stop in _chunk_spans(idx.shape[0], _ASSIGN_SPAN):
-        block = _assign_span(values, idx[start:stop], centers)
+    _label_rows(labels, values, np.flatnonzero(mask), centers)
+    return labels
+
+
+def _label_rows(
+    labels: np.ndarray, values: np.ndarray, rows: np.ndarray, centers: np.ndarray
+) -> None:
+    """Write 1 + the first largest weight of each pixel's block column
+    into ``labels[rows]``, span by span."""
+    for start, stop in _chunk_spans(rows.shape[0], _ASSIGN_SPAN):
+        block = _assign_span(values, rows[start:stop], centers)
         best = block[0].copy()
         top = np.ones(block.shape[1], dtype=np.int64)
         higher = np.empty(block.shape[1], dtype=bool)
@@ -605,8 +640,117 @@ def _span_labels(values: np.ndarray, mask: np.ndarray, centers: np.ndarray) -> n
             np.copyto(top, label, where=higher)
         if np.isnan(best).any():  # every distance overflowed to inf
             raise ValueError("assignment rows must sum to 1 or be all-zero")
-        labels[idx[start:stop]] = top
+        labels[rows[start:stop]] = top
+
+
+# A bin takes its nearest center's label only if, for every point the
+# bin may hold, that center is nearer than every other by this relative
+# margin plus this absolute one (see _decided_bins).
+_LABEL_MARGIN = 1e-9
+_LABEL_FLOOR = 1e-12
+
+
+def _binned_labels(
+    bins: tuple,
+    side: float,
+    values: np.ndarray,
+    mask: np.ndarray,
+    centers: np.ndarray,
+) -> np.ndarray:
+    """The labels of :func:`_span_labels`, bit for bit, decided a bin at
+    a time in O(B * C * d + N) for B bins.
+
+    ``bins`` and ``side`` are the binning that :func:`cluster` ran: the
+    (box, centroids, counts, inverse) of :func:`_binned_values`, with
+    each masked pixel's bin in mask order, and the cell side. A bin
+    whose nearest center is settled for every point it may hold
+    (:func:`_decided_bins`) gives that label to its members in one
+    gather; only the pixels of the other bins run the span kernel, whose
+    columns each depend only on their own pixel.
+    """
+    box, centroids, counts, inverse = bins
+    taken = _decided_bins(box, centroids, counts, side, centers)[inverse]
+    idx = np.flatnonzero(mask)
+    labels = np.zeros(mask.shape[0], dtype=np.int64)
+    labels[idx] = taken
+    _label_rows(labels, values, idx[taken == 0], centers)
     return labels
+
+
+def _decided_bins(
+    box: Tuple[np.ndarray, np.ndarray],
+    centroids: np.ndarray,
+    counts: np.ndarray,
+    side: float,
+    centers: np.ndarray,
+) -> np.ndarray:
+    """Per bin of :func:`_bin_points`, 1 + the index of the center that
+    the span kernel gives the unique largest weight at every member, or
+    0 where the bounds cannot show that.
+
+    A bin's members lie in the ball of radius r = |h| around its
+    centroid, with h from :func:`_member_reach`, so each one's distance
+    to a center is within r of the centroid's distance D. With D_b the
+    least D of a bin and D_o the next, the bin takes center b when
+
+        (D_b + r) (1 + m) + f < (D_o - r) (1 - m),
+
+    with m = ``_LABEL_MARGIN`` and f = ``_LABEL_FLOOR``. Each span
+    distance, D and r rounds d differences or sums, d squares, d - 1
+    sums of non-negative terms and a square root, so it lies within
+    (d + 2) u of its exact value, about 2.4e-15 at the d <= 20 that
+    ``MAX_ANCHORS`` allows. Over the two sides of the test those errors
+    stay below 6 (d + 2) u (D_b + D_o), which m (D_b + D_o) covers more
+    than 10^4 times. So at every member the span distances keep
+    dist_o - dist_b > f for every other center o: dist_b is its column's
+    minimum and takes the weight exp(0) / sum, while every other weight
+    is at most exp(-f) / sum, about (1 - 1e-12) / sum. That is 10^4 ulps
+    below, far above the resolution (about 1e-15) at which the exp and
+    the correctly rounded division by the shared row sum could tie it
+    with exp(0). Center b holds the unique largest weight, and the
+    first-maximum rule picks it. Infinite distances settle nothing.
+
+    Bins are taken in spans of ``_ASSIGN_SPAN``, so the C distance rows
+    of a span hold no more than one block of the span kernel.
+    """
+    radius = _norm(_member_reach(box, counts, side))
+    decided = np.empty(counts.shape[0], dtype=np.int64)
+    for start, stop in _chunk_spans(counts.shape[0], _ASSIGN_SPAN):
+        columns = [np.ascontiguousarray(column) for column in centroids[start:stop].T]
+        near = np.full(stop - start, np.inf)
+        second = near.copy()
+        dists = []
+        for center in centers:
+            dist = _norm(column - coord for column, coord in zip(columns, center))
+            np.minimum(second, np.maximum(near, dist), out=second)
+            np.minimum(near, dist, out=near)
+            dists.append(dist)
+        best = np.zeros(stop - start, dtype=np.int64)
+        for label, dist in enumerate(dists, start=1):
+            best += (dist == near) * label  # a single match where it counts
+        reach = (near + radius[start:stop]) * (1.0 + _LABEL_MARGIN) + _LABEL_FLOOR
+        settled = reach < (second - radius[start:stop]) * (1.0 - _LABEL_MARGIN)
+        decided[start:stop] = np.where(settled, best, 0)
+    return decided
+
+
+def _member_reach(
+    box: Tuple[np.ndarray, np.ndarray], counts: np.ndarray, side: float
+) -> List[np.ndarray]:
+    """Per axis, how far the members of each bin of :func:`_bin_points`
+    may lie from its centroid: h_a = side + 2 (n + 8) u S_a, with n the
+    bin's count, u = 2^-53 and S_a = |low_a| + |high_a| from the box.
+
+    A point x's key is floor(fl(fl(x - low) / side)); its two roundings
+    put x - low within 2.01 u S_a of the cell [k side, (k + 1) side], so
+    a bin's members lie within side + 4.02 u S_a of each other. Their
+    exact mean lies among them, and summing n coordinates and dividing
+    by n moves the computed centroid by at most n u S_a. h_a holds that
+    with twice the room, which also covers the rounding of h_a itself.
+    """
+    low, high = box
+    slack = (counts + 8.0) * np.finfo(np.float64).eps  # eps = 2 u
+    return [side + slack * spread for spread in np.abs(low) + np.abs(high)]
 
 
 def _span_weights(values: np.ndarray, mask: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -624,8 +768,11 @@ def _assign_span(values: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> n
     span it gathers each embedding column once and fills the distance
     block one center at a time, with no (N, C, d) temporary.
 
-    A function of its own, so a span's scratch is freed before the next
-    span allocates.
+    Each column depends only on its own pixel: the row sums add the
+    centers in order, as ``block.sum(axis=0)`` does for two or more
+    columns but not for one (with C >= 8 it sums a lone column
+    pairwise). A function of its own, so a span's scratch is freed
+    before the next span allocates.
     """
     gathered = values.take(rows, axis=0)  # whole rows: no strided column copy
     columns = [np.ascontiguousarray(gathered[:, a]) for a in range(values.shape[1])]
@@ -642,21 +789,26 @@ def _assign_span(values: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> n
     np.sqrt(block, out=block)
     np.subtract(block.min(axis=0), block, out=block)  # -(dist - min), exactly
     np.exp(block, out=block)
-    block /= block.sum(axis=0)
+    np.copyto(term, block[0])
+    for row in block[1:]:
+        term += row
+    block /= term
     return block
 
 
 def _anchor_modes(
     embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig
-) -> np.ndarray:
+) -> Tuple[np.ndarray, tuple]:
     """Seed the anchors, then shift them T times against the weighted bin
-    centroids. The bins are freed on return."""
-    anchors, centroids, counts = _seed_anchors(embeddings, mask, config)
+    centroids: (modes, bins), with the bins of :func:`_binned_values`,
+    which label the pixels later."""
+    anchors, bins = _seed_anchors(embeddings, mask, config)
+    _, centroids, counts, _ = bins
     for _ in range(config.iterations):
         anchors, _ = _gaussian_shift(
             anchors, centroids, config.bandwidth, weights=counts
         )
-    return anchors
+    return anchors, bins
 
 
 def cluster(
@@ -669,11 +821,16 @@ def cluster(
     weighted bin centroids, merge modes closer than the bandwidth, then
     soft-assign pixels to the surviving centers.
 
-    Masked embeddings must lie within the bound of :func:`_masked_columns`
-    (about 4.7e153 at d = 2), which is checked before any kernel runs.
+    The assignment keeps the pixels' bins, so its labels, built on first
+    read, are decided a bin at a time (:func:`_binned_labels`); they
+    equal those of :func:`soft_assign` bit for bit. Masked embeddings
+    must lie within the bound of :func:`_masked_columns` (about 4.7e153
+    at d = 2), which is checked before any kernel runs.
     """
-    clusters = _merge_points(_anchor_modes(embeddings, mask, config), config.bandwidth)
-    assignment = soft_assign(embeddings, mask, clusters)
+    modes, bins = _anchor_modes(embeddings, mask, config)
+    clusters = _merge_points(modes, config.bandwidth)
+    labels = partial(_binned_labels, bins, BIN_SIDE * config.bandwidth)
+    assignment = _assignment(embeddings, mask, clusters, labels)
     return clusters, assignment
 
 
@@ -713,6 +870,9 @@ def hard_labels(assignment: SoftAssignment) -> InstanceSegmentation:
     Assigned pixels get labels 1..C aligned with assignment columns, the
     first largest weight of their row; unassigned (all-zero) rows get
     label 0. The labels are the assignment's cached ones, so an
-    assignment from :func:`cluster` builds no N x C array for them.
+    assignment from :func:`cluster` or :func:`soft_assign` builds no
+    N x C array for them. One from :func:`cluster` decides them a bin
+    at a time and runs the span kernel only for pixels near a tie; they
+    equal the span kernel's labels bit for bit.
     """
     return InstanceSegmentation(assignment.grid, assignment.labels, assignment.clusters)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import planarseg
-from planarseg import gradcheck
+from planarseg import cli, gradcheck
 from planarseg.cli import build_parser, main
 from planarseg.tensor_io import read_tensor, write_tensor
 
@@ -268,6 +268,61 @@ class TestClusterCommand:
             assert err == ""
             assert (out / "labels.pten").exists()
 
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
+        # The directory is created only once clustering has succeeded.
+        scene = run_synth(tmp_path)
+        embeddings = tmp_path / "huge.pten"
+        values = read_tensor(scene / "embeddings.pten")
+        write_tensor(embeddings, values * (1e308 / np.abs(values).max()))
+        out = tmp_path / "new" / "pred"
+        args = ["cluster", str(embeddings), str(scene / "probs.pten"), "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: masked embeddings")
+        assert not (tmp_path / "new").exists()
+
+    @staticmethod
+    def refuse_clustering(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("cluster ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "cluster", fail)
+
+    def test_uncreatable_out_exits_two_before_clustering(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        scene = run_synth(tmp_path)
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("")
+        self.refuse_clustering(monkeypatch)
+        for out in (blocker, blocker / "pred"):
+            args = ["cluster", str(scene / "embeddings.pten"), str(scene / "probs.pten"),
+                    "--out", str(out)]
+            assert main(args) == 2
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: cannot create output directory {out}: "
+                f"{blocker} is not a directory\n"
+            )
+        assert blocker.is_file()
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_unwritable_out_exits_two_before_clustering(
+        self, tmp_path, capsys, monkeypatch, exists
+    ):
+        # Checked with os.access, which a root user would pass for any
+        # mode bits, so the denial is injected.
+        scene = run_synth(tmp_path)
+        parent = tmp_path / "locked"
+        parent.mkdir()
+        out = parent if exists else parent / "pred"
+        self.refuse_clustering(monkeypatch)
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != parent)
+        args = ["cluster", str(scene / "embeddings.pten"), str(scene / "probs.pten"),
+                "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: output directory not writable: {out}\n"
+        assert list(parent.iterdir()) == []
+
     def test_anchor_grid_beyond_bound_exits_one(self, tmp_path, capsys):
         # 100000^2 anchors would need 74.5 GiB; the config refuses them
         # before anything is allocated or written.
@@ -418,6 +473,22 @@ class TestEvalCommand:
         assert main(self.eval_args(scene, out, pred_labels=pred_labels)) == 2
         assert capsys.readouterr().err == (
             f"error: labels in {pred_labels} must be finite integers\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("huge", [1e30, -1e30, 2.0**63])
+    def test_labels_beyond_int64_exit_two(self, tmp_path, capsys, huge):
+        # Integral floats that int64 cannot hold are refused before the
+        # cast, whose result numpy leaves undefined (with a warning).
+        scene = run_synth(tmp_path)
+        labels = read_tensor(scene / "segmentation.pten").astype(np.float64)
+        labels[0, 0] = huge
+        pred_labels = tmp_path / "huge_labels.pten"
+        write_tensor(pred_labels, labels)
+        out = tmp_path / "eval"
+        assert main(self.eval_args(scene, out, pred_labels=pred_labels)) == 2
+        assert capsys.readouterr().err == (
+            f"error: labels in {pred_labels} must lie within the int64 range\n"
         )
         assert not out.exists()
 

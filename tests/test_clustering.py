@@ -26,15 +26,21 @@ from planarseg.clustering import (
 from planarseg.clustering import (
     _anchor_grid,
     _anchor_modes,
+    _assign_span,
     _bin_points,
+    _binned_labels,
     _binned_values,
+    _decided_bins,
     _dense_anchors,
     _gaussian_shift,
     _group_rows,
     _merge_labels,
+    _member_reach,
     _merge_points,
+    _span_labels,
 )
 from planarseg.core import (
+    CameraIntrinsics,
     EmbeddingMap,
     ImageGrid,
     PixelPlaneParams,
@@ -42,6 +48,13 @@ from planarseg.core import (
     SoftAssignment,
 )
 from planarseg.geometry import one_hot_assignment, pool_instance_params
+from planarseg.synth import (
+    EmbeddingNoiseSpec,
+    SceneSpec,
+    corrupt_probability,
+    generate_embeddings,
+    generate_scene,
+)
 
 
 def embedding_fixture(values, mask=None):
@@ -92,13 +105,14 @@ def merge_groups(positions, radius):
 def initial_anchors(emb, mask, config):
     """Positions and densities of the anchor grid that :func:`cluster`
     places, before its density filter."""
-    return _anchor_grid(*_binned_values(emb, mask, config), config)
+    box, centroids, counts, _ = _binned_values(emb, mask, config)
+    return _anchor_grid(box, centroids, counts, config)
 
 
 def shift_once(positions, emb, mask, config):
     """One binned shift of ``positions`` against the masked embeddings,
     the step that :func:`cluster` repeats: (new positions, densities)."""
-    _, centroids, counts = _binned_values(emb, mask, config)
+    _, centroids, counts, _ = _binned_values(emb, mask, config)
     seeds = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     return _gaussian_shift(seeds, centroids, config.bandwidth, weights=counts)
 
@@ -243,7 +257,7 @@ class TestInitAnchors:
             values[:, flat_axis] = 0.7
         emb, mask = embedding_fixture(values)
         config = MeanShiftConfig(anchors_per_dim=7, dim=d, bandwidth=0.5)
-        _, centroids, counts = _bin_points(values.T, BIN_SIDE * config.bandwidth)
+        _, centroids, counts, _ = _bin_points(values.T, BIN_SIDE * config.bandwidth)
         assert counts.max() >= 2
         positions, densities = initial_anchors(emb, mask, config)
         _, expected = _gaussian_shift(positions, centroids, 0.5, weights=counts)
@@ -266,7 +280,7 @@ class TestInitAnchors:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        _, _, counts = _bin_points(values.T, BIN_SIDE * config.bandwidth)
+        _, _, counts, _ = _bin_points(values.T, BIN_SIDE * config.bandwidth)
         assert counts.shape[0] >= 20_000 and positions.shape[0] == k**d
         assert peak <= 8 * (clustering._CHUNK_TARGET + 4 * k**d * d + 4 * n * d)
 
@@ -319,7 +333,7 @@ class TestShiftAnchors:
         emb, mask = embedding_fixture(values)
         for iterations in (1, 2, 3):
             config = MeanShiftConfig(anchors_per_dim=4, bandwidth=1.0, iterations=iterations)
-            anchors = _anchor_modes(emb, mask, config)
+            anchors, _ = _anchor_modes(emb, mask, config)
             assert np.all(anchors >= values.min(axis=0) - 1e-12)
             assert np.all(anchors <= values.max(axis=0) + 1e-12)
 
@@ -391,7 +405,7 @@ class TestBinning:
         exact, exact_dens = _gaussian_shift(anchors, values, b)
         errors = []
         for c in (0.1, 0.05, 0.025):
-            _, centroids, counts = _bin_points(values.T, c * b)
+            _, centroids, counts, _ = _bin_points(values.T, c * b)
             assert centroids.shape[0] < values.shape[0]
             binned, binned_dens = _gaussian_shift(anchors, centroids, b, weights=counts)
             error = np.abs(binned - exact).max()
@@ -410,7 +424,7 @@ class TestBinning:
         values = 0.3 * lattice.reshape(-1, 2) + rng.uniform(-0.05, 0.05, size=(108, 2))
         emb, mask = embedding_fixture(values)
         config = MeanShiftConfig(bandwidth=0.5)
-        _, centroids, counts = _bin_points(values.T, BIN_SIDE * config.bandwidth)
+        _, centroids, counts, _ = _bin_points(values.T, BIN_SIDE * config.bandwidth)
         np.testing.assert_array_equal(counts, np.ones(108))
         np.testing.assert_array_equal(
             centroids[np.lexsort(centroids.T)], values[np.lexsort(values.T)]
@@ -434,7 +448,7 @@ class TestBinning:
         ]
         for values, dense_by_default in inputs:
             values[1000:] = values[:1000] + 1e-4  # shared cells, counts > 1
-            box, _, _ = _bin_points(values.T, 0.025)
+            box, _, _, _ = _bin_points(values.T, 0.025)
             cells = np.prod(np.floor((box[1] - box[0]) / 0.025) + 1.0)
             assert (4 * 2000 < cells <= 8 * 2000) == dense_by_default
             monkeypatch.setattr(clustering, "_DENSE_KEYS_PER_POINT", 0)
@@ -444,6 +458,7 @@ class TestBinning:
             monkeypatch.undo()
             np.testing.assert_array_equal(sparse[0], dense[0])
             np.testing.assert_array_equal(sparse[1], dense[1])
+            np.testing.assert_array_equal(sparse[2], dense[2])
             assert sparse[1].sum() == 2000 and sparse[1].max() >= 2
 
     def test_key_space_beyond_int64_bins_by_sorting(self):
@@ -451,7 +466,7 @@ class TestBinning:
         rng = np.random.default_rng(3)
         values = rng.uniform(0.0, 1e6, size=(300, 8))
         values[150:] = values[:150] + 1e-3
-        _, centroids, counts = _bin_points(values.T, 0.025)
+        _, centroids, counts, _ = _bin_points(values.T, 0.025)
         keys = np.floor((values - values.min(axis=0)) / 0.025)
         groups = {}
         for key, row in zip(map(tuple, keys), values):
@@ -891,6 +906,214 @@ class TestCluster:
         mask = PlanarMask(emb.grid, np.array([True, False]))
         clusters, _ = cluster(emb, mask)
         assert len(clusters) == 1
+
+
+def count_fallback(monkeypatch):
+    """Route the span fallback of the binned labels through a counter of
+    the pixels it labels."""
+    seen = []
+    label_rows = clustering._label_rows
+
+    def counted(labels, values, rows, centers):
+        seen.append(rows.shape[0])
+        label_rows(labels, values, rows, centers)
+
+    monkeypatch.setattr(clustering, "_label_rows", counted)
+    return seen
+
+
+def oracle_labels(emb, mask, clusters):
+    return _span_labels(emb.values, mask.mask, clusters.centers)
+
+
+def binned_labels(values, centers, bandwidth=0.5):
+    """The binned labels of every row of ``values`` against chosen
+    centers, binned as :func:`cluster` bins them, and the span oracle's."""
+    emb, mask = embedding_fixture(values)
+    bins = _bin_points(values.T, BIN_SIDE * bandwidth)
+    args = (emb.values, mask.mask, np.asarray(centers, dtype=np.float64))
+    return _binned_labels(bins, BIN_SIDE * bandwidth, *args), _span_labels(*args)
+
+
+class TestBinnedLabels:
+    """The labels of a :func:`cluster` assignment come a bin at a time
+    and must equal the span kernel's first-maximum labels bit for bit."""
+
+    @pytest.mark.parametrize("seed", [8101, 8202])
+    def test_synth_scenes_match_span_oracle(self, seed, monkeypatch):
+        # QVGA scenes drawn as the benchmark's inference workload draws
+        # them at VGA; a handful of pixels near the bisectors fall back.
+        grid = ImageGrid(192, 256)
+        intr = CameraIntrinsics(fx=230.4, fy=230.4, cx=127.5, cy=95.5)
+        scene = generate_scene(SceneSpec(grid=grid, intr=intr, plane_count=8, seed=seed))
+        noise = EmbeddingNoiseSpec(center_min_gap=1.5, sigma=0.2, seed=seed)
+        emb = generate_embeddings(scene, noise)
+        mask = PlanarMask(grid, corrupt_probability(scene, 0.05, seed=seed).probs >= 0.5)
+        seen = count_fallback(monkeypatch)
+        clusters, assignment = cluster(emb, mask)
+        labels = assignment.labels
+        assert len(clusters) >= 2
+        assert 0 < sum(seen) < 0.01 * mask.foreground_count
+        np.testing.assert_array_equal(labels, oracle_labels(emb, mask, clusters))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        d=st.integers(1, 3),
+        step=st.sampled_from([0.0125, 0.025, 0.1]),
+        offset=st.sampled_from([0.0, 1e3, -1e6]),
+    )
+    def test_snapped_and_duplicated_embeddings_match_span_oracle(
+        self, seed, d, step, offset
+    ):
+        # Coordinates on multiples of half a cell side and more sit on
+        # cell edges; repeated rows pile up in one bin.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        values = offset + step * rng.integers(-40, 40, size=(n, d)).astype(np.float64)
+        values = values[rng.integers(0, n, size=2 * n)]
+        emb, mask = embedding_fixture(values)
+        config = MeanShiftConfig(anchors_per_dim=4, dim=d, bandwidth=0.5, iterations=3)
+        clusters, assignment = cluster(emb, mask, config)
+        np.testing.assert_array_equal(assignment.labels, oracle_labels(emb, mask, clusters))
+
+    def test_single_cluster(self, monkeypatch):
+        emb, mask = embedding_fixture(np.random.default_rng(3).normal(1.0, 0.05, (200, 2)))
+        seen = count_fallback(monkeypatch)
+        clusters, assignment = cluster(emb, mask)
+        assert len(clusters) == 1
+        np.testing.assert_array_equal(assignment.labels, np.ones(200, dtype=np.int64))
+        assert sum(seen) == 0
+        labels, oracle = binned_labels(emb.values, [[40.0, -7.0]])
+        np.testing.assert_array_equal(labels, oracle)
+
+    def test_bisector_pixels_take_the_lower_cluster(self, monkeypatch):
+        # Pixels on x = 0 are equidistant from (-1, 0) and (1, 0): equal
+        # weights, so the first one, cluster 1, wins; their bins fall back.
+        rng = np.random.default_rng(4)
+        ys = rng.uniform(-2.0, 2.0, size=300)
+        on_line = np.stack([np.zeros(300), ys], axis=1)
+        around = rng.uniform(-2.0, 2.0, size=(300, 2))
+        values = np.concatenate([on_line, around])
+        seen = count_fallback(monkeypatch)
+        labels, oracle = binned_labels(values, [[-1.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(labels, oracle)
+        assert (labels[:300] == 1).all()
+        assert 300 <= seen[0] < 600
+
+    def test_rounded_tie_goes_to_lower_cluster(self):
+        # test_rounded_tie_goes_to_lower_cluster of the span path, through
+        # the binned labeller: the weights of clusters 1 and 2 round equal.
+        centers = [[-np.nextafter(0.5, 1.0)], [0.5], [2.0]]
+        labels, oracle = binned_labels(np.array([[0.0]]), centers)
+        assert labels.tolist() == oracle.tolist() == [1]
+
+    def test_tiny_scale_falls_back_everywhere(self, monkeypatch):
+        # Every distance lies far below the absolute floor of the bin
+        # test, so no bin can be settled and every pixel runs the span
+        # kernel, which still tells the clusters apart.
+        rng = np.random.default_rng(5)
+        noise = rng.normal(0.0, 1e-15, size=(200, 2))
+        values = np.repeat([[-2e-13, 0.0], [2e-13, 0.0]], 100, axis=0) + noise
+        emb, mask = embedding_fixture(values)
+        seen = count_fallback(monkeypatch)
+        config = MeanShiftConfig(bandwidth=1e-13)
+        clusters, assignment = cluster(emb, mask, config)
+        labels = assignment.labels
+        assert len(clusters) == 2
+        assert seen == [200]
+        np.testing.assert_array_equal(labels, oracle_labels(emb, mask, clusters))
+        assert np.unique(assignment.labels[:100]).size == 1
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -1e12])
+    def test_members_lie_within_reach_of_their_centroid(self, dense, offset, monkeypatch):
+        # Per cell, 499 copies of its first value and one of a value just
+        # below its end, on each axis in turn: the centroid sits near one
+        # end and the lone member about a side away. At -1e12 the sums
+        # behind the centroids round by more than a side, which the
+        # reach must still cover.
+        monkeypatch.setattr(clustering, "_DENSE_KEYS_PER_POINT", 1000 if dense else 0)
+        side = 0.025
+        first = offset + side * np.arange(40.0)
+        last = first + side
+        for _ in range(4):  # step back past any rounding into the next cell
+            last = np.nextafter(last, -np.inf)
+        columns = [
+            np.concatenate([np.repeat(first, 499), last]),
+            np.concatenate([np.repeat(last, 499), first]),
+        ]
+        box, centroids, counts, inverse = _bin_points(columns, side)
+        reach = _member_reach(box, counts, side)
+        for column, centroid, h in zip(columns, centroids.T, reach):
+            gap = np.abs(column - centroid[inverse])
+            assert (gap <= h[inverse]).all()
+            assert gap.max() > 0.99 * side
+            assert abs(offset) > 1e6 or (h < 1.01 * side).all()
+        assert counts.max() >= 499
+
+    def test_decided_bins_settle_only_clear_nearest_centers(self):
+        # One bin per unit cell at 0.5, 1.5, ...: side 1, so any member
+        # lies within 1 of the centroid per axis and r = sqrt(2).
+        centroids = np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0], [0.0, 4.0]])
+        box = (centroids.min(axis=0), centroids.max(axis=0))
+        counts = np.ones(4)
+        centers = np.array([[0.0, 0.0], [10.0, 0.0]])
+        # (0, 0) and (10, 0) sit on a center; (5, 0) is equidistant;
+        # (0, 4) is 4 from center 1 and sqrt(116) from center 2.
+        np.testing.assert_array_equal(
+            _decided_bins(box, centroids, counts, 1.0, centers), [1, 0, 2, 1]
+        )
+        np.testing.assert_array_equal(
+            _decided_bins(box, centroids, counts, 1.0, centers[:1]), [1, 1, 1, 1]
+        )
+
+    def test_columns_do_not_depend_on_span_width(self):
+        # numpy sums a lone column of C >= 8 rows pairwise but wider
+        # blocks row by row; the span kernel adds its rows in order, so a
+        # pixel's weights are the same in a one-pixel span.
+        rng = np.random.default_rng(7)
+        values = rng.normal(0.0, 2.0, size=(400, 2))
+        centers = rng.normal(0.0, 2.0, size=(9, 2))
+        rows = np.arange(400)
+        block = _assign_span(values, rows, centers)
+        for row in rows:
+            np.testing.assert_array_equal(
+                _assign_span(values, rows[row : row + 1], centers)[:, 0], block[:, row]
+            )
+
+    def test_reading_labels_holds_no_span_block(self):
+        # 200k masked pixels of 16 blobs: reading the labels of a cluster
+        # assignment holds the int64 labels, the masked-pixel index, the
+        # gathered bin labels and their undecided mask, B x C distances
+        # and per-bin vectors, and span scratch for the fallback's pixels
+        # only. One (C, span) block of the span kernel would add 4.2 MB.
+        grid = ImageGrid(500, 500)
+        n, c = grid.n_pixels, 16
+        m = 200_000
+        rng = np.random.default_rng(8)
+        centers = np.stack([np.arange(c) % 4 * 2.0, np.arange(c) // 4 * 2.0], axis=1)
+        noise = rng.normal(0.0, 0.1, size=(n, 2))
+        emb = EmbeddingMap(grid, centers[rng.integers(0, c, size=n)] + noise)
+        mask = PlanarMask(grid, np.arange(n) < m)
+        config = MeanShiftConfig()
+        clusters, assignment = cluster(emb, mask, config)
+        assert len(clusters) == c
+        box, centroids, counts, inverse = _binned_values(emb, mask, config)
+        side = BIN_SIDE * config.bandwidth
+        decided = _decided_bins(box, centroids, counts, side, clusters.centers)
+        fallback = int((decided[inverse] == 0).sum())
+        bins = counts.shape[0]
+        allowed = 8 * n + 17 * m + 8 * bins * (c + 12) + 8 * fallback * (c + 8) + (1 << 16)
+        span_block = 8 * c * clustering._ASSIGN_SPAN
+        tracemalloc.start()
+        try:
+            assignment.labels
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fallback < 2000
+        assert peak <= allowed < 8 * n + 8 * m + span_block
 
 
 class TestVanilla:
