@@ -208,7 +208,8 @@ class SoftAssignment:
     and are frozen in place, without a copy. Each value is cached once
     and read-only, so the object stays immutable from outside; two
     threads racing on a first read may both build the value, and both
-    get the one that was cached first.
+    get the one that was cached first. Once a value is cached its
+    builder is dropped, with whatever the builder held.
     """
 
     def __init__(self, grid: ImageGrid, weights: np.ndarray) -> None:
@@ -258,16 +259,24 @@ class SoftAssignment:
     def __repr__(self) -> str:
         return f"SoftAssignment(grid={self.grid!r}, clusters={self._clusters})"
 
-    def _cached(self, name: str, build: Callable[[], np.ndarray], check=None):
-        """The value cached under ``name``, built, checked and frozen on
-        first read; ``setdefault`` keeps the first of two racing builds."""
+    def _cached(self, name: str, builder: str, check=None):
+        """The value cached under ``name``, built by the function stored
+        under ``builder``, checked and frozen on first read.
+        ``setdefault`` keeps the first of two racing builds. The builder
+        is dropped only after that, so what it holds (for a clustering,
+        the binning) is freed, and a reader that finds no builder finds
+        the value."""
         value = self.__dict__.get(name)
         if value is None:
+            build = self.__dict__[builder]
+            if build is None:
+                return self.__dict__[name]
             value = build()
             if check is not None:
                 check(self.grid, value)
             value.flags.writeable = False
             value = self.__dict__.setdefault(name, value)
+            self.__dict__[builder] = None
         return value
 
     @property
@@ -282,12 +291,12 @@ class SoftAssignment:
     @property
     def labels(self) -> np.ndarray:
         """Read-only hard labels in 0..C, built once."""
-        return self._cached("_labels", self._build_labels)
+        return self._cached("_labels", "_build_labels")
 
     @property
     def weights(self) -> np.ndarray:
         """Read-only (N, C) weights, built and checked once."""
-        return self._cached("_weights", self._build_weights, _checked_rows)
+        return self._cached("_weights", "_build_weights", _checked_rows)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,22 @@ Every loss returns ``(value, gradient)`` where the gradient matches the
 shape of the differentiated input. Hinge and absolute-value kinks use
 subgradient zero, and instance means are always recomputed from the
 supplied embeddings so gradients flow through them.
+
+The losses carry integer labels, not per-instance index lists. The
+pull/push pair takes instance sizes and means from ``np.bincount`` over
+the labels and reads per-pixel terms back with one gather per axis, so
+it costs O(N * d + C^2 * d) whatever the instance count C.
+:func:`embedding_loss` and :func:`total_loss` compute the means once
+for both terms. The per-pixel losses run axis by axis over contiguous
+columns, with no row gathers or scatters. Rows outside the labels or
+the mask are zeroed before any arithmetic, so their values never reach
+a result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -102,12 +112,137 @@ def balanced_bce(
     return value, grad
 
 
-def _instance_members(gt: InstanceSegmentation):
-    """Yield (instance_id, member_index_array) for nonempty instances."""
-    for idx in range(1, gt.n_instances + 1):
-        members = np.nonzero(gt.labels == idx)[0]
-        if members.shape[0]:
-            yield idx, members
+class _Instances(NamedTuple):
+    """The labeled pixels of a segmentation, summed by instance ID.
+
+    Per-ID tables have one entry for each ID 0..n_instances. Entry 0
+    (unlabeled) and the entries of IDs that own no pixel are zero, so a
+    gather over the labels reads zeros on unlabeled pixels. Arrays are
+    kept axis by axis, (d, N) and (d, C + 1), so every per-axis pass
+    runs over contiguous memory.
+    """
+
+    labels: np.ndarray  # (N,) the segmentation's labels
+    columns: np.ndarray  # (d, N) the embeddings, zero on unlabeled pixels
+    live: np.ndarray  # (C + 1,) bool: the IDs that own a pixel
+    sizes: np.ndarray  # (C + 1,) pixels per ID, float
+    means: np.ndarray  # (d, C + 1) mean embedding per ID
+
+
+def _instances(embeddings: EmbeddingMap, gt: InstanceSegmentation) -> _Instances:
+    """Sizes and means of every instance from one ``np.bincount`` for the
+    counts and one per axis, O(N * d) whatever the instance count.
+
+    Each sum adds an instance's members in pixel order, as
+    ``x[members].mean(axis=0)`` does.
+    """
+    if embeddings.grid != gt.grid:
+        raise ValueError("embedding and segmentation grids must match")
+    labels = gt.labels
+    bins = gt.n_instances + 1
+    columns = _columns(embeddings.values, labels > 0)
+    sizes = np.bincount(labels, minlength=bins).astype(np.float64)
+    sizes[0] = 0.0
+    live = sizes > 0.0
+    means = np.zeros((embeddings.dim, bins))
+    for mean, column in zip(means, columns):
+        sums = np.bincount(labels, weights=column, minlength=bins)
+        np.divide(sums, sizes, out=mean, where=live)
+    return _Instances(labels, columns, live, sizes, means)
+
+
+def _pull(inst: _Instances, margins: Margins) -> Tuple[float, np.ndarray]:
+    """The pull hinge of :func:`pull_loss` in O(N * d).
+
+    With c live instances, member i of instance k (size n_k, mean mu_k)
+    at distance r_i = |mu_k - x_i| adds (r_i - delta_v) / (c n_k) when
+    active. Its gradient is -u_i / (c n_k) on x_i, for the unit offset
+    u_i = (mu_k - x_i) / r_i, plus the shared term U_k / (c n_k^2) on
+    every member, with U_k the sum of the instance's active u_i.
+    """
+    labels, live, sizes = inst.labels, inst.live, inst.sizes
+    grad = np.zeros(inst.columns.shape[::-1])
+    c = int(np.count_nonzero(live))
+    if c == 0:
+        return 0.0, grad
+    inv_c = 1.0 / c
+    diff = inst.means.take(labels, axis=1)
+    diff -= inst.columns
+    dist = _row_norms(diff)
+    excess = dist - margins.delta_v
+    active = excess > 0.0
+    bins = sizes.shape[0]
+    hinge = np.bincount(labels, weights=np.maximum(excess, 0.0), minlength=bins)
+    value = float((inv_c * hinge[live] / sizes[live]).sum())
+    if not active.any():
+        return value, grad
+    diff /= np.where(active, dist, np.inf)  # the unit offsets, 0 where inactive
+    coeff = np.zeros(bins)
+    np.divide(inv_c, sizes, out=coeff, where=live)
+    spread = coeff / np.where(live, sizes, 1.0)
+    direct = coeff.take(labels)
+    for axis, unit in enumerate(diff):
+        shared = np.bincount(labels, weights=unit, minlength=bins)
+        shared *= spread
+        unit *= direct
+        grad[:, axis] = shared.take(labels) - unit
+    return value, grad
+
+
+def _push(inst: _Instances, margins: Margins) -> Tuple[float, np.ndarray]:
+    """The push hinge of :func:`push_loss` in O(C^2 * d + N * d), with
+    the c (c - 1) / 2 pairs of live means held at once.
+
+    Over the c (c - 1) / 2 pairs a < b of live means at distance
+    r_ab < delta_d, the value adds 2 (delta_d - r_ab) / (c (c - 1)).
+    The pair's gradient 2 (mu_a - mu_b) / (c (c - 1) r_ab) is taken
+    from mu_a and added to mu_b; coincident means (r_ab = 0) add to the
+    value but give no gradient. Each member of instance k gets its
+    mean's gradient over n_k, in one gather over the labels.
+    """
+    live = np.flatnonzero(inst.live)
+    c = live.shape[0]
+    grad = np.zeros(inst.columns.shape[::-1])
+    if c <= 1:
+        return 0.0, grad
+    norm = 1.0 / (c * (c - 1))
+    means = inst.means.take(live, axis=1)
+    first, second = np.triu_indices(c, 1)
+    gap = means.take(first, axis=1) - means.take(second, axis=1)
+    dist = _row_norms(gap)
+    short = margins.delta_d - dist
+    close = short > 0.0
+    value = float((2.0 * norm * short[close]).sum())
+    apart = close & (dist > 0.0)
+    if not apart.any():
+        return value, grad
+    first, second = first[apart], second[apart]
+    table = np.zeros(inst.sizes.shape[0])
+    for axis, column in enumerate(gap):
+        pair = 2.0 * norm * column[apart] / dist[apart]
+        table[live] = np.bincount(second, weights=pair, minlength=c)
+        table[live] -= np.bincount(first, weights=pair, minlength=c)
+        table[live] /= inst.sizes[live]
+        grad[:, axis] = table.take(inst.labels)
+    return value, grad
+
+
+def _columns(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``rows`` axis by axis, (d, N), with the rows outside ``keep``
+    multiplied by zero before any other arithmetic, so values there,
+    however large, can neither overflow nor reach a result."""
+    columns = rows.T.copy()
+    columns *= keep
+    return columns
+
+
+def _row_norms(columns: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each point stored axis by axis, summing the
+    squares in axis order as ``np.linalg.norm(rows, axis=1)`` does."""
+    total = columns[0] * columns[0]
+    for column in columns[1:]:
+        total += column * column
+    return np.sqrt(total, out=total)
 
 
 def pull_loss(
@@ -119,42 +254,9 @@ def pull_loss(
 
     The mean is a function of the embeddings, so each active member
     contributes both a direct term and a shared term spread across its
-    whole instance.
+    whole instance. Averages over the instances that own a pixel.
     """
-    if embeddings.grid != gt.grid:
-        raise ValueError("embedding and segmentation grids must match")
-    x = embeddings.values
-    grad = np.zeros_like(x)
-    groups = list(_instance_members(gt))
-    if not groups:
-        return 0.0, grad
-    inv_c = 1.0 / len(groups)
-    value = 0.0
-    for _, members in groups:
-        mu = x[members].mean(axis=0)
-        diff = mu[None, :] - x[members]
-        dist = np.linalg.norm(diff, axis=1)
-        excess = dist - margins.delta_v
-        active = excess > 0.0
-        size = members.shape[0]
-        value += inv_c * float(excess[active].sum()) / size
-        if not active.any():
-            continue
-        unit = diff[active] / dist[active, None]
-        coeff = inv_c / size
-        grad[members[active]] -= coeff * unit
-        grad[members] += (coeff / size) * unit.sum(axis=0)
-    return value, grad
-
-
-def _instance_means(
-    embeddings: EmbeddingMap, gt: InstanceSegmentation
-):
-    groups = list(_instance_members(gt))
-    means = np.array(
-        [embeddings.values[m].mean(axis=0) for _, m in groups]
-    ).reshape(len(groups), embeddings.dim)
-    return groups, means
+    return _pull(_instances(embeddings, gt), margins)
 
 
 def push_loss(
@@ -167,32 +269,7 @@ def push_loss(
     Averages over ordered center pairs; with fewer than two instances
     the loss is defined as zero.
     """
-    if embeddings.grid != gt.grid:
-        raise ValueError("embedding and segmentation grids must match")
-    x = embeddings.values
-    grad = np.zeros_like(x)
-    groups, means = _instance_means(embeddings, gt)
-    c = len(groups)
-    if c <= 1:
-        return 0.0, grad
-    norm = 1.0 / (c * (c - 1))
-    value = 0.0
-    mean_grad = np.zeros_like(means)
-    for a in range(c):
-        for b in range(a + 1, c):
-            gap = means[a] - means[b]
-            dist = float(np.linalg.norm(gap))
-            short = margins.delta_d - dist
-            if short <= 0.0:
-                continue
-            value += 2.0 * norm * short
-            if dist > 0.0:
-                pair = 2.0 * norm * gap / dist
-                mean_grad[a] -= pair
-                mean_grad[b] += pair
-    for (idx, members), g in zip(groups, mean_grad):
-        grad[members] += g / members.shape[0]
-    return value, grad
+    return _push(_instances(embeddings, gt), margins)
 
 
 def embedding_loss(
@@ -200,9 +277,11 @@ def embedding_loss(
     gt: InstanceSegmentation,
     margins: Margins = Margins(),
 ) -> Tuple[float, np.ndarray]:
-    """Sum of the pull and push terms with summed gradients."""
-    v_pull, g_pull = pull_loss(embeddings, gt, margins)
-    v_push, g_push = push_loss(embeddings, gt, margins)
+    """Sum of the pull and push terms with summed gradients; the instance
+    means are computed once for both."""
+    inst = _instances(embeddings, gt)
+    v_pull, g_pull = _pull(inst, margins)
+    v_push, g_push = _push(inst, margins)
     return v_pull + v_push, g_pull + g_push
 
 
@@ -211,19 +290,25 @@ def pixel_param_loss(
     gt: PixelPlaneParams,
     mask: PlanarMask,
 ) -> Tuple[float, np.ndarray]:
-    """Mean Euclidean norm of per-pixel parameter errors over the mask."""
+    """Mean Euclidean norm of per-pixel parameter errors over the mask.
+
+    Runs axis by axis over whole contiguous columns, with unmasked rows
+    zeroed first.
+    """
     if pred.grid != gt.grid or pred.grid != mask.grid:
         raise ValueError("parameter and mask grids must match")
-    members = np.nonzero(mask.mask)[0]
     grad = np.zeros_like(pred.params)
-    if members.shape[0] == 0:
+    count = int(np.count_nonzero(mask.mask))
+    if count == 0:
         return 0.0, grad
-    diff = pred.params[members] - gt.params[members]
-    dist = np.linalg.norm(diff, axis=1)
-    count = members.shape[0]
+    diff = _columns(pred.params, mask.mask)
+    diff -= _columns(gt.params, mask.mask)
+    dist = _row_norms(diff)
     value = float(dist.sum()) / count
-    nonzero = dist > 0.0
-    grad[members[nonzero]] = diff[nonzero] / (dist[nonzero, None] * count)
+    dist *= count
+    diff /= np.where(dist > 0.0, dist, np.inf)
+    for axis, column in enumerate(diff):
+        grad[:, axis] = column
     return value, grad
 
 
@@ -254,8 +339,8 @@ def instance_param_loss(
     total = 0.0
     for start in range(0, n_planar, _IPL_SPAN):
         span = idx[start : start + _IPL_SPAN]
-        q = points.points[span]
-        s = assignment.weights[span]
+        q = points.points.take(span, axis=0)
+        s = assignment.weights.take(span, axis=0)
         residual = q @ instance_params.params.T
         residual -= 1.0
         total += float(np.einsum("ij,ij->", s, np.abs(residual)))
@@ -282,8 +367,9 @@ def total_loss(
 ) -> LossReport:
     """Evaluate every term once and assemble the additive report."""
     l_s, _ = balanced_bce(probs, gt_mask, weight_mode)
-    l_pull, _ = pull_loss(embeddings, gt_segments, margins)
-    l_push, _ = push_loss(embeddings, gt_segments, margins)
+    inst = _instances(embeddings, gt_segments)
+    l_pull, _ = _pull(inst, margins)
+    l_push, _ = _push(inst, margins)
     l_pp, _ = pixel_param_loss(pred_pixel_params, gt_pixel_params, gt_mask)
     l_ip, _ = instance_param_loss(instance_params, assignment, points)
     l_e = l_pull + l_push

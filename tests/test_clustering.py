@@ -1,10 +1,12 @@
 """Anchor-based mean shift and its per-pixel oracle."""
 
 import dataclasses
+import gc
 import math
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -807,6 +809,24 @@ class TestCluster:
             block = decoded[labels == gen_label]
             assert np.unique(block).size == 1
         assert np.unique(decoded).size == 3
+
+    def test_cached_values_free_their_builders(self):
+        # The label builder holds the binning (box, centroids, counts and
+        # each pixel's bin); once the labels are cached nothing may keep
+        # it, and the weights builder goes the same way.
+        emb, mask, _ = three_blob_input(n_per=20)
+        _, assignment = cluster(emb, mask)
+        inverse = weakref.ref(assignment._build_labels.args[0][3])
+        first = assignment.labels
+        assert assignment.labels is first
+        assert not first.flags.writeable
+        gc.collect()
+        assert inverse() is None
+        weights = assignment.weights
+        assert assignment.weights is weights
+        assert not weights.flags.writeable
+        assert assignment._build_labels is None
+        assert assignment._build_weights is None
 
     def test_identical_embeddings_single_cluster(self):
         emb, mask = embedding_fixture([[2.0, 2.0]] * 10)

@@ -1,6 +1,8 @@
-"""Loss values frozen by hand evaluation plus finite-difference gradients."""
+"""Loss values frozen by hand evaluation plus finite-difference gradients,
+and the vectorised losses against per-instance loop oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +40,112 @@ FD_TOL = 1e-6
 def rel_err(analytic, numeric):
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     return np.linalg.norm(analytic - numeric) / denom
+
+
+def oracle_members(gt):
+    """(instance_id, member_index_array) for each nonempty instance."""
+    for idx in range(1, gt.n_instances + 1):
+        members = np.nonzero(gt.labels == idx)[0]
+        if members.shape[0]:
+            yield idx, members
+
+
+def oracle_pull(embeddings, gt, margins=Margins()):
+    """pull_loss as a loop over instances and their member rows."""
+    x = embeddings.values
+    grad = np.zeros_like(x)
+    groups = list(oracle_members(gt))
+    if not groups:
+        return 0.0, grad
+    inv_c = 1.0 / len(groups)
+    value = 0.0
+    for _, members in groups:
+        mu = x[members].mean(axis=0)
+        diff = mu[None, :] - x[members]
+        dist = np.linalg.norm(diff, axis=1)
+        excess = dist - margins.delta_v
+        active = excess > 0.0
+        size = members.shape[0]
+        value += inv_c * float(excess[active].sum()) / size
+        if not active.any():
+            continue
+        unit = diff[active] / dist[active, None]
+        coeff = inv_c / size
+        grad[members[active]] -= coeff * unit
+        grad[members] += (coeff / size) * unit.sum(axis=0)
+    return value, grad
+
+
+def oracle_push(embeddings, gt, margins=Margins()):
+    """push_loss as a loop over the pairs of instance means."""
+    x = embeddings.values
+    grad = np.zeros_like(x)
+    groups = list(oracle_members(gt))
+    means = np.array([x[m].mean(axis=0) for _, m in groups]).reshape(
+        len(groups), embeddings.dim
+    )
+    c = len(groups)
+    if c <= 1:
+        return 0.0, grad
+    norm = 1.0 / (c * (c - 1))
+    value = 0.0
+    mean_grad = np.zeros_like(means)
+    for a in range(c):
+        for b in range(a + 1, c):
+            gap = means[a] - means[b]
+            dist = float(np.linalg.norm(gap))
+            short = margins.delta_d - dist
+            if short <= 0.0:
+                continue
+            value += 2.0 * norm * short
+            if dist > 0.0:
+                pair = 2.0 * norm * gap / dist
+                mean_grad[a] -= pair
+                mean_grad[b] += pair
+    for (_, members), g in zip(groups, mean_grad):
+        grad[members] += g / members.shape[0]
+    return value, grad
+
+
+def oracle_embedding(embeddings, gt, margins=Margins()):
+    v_pull, g_pull = oracle_pull(embeddings, gt, margins)
+    v_push, g_push = oracle_push(embeddings, gt, margins)
+    return v_pull + v_push, g_pull + g_push
+
+
+def oracle_pixel_param(pred, gt, mask):
+    """pixel_param_loss over the gathered masked rows."""
+    members = np.nonzero(mask.mask)[0]
+    grad = np.zeros_like(pred.params)
+    if members.shape[0] == 0:
+        return 0.0, grad
+    diff = pred.params[members] - gt.params[members]
+    dist = np.linalg.norm(diff, axis=1)
+    count = members.shape[0]
+    value = float(dist.sum()) / count
+    nonzero = dist > 0.0
+    grad[members[nonzero]] = diff[nonzero] / (dist[nonzero, None] * count)
+    return value, grad
+
+
+ORACLE_TOL = 1e-12
+
+
+def assert_matches_oracle(got, want):
+    """Values within 1e-12 (relative, or absolute near zero); gradients
+    within 1e-12 of the oracle's largest entry, so zero stays zero."""
+    (value, grad), (o_value, o_grad) = got, want
+    assert abs(value - o_value) <= ORACLE_TOL * max(1.0, abs(o_value))
+    assert grad.shape == o_grad.shape
+    scale = float(np.abs(o_grad).max(initial=0.0))
+    np.testing.assert_allclose(grad, o_grad, rtol=ORACLE_TOL, atol=ORACLE_TOL * scale)
+
+
+EMBEDDING_PAIRS = [
+    (pull_loss, oracle_pull),
+    (push_loss, oracle_push),
+    (embedding_loss, oracle_embedding),
+]
 
 
 class TestMargins:
@@ -285,6 +393,116 @@ class TestPixelParamLoss:
             pred_arr,
         )
         assert rel_err(grad, fd) < FD_TOL
+
+
+def embedding_case(name):
+    """(segmentation, embeddings) of one degenerate label map on a 2x4 grid."""
+    grid = ImageGrid(2, 4)
+    rng = np.random.default_rng(13)
+    x = rng.normal(0.0, 1.5, (grid.n_pixels, 2))
+    if name == "gapped":
+        labels, count = [1, 1, 1, 3, 3, 3, 0, 0], 3
+    elif name == "one_instance":
+        labels, count = [1, 1, 1, 1, 1, 0, 1, 0], None
+    elif name == "all_unlabeled":
+        labels, count = [0] * 8, 2
+    elif name == "coincident_means":
+        # both means are exactly (1, 0), so the pair sits inside delta_d
+        # at distance 0
+        labels, count = [1, 1, 2, 2, 0, 0, 0, 0], None
+        x[:4] = [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0]]
+    elif name == "huge_unlabeled":
+        labels, count = [1, 1, 0, 2, 2, 0, 3, 0], None
+        x[[2, 5, 7]] = [[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]]
+    else:
+        raise ValueError(name)
+    return InstanceSegmentation(grid, np.array(labels), count), EmbeddingMap(grid, x)
+
+
+EMBEDDING_CASES = [
+    "gapped", "one_instance", "all_unlabeled", "coincident_means", "huge_unlabeled"
+]
+
+
+def pixel_case(name):
+    """(pred, gt, mask) of one degenerate mask on a 2x4 grid."""
+    grid = ImageGrid(2, 4)
+    rng = np.random.default_rng(17)
+    pred = rng.normal(size=(grid.n_pixels, 3))
+    truth = rng.normal(size=(grid.n_pixels, 3))
+    mask = np.array([True, True, False, True, False, True, True, False])
+    if name == "empty_mask":
+        mask[:] = False
+    elif name == "exact_rows":
+        truth[[0, 3]] = pred[[0, 3]]
+    elif name == "huge_unmasked":
+        pred[~mask] = 1e300
+        truth[~mask] = -1e300
+        pred[7] = -1e300
+    else:
+        raise ValueError(name)
+    return (
+        PixelPlaneParams(grid, pred),
+        PixelPlaneParams(grid, truth),
+        PlanarMask(grid, mask),
+    )
+
+
+class TestLoopOracles:
+    """The vectorised losses against the per-instance loops they replace."""
+
+    @pytest.mark.parametrize("case", EMBEDDING_CASES)
+    @pytest.mark.parametrize("fn, oracle", EMBEDDING_PAIRS)
+    def test_embedding_edge_cases(self, case, fn, oracle):
+        seg, emb = embedding_case(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn(emb, seg)
+        assert_matches_oracle(got, oracle(emb, seg))
+
+    def test_coincident_means_add_value_but_no_gradient(self):
+        seg, emb = embedding_case("coincident_means")
+        value, grad = push_loss(emb, seg)
+        assert value == pytest.approx(Margins().delta_d)
+        np.testing.assert_array_equal(grad, 0.0)
+
+    @pytest.mark.parametrize("case", ["empty_mask", "exact_rows", "huge_unmasked"])
+    def test_pixel_param_edge_cases(self, case):
+        pred, truth, mask = pixel_case(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pixel_param_loss(pred, truth, mask)
+        assert_matches_oracle(got, oracle_pixel_param(pred, truth, mask))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_instances=st.integers(1, 40),
+        d=st.integers(1, 4),
+        height=st.integers(1, 12),
+        width=st.integers(1, 12),
+        scale=st.sampled_from([0.01, 0.3, 1.0, 10.0]),
+    )
+    def test_random_maps_match_oracles(self, seed, n_instances, d, height, width, scale):
+        # Labels draw from 0..C with some IDs left out, so maps carry
+        # unlabeled pixels, gaps and any number of live instances.
+        rng = np.random.default_rng(seed)
+        grid = ImageGrid(height, width)
+        n = grid.n_pixels
+        ids = np.arange(n_instances + 1)
+        keep = ids[rng.random(n_instances + 1) < rng.uniform(0.3, 1.0)]
+        labels = rng.choice(keep, n) if keep.size else np.zeros(n, dtype=np.int64)
+        seg = InstanceSegmentation(grid, labels, n_instances)
+        emb = EmbeddingMap(grid, rng.normal(0.0, scale, (n, d)))
+        margins = Margins(0.5 * scale, 1.5 * scale)
+        for fn, oracle in EMBEDDING_PAIRS:
+            assert_matches_oracle(fn(emb, seg, margins), oracle(emb, seg, margins))
+        mask = PlanarMask(grid, rng.random(n) < rng.uniform(0.0, 1.0))
+        pred = PixelPlaneParams(grid, rng.normal(0.0, scale, (n, 3)))
+        truth = PixelPlaneParams(grid, rng.normal(0.0, scale, (n, 3)))
+        assert_matches_oracle(
+            pixel_param_loss(pred, truth, mask), oracle_pixel_param(pred, truth, mask)
+        )
 
 
 def assignment_fixture():
