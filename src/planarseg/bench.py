@@ -102,8 +102,9 @@ def bench_clustering(
 
     ``iter_ms`` times a single exact, unweighted shift pass over all N
     points (anchors for the fast variant, every point for the baseline),
-    so it scales as N and N^2; :func:`cluster` itself shifts anchors
-    against weighted bin centroids. ``total_ms`` times the whole call.
+    through the same kernel with the plain table ``[p | 1]``, so it
+    scales as N and N^2; :func:`cluster` itself shifts anchors against
+    the moment cells of its bins. ``total_ms`` times the whole call.
     The baseline runs ``vanilla_iters`` iterations in its total so large
     sizes stay affordable.
     """

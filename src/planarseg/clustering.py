@@ -6,12 +6,20 @@ Two variants share one Gaussian-kernel shift step:
   a small grid of anchors instead of every pixel. One O(N) pass first
   bins the masked embeddings, gathered once as d columns, into cells of
   side ``BIN_SIDE * bandwidth`` and keeps each occupied cell's centroid
-  and pixel count; the anchor densities, the one density filter and
-  every shift then run against those B weighted centroids. The Gaussian
-  factors over axes, so the k^d grid densities cost O(d * k * B) exps
-  plus a GEMM, and each shift of M anchors costs O(M * B) with B <= N
-  rather than O(N^2), over kernel tiles small enough for a core's L2
-  cache.
+  and pixel count; the anchor densities and the one density filter run
+  against those B weighted centroids. The Gaussian factors over axes,
+  so the k^d grid densities cost O(d * k * B) exps plus a GEMM. The
+  shifts then meet moment cells: one O(B) pass groups the fine bins
+  into cells ``_CELL_FACTOR`` (4) times wider, each with its count,
+  centroid and scatter, and a second-order expansion of the kernel
+  around each centroid keeps the step within 7.1e-5 * bandwidth of the
+  fine-bin step on a tested mixture, and within the fine bins' bound of
+  BIN_SIDE^2 * bandwidth / 4 of the exact per-pixel step. Each shift of
+  M anchors costs O(M * B') for the B' cells (B / 7 on the 2-D
+  benchmark scenes) rather than O(M * B), over kernel tiles small
+  enough for a core's L2 cache. At dimensions other than 2 and 3, or in
+  a box wider than ``_MOMENT_WIDTH`` bandwidths, the shifts meet the
+  fine bins.
 * :func:`vanilla_mean_shift` is the classic per-pixel baseline used as a
   correctness oracle; it runs the exact, unweighted kernel on every
   pixel.
@@ -94,6 +102,42 @@ BIN_SIDE = 0.05
 # points and 38 against 104 ms for 270k. 8 keeps its scratch within
 # about 136 bytes per point.
 _DENSE_KEYS_PER_POINT = 8
+
+# The shifts of cluster meet moment cells this many fine bins wide per
+# axis (side 4 * BIN_SIDE * bandwidth = 0.2 b), each carrying the count,
+# centroid and scatter of its fine bins (_moment_cells), rather than the
+# fine bins themselves. On five 192x256, 16-plane benchmark scenes the
+# 15.7k fine bins made 2.3k cells, and 10 shifts, cells built included,
+# took 5.1-7.3 against 14.8-28.5 ms (one core of a 2-core Xeon, best of
+# 5); on five 480x640, 8-plane ones 17.2k bins made 2.7-2.9k cells, and
+# 4.3-6.6 against 11.8-18.9 ms. The curvature term keeps the step within
+# 7.1e-5 b of the fine-bin step on the tested mixture, where plain 4x
+# bins strayed 6.25e-3 b.
+_CELL_FACTOR = 4
+
+# The dimensions at which the shifts meet moment cells. A cell's table
+# has (d + 1) Q columns for Q = 1 + d + d (d + 1) / 2 monomials: 18 at
+# d = 2, 40 at d = 3, 75 at d = 4. On 192x256, 16-plane synth scenes
+# (one core of a 2-core Xeon, best of 5, cells built included), 10
+# shifts took 6.2-6.4 against 19.9-23.6 ms at d = 2 (2.3k cells for
+# 15.8k bins) and 45-53 against 71-92 ms at d = 3 (11.2k for 39.9k). At
+# d = 4 (k = 6) 42k bins made 28.7k cells and the shifts took 80 against
+# 25-35 ms; at d = 1 (4 planes) 300 bins made 90 cells and 0.8-1.0
+# against 0.4-0.5 ms. Other dimensions shift against the fine bins.
+_MOMENT_DIMS = (2, 3)
+
+# Moment cells apply only to boxes at most this many bandwidths wide;
+# wider ones shift against the fine bins. In box-centred coordinates in
+# units of the bandwidth, a cell's weight n - tr S / 2 + r^T S r / 2 and
+# position sum are evaluated from monomial terms as large as
+# n d^2 c^2 W^2 / 4 (times W / 2 for the sums) in a box W wide, with
+# c = 0.2 the cell side, and these cancel down to about n (and n W / 2).
+# Their rounding thus moves the step by up to about u d^2 c^2 W^3 / 8
+# bandwidths for u = 2^-53: 2e-6 at W = 1e4 and d = 2, against the
+# expansion's own 7e-5 and the stated 1.6e-4 (see the TestBinning
+# tests). Measured on the tested mixture stretched to W: 1e-7 at
+# W = 1e4, 1e-3 at 1e5 and 1.1 at 1e6.
+_MOMENT_WIDTH = 1e4
 
 # Most anchors a config may place (anchors_per_dim ** dim). The grid's
 # positions, mesh and filtered copy then stay within a few hundred MiB
@@ -182,30 +226,63 @@ def _chunk_spans(n_items: int, chunk: int) -> List[Tuple[int, int]]:
     return [(s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
 
 
+def _point_table(
+    points: np.ndarray, weights: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The moment table ``[w p | w]`` of points with weights w (one per
+    point, e.g. bin pixel counts; None weighs every point once): the
+    table of :func:`_gaussian_shift` for points without scatter."""
+    n, d = points.shape
+    w = np.ones(n) if weights is None else weights
+    table = np.empty((n, d + 1))
+    np.multiply(points, w[:, None], out=table[:, :d])
+    table[:, d] = w
+    return table
+
+
+def _monomials(x: np.ndarray) -> np.ndarray:
+    """Per row of x, the Q = 1 + d + d (d + 1) / 2 monomials of degree at
+    most 2 that a moment table's columns are indexed by: 1, then x_i,
+    then x_i x_j for i <= j in row-major order."""
+    i, j = np.triu_indices(x.shape[1])
+    return np.concatenate([np.ones((x.shape[0], 1)), x, x[:, i] * x[:, j]], axis=1)
+
+
 def _gaussian_shift(
     seeds: np.ndarray,
     points: np.ndarray,
     bandwidth: float,
-    weights: Optional[np.ndarray] = None,
+    table: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One kernel-weighted mean step for every seed.
 
     Returns (new_positions, densities); densities carry the Gaussian
     normalization factor. Seeds with numerically zero density stay put.
-    ``weights`` (one per point, e.g. bin pixel counts) scale each
-    point's kernel value; None weighs every point once.
+
+    ``table`` holds one row of moments per point, in Q blocks of d + 1
+    columns: block q holds the coefficients of monomial q of the seed
+    (:func:`_monomials`) in the point's weighted position sum (d columns)
+    and its weight (the last). Each seed's sums are its kernel-weighted
+    column sums contracted with its own monomials. A table of one block,
+    such as :func:`_point_table`'s ``[w p | w]``, needs no contraction;
+    None stands for ``[p | 1]``, every point weighed once. The moment
+    cells of :func:`_moment_cells` add the quadratic terms of their
+    scatter this way.
 
     Per chunk of seeds and per tile of points, one GEMM
     ``[a | |a|^2 | 1] @ [-2p | 1 | |p|^2]^T`` gives the squared
     distances, which are clamped at 0, scaled by -1 / (2 b^2) and
-    exponentiated in place; a second GEMM against the moments
-    ``[w p | w]`` adds the tile's weighted sums and totals. The scale is
-    applied only after the sum, so a tiny bandwidth cannot overflow the
-    GEMM's terms. Chunks of seeds bound the running sums and tiles bound
-    the kernel block, which reuses one buffer for the whole call.
+    exponentiated in place; a second GEMM, ``kern @ table``, adds the
+    tile's moments. The scale is applied only after the sum, so a tiny
+    bandwidth cannot overflow the GEMM's terms. Chunks of seeds bound the
+    running sums and tiles bound the kernel block, which reuses one
+    buffer for the whole call.
     """
     m, d = seeds.shape
     n = points.shape[0]
+    if table is None:
+        table = _point_table(points)
+    blocks = table.shape[1] // (d + 1)
     rows = max(1, min(m, _CHUNK_TARGET // max(n, 1)))
     tile = max(1, min(n, _TILE_TARGET // rows))
     out = np.empty_like(seeds)
@@ -218,15 +295,11 @@ def _gaussian_shift(
     np.multiply(points, -2.0, out=ends[:, :d])
     ends[:, d] = 1.0
     ends[:, d + 1] = np.einsum("ij,ij->i", points, points)
-    w = np.ones(n) if weights is None else weights
-    moments = np.empty((n, d + 1))
-    np.multiply(points, w[:, None], out=moments[:, :d])
-    moments[:, d] = w
     inv = -1.0 / (2.0 * bandwidth * bandwidth)
     prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth)
     buf = np.empty(rows * tile)
     for start, stop in _chunk_spans(m, rows):
-        sums = np.zeros((stop - start, d + 1))
+        sums = np.zeros((stop - start, table.shape[1]))
         for first, last in _chunk_spans(n, tile):
             kern = buf[: (stop - start) * (last - first)].reshape(stop - start, -1)
             np.matmul(lifted[start:stop], ends[first:last].T, out=kern)
@@ -236,7 +309,13 @@ def _gaussian_shift(
             with np.errstate(over="ignore"):
                 kern *= inv
             np.exp(kern, out=kern)
-            sums += kern @ moments[first:last]
+            sums += kern @ table[first:last]
+        if blocks > 1:
+            sums = np.einsum(
+                "iqk,iq->ik",
+                sums.reshape(stop - start, blocks, d + 1),
+                _monomials(seeds[start:stop]),
+            )
         total = sums[:, d]
         alive = total > ZERO_DENSITY
         safe = np.where(alive, total, 1.0)
@@ -297,28 +376,33 @@ def _group_rows(
     return inverse, order, starts
 
 
-def _bin_points(
+def _cell_index(
     columns: Sequence[np.ndarray], side: float
-) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Group points, given as d columns, into cubic cells of the given
-    side, in one O(N) pass.
+) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Each point's cubic cell of the given side, for points given as d
+    columns, in one O(N) pass: (box, inverse).
 
-    Returns (box, centroids, counts, inverse): the per-axis (min, max) of
-    the points, the mean of the points in each occupied cell, how many
-    points it holds (as float64 kernel weights) and each point's cell
-    (int64), with cells ordered lexicographically by their integer
-    coordinates ``floor((x - min) / side)``. Each axis's bounds
+    ``box`` is the per-axis (min, max) of the points and ``inverse`` each
+    point's cell (int64), with cells numbered lexicographically by their
+    integer coordinates ``floor((x - min) / side)``. Each axis's bounds
     and cell keys come from its own column. Key spaces of up to
     ``_DENSE_KEYS_PER_POINT`` cells per point are counted densely with
     ``np.bincount`` over a flat key built column by column; larger ones
     (high dimensions, wide spreads) sort the keys with ``np.lexsort``
     instead, so no array outgrows O(N). Keys stay floats until the dense
-    path has shown that they fit, so they cannot overflow int64.
+    path has shown that they fit, so they cannot overflow int64; where
+    even a float key would overflow, equal points share a cell.
     """
     n = columns[0].shape[0]
     lo = np.array([column.min() for column in columns])
     hi = np.array([column.max() for column in columns])
-    dims = np.floor((hi - lo) / side) + 1.0  # the largest key is the max's
+    with np.errstate(over="ignore"):
+        spans = (hi - lo) / side
+    if not np.isfinite(spans).all():
+        # Keys would overflow to a shared inf: each distinct point takes a
+        # cell of its own instead, which keeps every cell within the side.
+        return (lo, hi), _group_rows(columns)[0]
+    dims = np.floor(spans) + 1.0  # the largest key is the max's
     with np.errstate(over="ignore"):  # an inf key space takes the sorting path
         cells = float(np.prod(dims))
     if cells <= _DENSE_KEYS_PER_POINT * n:
@@ -338,12 +422,26 @@ def _bin_points(
         inverse, _, _ = _group_rows(
             [np.floor((column - low) / side) for column, low in zip(columns, lo)]
         )
+    return (lo, hi), inverse
+
+
+def _bin_points(
+    columns: Sequence[np.ndarray], side: float
+) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Group points, given as d columns, into the cubic cells of
+    :func:`_cell_index`.
+
+    Returns (box, centroids, counts, inverse): the per-axis (min, max) of
+    the points, the mean of the points in each occupied cell, how many
+    points it holds (as float64 kernel weights) and each point's cell.
+    """
+    box, inverse = _cell_index(columns, side)
     bins = int(inverse.max()) + 1
     counts = np.bincount(inverse, minlength=bins).astype(np.float64)
     sums = np.stack(
         [np.bincount(inverse, column, minlength=bins) for column in columns], axis=1
     )
-    return (lo, hi), sums / counts[:, None], counts, inverse
+    return box, sums / counts[:, None], counts, inverse
 
 
 def _binned_values(
@@ -502,6 +600,13 @@ def _merge_labels(positions: np.ndarray, radius: float) -> np.ndarray:
     an upper bound below it joins them, and only pairs in between whose
     cells are not joined yet compare their members. Components come from
     min-label hooking, numbered in the order of their least cell.
+
+    Worst case: cell pairs are pruned on the widest axis only, so points
+    packed densely across that band bound far more pairs than can touch.
+    On a 300 x 300 unit lattice at radius 1.5 (79524 cells) it bounded
+    33.5M cell pairs, where key distance allows about 1M, and took 4.1 s.
+    The modes of a shift grid (M <= k^d anchors, 100 by default) come
+    nowhere near that.
     """
     d = positions.shape[1]
     columns = [np.ascontiguousarray(positions[:, a]) for a in range(d)]
@@ -729,7 +834,8 @@ def _decided_bins(
         for label, dist in enumerate(dists, start=1):
             best += (dist == near) * label  # a single match where it counts
         reach = (near + radius[start:stop]) * (1.0 + _LABEL_MARGIN) + _LABEL_FLOOR
-        settled = reach < (second - radius[start:stop]) * (1.0 - _LABEL_MARGIN)
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN settles nothing
+            settled = reach < (second - radius[start:stop]) * (1.0 - _LABEL_MARGIN)
         decided[start:stop] = np.where(settled, best, 0)
     return decided
 
@@ -796,19 +902,106 @@ def _assign_span(values: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> n
     return block
 
 
+def _moment_table(
+    counts: np.ndarray, centroids: Sequence[np.ndarray], scatter: Sequence[np.ndarray]
+) -> np.ndarray:
+    """The :func:`_gaussian_shift` table of cells with counts n,
+    centroids mu and scatters S, all in units of the bandwidth and given
+    column by column: the d axes of mu, and the d (d + 1) / 2 entries
+    S_ij, i <= j, in the row-major order of :func:`_monomials`.
+
+    Expanding the kernel of each of a cell's members to second order
+    around mu, with r = a - mu for a seed a, gives the cell a weight
+    w(a) = n - tr S / 2 + r^T S r / 2 and a position sum w(a) mu + S r
+    (the first-order terms cancel at the centroid). Both are quadratic
+    in a; the table holds their coefficients per monomial of a. Since
+    |member - mu|^2 <= d c^2 for cells of side c, tr S <= n d c^2, so
+    w >= n (1 - d c^2 / 2) > 0 wherever d c^2 < 2. A zero scatter gives
+    ``[n mu | n]`` in the first block and zeros elsewhere.
+    """
+    d = len(centroids)
+    pairs = list(zip(*np.triu_indices(d)))
+    entry = {}
+    for (i, j), column in zip(pairs, scatter):
+        entry[i, j] = entry[j, i] = column
+    pulled = [sum(entry[a, b] * centroids[b] for b in range(d)) for a in range(d)]
+    constant = counts.copy()
+    for a in range(d):
+        constant += (centroids[a] * pulled[a] - entry[a, a]) / 2.0
+    weights = [constant] + [-column for column in pulled]
+    weights += [
+        column / 2.0 if i == j else column for (i, j), column in zip(pairs, scatter)
+    ]
+    table = np.empty((counts.shape[0], len(weights), d + 1))
+    for q, weight in enumerate(weights):
+        for a in range(d):
+            np.multiply(weight, centroids[a], out=table[:, q, a])
+        table[:, q, d] = weight
+    for a in range(d):
+        table[:, 0, a] -= pulled[a]
+        for b in range(d):
+            table[:, 1 + b, a] += entry[a, b]
+    return table.reshape(counts.shape[0], -1)
+
+
+def _moment_cells(
+    centroids: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Group count-weighted points into cells of side ``_CELL_FACTOR *
+    BIN_SIDE``, in one O(B d^2) pass over the B points: (cell centroids,
+    moment table of :func:`_moment_table`).
+
+    Coordinates are in units of the bandwidth. Each cell keeps the total
+    count n of its points, their weighted centroid mu and their scatter
+    S = sum n_f (mu_f - mu)(mu_f - mu)^T, taken from the offsets to mu.
+    """
+    columns = [np.ascontiguousarray(column) for column in centroids.T]
+    _, cell = _cell_index(columns, _CELL_FACTOR * BIN_SIDE)
+    totals = np.bincount(cell, counts)
+    means = [np.bincount(cell, counts * column) / totals for column in columns]
+    offsets = [column - mean.take(cell) for column, mean in zip(columns, means)]
+    scatter = [
+        np.bincount(cell, counts * offsets[i] * offsets[j])
+        for i, j in zip(*np.triu_indices(len(columns)))
+    ]
+    return np.stack(means, axis=1), _moment_table(totals, means, scatter)
+
+
+def _shift_anchors(
+    anchors: np.ndarray, bins: tuple, config: MeanShiftConfig, steps: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Shift the anchors ``steps`` times against the binning of
+    :func:`_binned_values`: (positions, densities of the last step).
+
+    At the dimensions of ``_MOMENT_DIMS`` and within a box at most
+    ``_MOMENT_WIDTH`` bandwidths wide, they meet the moment cells of the
+    fine bins (:func:`_moment_cells`), in coordinates centred on the box
+    and divided by the bandwidth, so no power of 1 / b can overflow.
+    Otherwise they meet the weighted fine-bin centroids.
+    """
+    (lo, hi), centroids, counts, _ = bins
+    bandwidth = config.bandwidth
+    if config.dim in _MOMENT_DIMS and (hi - lo).max() <= _MOMENT_WIDTH * bandwidth:
+        origin, scale = (lo + hi) / 2.0, bandwidth
+        points, table = _moment_cells((centroids - origin) / scale, counts)
+    else:
+        origin, scale = np.zeros(config.dim), 1.0
+        points, table = centroids, _point_table(centroids, counts)
+    seeds = (anchors - origin) / scale
+    for _ in range(steps):
+        seeds, densities = _gaussian_shift(seeds, points, bandwidth / scale, table)
+    return origin + scale * seeds, densities / scale
+
+
 def _anchor_modes(
     embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig
 ) -> Tuple[np.ndarray, tuple]:
-    """Seed the anchors, then shift them T times against the weighted bin
-    centroids: (modes, bins), with the bins of :func:`_binned_values`,
-    which label the pixels later."""
+    """Seed the anchors, then shift them T times against the moment cells
+    of the bins (:func:`_shift_anchors`): (modes, bins), with the bins of
+    :func:`_binned_values`, which label the pixels later."""
     anchors, bins = _seed_anchors(embeddings, mask, config)
-    _, centroids, counts, _ = bins
-    for _ in range(config.iterations):
-        anchors, _ = _gaussian_shift(
-            anchors, centroids, config.bandwidth, weights=counts
-        )
-    return anchors, bins
+    modes, _ = _shift_anchors(anchors, bins, config, config.iterations)
+    return modes, bins
 
 
 def cluster(
@@ -818,8 +1011,8 @@ def cluster(
 ) -> Tuple[ClusterSet, SoftAssignment]:
     """Anchor-based mean shift: bin the masked embeddings once, place the
     anchor grid, density-filter it once, shift T times against the
-    weighted bin centroids, merge modes closer than the bandwidth, then
-    soft-assign pixels to the surviving centers.
+    moment cells of the bins (:func:`_shift_anchors`), merge modes closer
+    than the bandwidth, then soft-assign pixels to the surviving centers.
 
     The assignment keeps the pixels' bins, so its labels, built on first
     read, are decided a bin at a time (:func:`_binned_labels`); they

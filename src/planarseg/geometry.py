@@ -178,7 +178,8 @@ def pool_instance_params(
     An indicator assignment (:func:`one_hot_assignment`) averages each
     instance's pixels from its labels: one ``np.bincount`` for the
     counts and one per axis, with no N x C array. Any other assignment
-    takes the BLAS product with its dense weights.
+    reads its dense N x C weights once, in one BLAS product
+    ``[params | 1]^T @ weights`` whose left operand is contiguous.
     """
     if pixel_params.grid != assignment.grid:
         raise ValueError("pixel params and assignment grids must match")
@@ -191,9 +192,11 @@ def pool_instance_params(
             axis=1,
         )
     else:
-        weights = assignment.weights
-        mass = np.ones(weights.shape[0]) @ weights
-        sums = weights.T @ params
+        lifted = np.empty((params.shape[1] + 1, params.shape[0]))
+        lifted[:-1] = params.T
+        lifted[-1] = 1.0
+        pooled = lifted @ assignment.weights
+        mass, sums = pooled[-1], pooled[:-1].T
     if np.any(mass <= 0.0):
         raise ValueError("empty instance")
     return PlaneInstanceParams(sums / mass[:, None])

@@ -1,13 +1,18 @@
 """End-to-end command-line runs against temporary directories."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import planarseg
 from planarseg import cli, gradcheck
@@ -342,6 +347,103 @@ class TestClusterCommand:
         assert err.startswith("error: anchors_per_dim ** dim must be <= ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+# Values a malformed tensor may carry, and --bandwidth values from
+# ordinary through tiny, zero, negative and non-finite to huge.
+FUZZ_VALUES = [np.nan, np.inf, -np.inf, 1e300, -1e300, 4.7e153, -4.7e153, 1e-300, 0.0]
+FUZZ_BANDWIDTHS = [
+    "0.5", "1e-8", "1e-154", "1e-160", "1e-300", "5e-324", "0", "-1",
+    "nan", "inf", "-inf", "1e154", "1e308",
+]
+
+
+@st.composite
+def malformed_cluster_inputs(draw):
+    """Embedding and probability files for ``planarseg cluster``: small
+    valid tensors at scales up to the kernels' bound, then spoilt in one
+    way or none: special values, a wrong rank, another dtype, or a
+    truncated, padded or corrupted byte."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w, d = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 1e150, 1e153, 4e153]))
+    tensors = {
+        "emb": rng.normal(size=(h, w, d)) * scale,
+        "probs": rng.uniform(size=(h, w)),
+    }
+    name = draw(st.sampled_from(sorted(tensors)))
+    spoil = draw(st.sampled_from(["none", "values", "rank", "dtype", "bytes"]))
+    edit = None
+    if spoil == "values":
+        for _ in range(draw(st.integers(1, 3))):
+            values = tensors[draw(st.sampled_from(sorted(tensors)))].reshape(-1)
+            where = draw(st.integers(0, values.size - 1))
+            values[where] = draw(st.sampled_from(FUZZ_VALUES))
+    elif spoil == "rank":
+        tensor = tensors[name]
+        if draw(st.booleans()):
+            tensors[name] = tensor.reshape(tensor.shape[:-2] + (-1,))
+        else:
+            tensors[name] = tensor[..., None]
+    elif spoil == "dtype":
+        dtype = draw(st.sampled_from([np.float32, np.int32, np.uint8]))
+        if dtype is np.float32:
+            with np.errstate(over="ignore"):  # huge values become inf, on purpose
+                tensors[name] = tensors[name].astype(np.float32)
+        else:
+            info = np.iinfo(dtype)
+            tensors[name] = np.clip(tensors[name], info.min, info.max).astype(dtype)
+    elif spoil == "bytes":
+        edit = (
+            draw(st.sampled_from(["truncate", "pad", "flip"])),
+            draw(st.integers(0, 10_000)),
+            draw(st.integers(0, 255)),
+        )
+    return tensors, name, edit
+
+
+class TestClusterFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=malformed_cluster_inputs(), bandwidth=st.sampled_from(FUZZ_BANDWIDTHS))
+    def test_malformed_inputs_exit_with_one_line(self, case, bandwidth):
+        # Every input gives exit code 0, 1 or 2 and at most one stderr
+        # line: "error: ..." on failure, nothing on success. Warnings are
+        # errors under the test settings, so a numpy warning fails here.
+        tensors, name, edit = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {key: Path(tmp) / f"{key}.pten" for key in tensors}
+            for key, tensor in tensors.items():
+                write_tensor(paths[key], tensor)
+            if edit is not None:
+                kind, where, byte = edit
+                raw = bytearray(paths[name].read_bytes())
+                if kind == "truncate":
+                    del raw[where % len(raw) :]
+                elif kind == "pad":
+                    raw.append(byte)
+                else:
+                    raw[where % len(raw)] = byte
+                paths[name].write_bytes(bytes(raw))
+            err = io.StringIO()
+            quiet = contextlib.redirect_stdout(io.StringIO())
+            with contextlib.redirect_stderr(err), quiet:
+                code = main(
+                    [
+                        "cluster", str(paths["emb"]), str(paths["probs"]),
+                        f"--bandwidth={bandwidth}", "--out", str(Path(tmp) / "out"),
+                    ]
+                )
+        message = err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert message == ""
+        else:
+            assert message.startswith("error: ") and message.count("\n") == 1
+            assert message.endswith("\n")
 
 
 class TestEvalCommand:

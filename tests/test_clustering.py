@@ -39,6 +39,10 @@ from planarseg.clustering import (
     _merge_labels,
     _member_reach,
     _merge_points,
+    _moment_cells,
+    _moment_table,
+    _point_table,
+    _shift_anchors,
     _span_labels,
 )
 from planarseg.core import (
@@ -112,11 +116,22 @@ def initial_anchors(emb, mask, config):
 
 
 def shift_once(positions, emb, mask, config):
-    """One binned shift of ``positions`` against the masked embeddings,
-    the step that :func:`cluster` repeats: (new positions, densities)."""
-    _, centroids, counts, _ = _binned_values(emb, mask, config)
+    """One shift of ``positions`` against the moment cells of the masked
+    embeddings' bins, the step that :func:`cluster` repeats: (new
+    positions, densities)."""
     seeds = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    return _gaussian_shift(seeds, centroids, config.bandwidth, weights=counts)
+    return _shift_anchors(seeds, _binned_values(emb, mask, config), config, 1)
+
+
+def fine_bin_shifts(positions, centroids, counts, bandwidth, steps=1):
+    """The oracle of the moment-cell step: ``steps`` shifts of
+    ``positions`` against the count-weighted fine-bin centroids, the loop
+    that :func:`cluster` ran before its shifts met moment cells."""
+    table = _point_table(centroids, counts)
+    densities = None
+    for _ in range(steps):
+        positions, densities = _gaussian_shift(positions, centroids, bandwidth, table)
+    return positions, densities
 
 
 def three_blob_input(seed=0, n_per=400, spread=0.05):
@@ -262,7 +277,7 @@ class TestInitAnchors:
         _, centroids, counts, _ = _bin_points(values.T, BIN_SIDE * config.bandwidth)
         assert counts.max() >= 2
         positions, densities = initial_anchors(emb, mask, config)
-        _, expected = _gaussian_shift(positions, centroids, 0.5, weights=counts)
+        _, expected = fine_bin_shifts(positions, centroids, counts, 0.5)
         np.testing.assert_allclose(densities, expected, rtol=1e-13, atol=0.0)
 
     def test_separable_contraction_stays_within_chunk_target(self):
@@ -327,6 +342,23 @@ class TestShiftAnchors:
         )
         assert densities[0] == pytest.approx(expected, rel=1e-12)
 
+    def test_shift_loop_tracks_the_fine_bin_oracle(self):
+        # The T moment-cell steps of cluster against the fine-bin loop they
+        # replaced: the modes stay within one step's stated bound,
+        # (4 * BIN_SIDE)^3 * b / 50 (measured 6.8e-6 b after 10 steps), and
+        # merge into the same clusters.
+        emb, mask = embedding_fixture(four_blob_mixture())
+        config = MeanShiftConfig(bandwidth=0.5)
+        anchors, bins = clustering._seed_anchors(emb, mask, config)
+        modes, _ = _anchor_modes(emb, mask, config)
+        oracle, _ = fine_bin_shifts(anchors, *bins[1:3], 0.5, steps=config.iterations)
+        assert np.abs(modes - oracle).max() <= (4 * BIN_SIDE) ** 3 * 0.5 / 50.0
+        merged, expected = _merge_points(modes, 0.5), _merge_points(oracle, 0.5)
+        np.testing.assert_array_equal(
+            merged.member_anchor_counts, expected.member_anchor_counts
+        )
+        np.testing.assert_allclose(merged.centers, expected.centers, atol=1e-4)
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_contraction_into_bounding_box(self, seed):
@@ -374,7 +406,8 @@ class TestGaussianShift:
         seeds = rng.normal(0.0, 1.2, size=(40, d))
         seeds[-1] = 30.0
         weights = rng.integers(1, 9, size=300).astype(np.float64) if weighted else None
-        out, dens = _gaussian_shift(seeds, points, 0.5, weights=weights)
+        table = None if weights is None else _point_table(points, weights)
+        out, dens = _gaussian_shift(seeds, points, 0.5, table)
         expected, expected_dens = reference_shift(seeds, points, 0.5, weights)
         np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(dens, expected_dens, rtol=1e-12, atol=0.0)
@@ -388,6 +421,32 @@ def anchor_grid(values, k=10):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, values.shape[1])
 
 
+def four_blob_mixture(d=2):
+    """Four overlapping Gaussian blobs over a uniform floor, about 12
+    bandwidths (b = 0.5) across, in d = 2 or 3 dimensions."""
+    rng = np.random.default_rng(0)
+    centers = np.array(
+        [[1.0, 1.0, 1.0], [4.0, 1.5, 2.0], [2.5, 5.0, 3.5], [2.6, 2.4, 2.4]]
+    )
+    return np.concatenate(
+        [c[:d] + rng.normal(0.0, 0.2, size=(3000, d)) for c in centers]
+        + [rng.uniform(0.0, 6.0, size=(600, d))]
+    )
+
+
+def record_shift_points(monkeypatch):
+    """Record the point count of every :func:`_gaussian_shift` call."""
+    counts = []
+    shift = clustering._gaussian_shift
+
+    def recording(seeds, points, bandwidth, table=None):
+        counts.append(points.shape[0])
+        return shift(seeds, points, bandwidth, table)
+
+    monkeypatch.setattr(clustering, "_gaussian_shift", recording)
+    return counts
+
+
 class TestBinning:
     def test_shift_error_is_second_order_in_cell_side(self):
         # Each cell's centroid cancels the first-order term of the kernel's
@@ -396,12 +455,7 @@ class TestBinning:
         # positions (measured 0.05-0.15 c^2 * b) and c^2 / 2 relative on
         # densities (measured 0.06-0.16 c^2); halving c must at least halve
         # the position error.
-        rng = np.random.default_rng(0)
-        centers = np.array([[1.0, 1.0], [4.0, 1.5], [2.5, 5.0], [2.6, 2.4]])
-        values = np.concatenate(
-            [c + rng.normal(0.0, 0.2, size=(3000, 2)) for c in centers]
-            + [rng.uniform(0.0, 6.0, size=(600, 2))]
-        )
+        values = four_blob_mixture()
         b = 0.5
         anchors = anchor_grid(values)
         exact, exact_dens = _gaussian_shift(anchors, values, b)
@@ -409,13 +463,128 @@ class TestBinning:
         for c in (0.1, 0.05, 0.025):
             _, centroids, counts, _ = _bin_points(values.T, c * b)
             assert centroids.shape[0] < values.shape[0]
-            binned, binned_dens = _gaussian_shift(anchors, centroids, b, weights=counts)
+            binned, binned_dens = fine_bin_shifts(anchors, centroids, counts, b)
             error = np.abs(binned - exact).max()
             assert error <= c * c * b / 4.0
             assert np.max(np.abs(binned_dens - exact_dens) / exact_dens) <= c * c / 2.0
             errors.append(error)
         assert errors[1] <= errors[0] / 2.0
         assert errors[2] <= errors[1] / 2.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_moment_step_keeps_the_fine_bin_bound_against_the_exact_step(self, d):
+        # The moment-cell step of cluster stays within the bound stated for
+        # the fine bins, c^2 * b / 4 = 6.25e-4 b for c = BIN_SIDE (measured
+        # 2.6e-4 b at d = 2, 9.7e-5 b at d = 3), and within c^2 / 2
+        # relative on densities (measured 3.1e-4 and 1.1e-4).
+        values = four_blob_mixture(d)
+        config = MeanShiftConfig(bandwidth=0.5, dim=d)
+        b = config.bandwidth
+        anchors = anchor_grid(values)
+        exact, exact_dens = _gaussian_shift(anchors, values, b)
+        bins = _bin_points(values.T, BIN_SIDE * b)
+        shifted, dens = _shift_anchors(anchors, bins, config, 1)
+        assert np.abs(shifted - exact).max() <= BIN_SIDE**2 * b / 4.0
+        assert np.max(np.abs(dens - exact_dens) / exact_dens) <= BIN_SIDE**2 / 2.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_moment_step_error_against_the_fine_bin_step_is_third_order(
+        self, d, monkeypatch
+    ):
+        # Against the fine-bin step it replaces, the second-order expansion
+        # leaves a third-order error in the cell side s = 4 * BIN_SIDE.
+        # Stated bound: s^3 * b / 50 = 1.6e-4 b, also relative on densities
+        # (measured 7.1e-5 b and 3.2e-5 at d = 2, 7.0e-5 b and 6.8e-5 at
+        # d = 3). Plain 4x bins without the curvature term stray 6.25e-3 b
+        # (7.6e-3 b), at least 20 times more. Doubling s grows the error at
+        # least 6-fold, beyond the 4-fold of a second-order error (measured
+        # 24x and 11x; 28x and 17x); cells as wide as the fine bins hold one
+        # bin each and match the step.
+        values = four_blob_mixture(d)
+        config = MeanShiftConfig(bandwidth=0.5, dim=d)
+        b = config.bandwidth
+        anchors = anchor_grid(values)
+        bins = _bin_points(values.T, BIN_SIDE * b)
+        fine, fine_dens = fine_bin_shifts(anchors, *bins[1:3], b)
+        side = clustering._CELL_FACTOR * BIN_SIDE
+        shifted, dens = _shift_anchors(anchors, bins, config, 1)
+        error = np.abs(shifted - fine).max()
+        assert error <= side**3 * b / 50.0
+        assert np.max(np.abs(dens - fine_dens) / fine_dens) <= side**3 / 50.0
+        _, centroids, counts, _ = _bin_points(values.T, side * b)
+        plain, _ = fine_bin_shifts(anchors, centroids, counts, b)
+        assert np.abs(plain - fine).max() >= 20.0 * error
+        errors = []
+        for factor in (1, 2, 4, 8):
+            monkeypatch.setattr(clustering, "_CELL_FACTOR", factor)
+            shifted, _ = _shift_anchors(anchors, bins, config, 1)
+            errors.append(np.abs(shifted - fine).max())
+        assert errors[0] <= 1e-12
+        assert errors[2] >= 6.0 * errors[1] and errors[3] >= 6.0 * errors[2]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_scatter_cells_reproduce_the_plain_weighted_kernel(self, d):
+        rng = np.random.default_rng(40 + d)
+        points = rng.normal(0.0, 1.0, size=(300, d))
+        counts = rng.integers(1, 9, size=300).astype(np.float64)
+        seeds = rng.normal(0.0, 1.2, size=(40, d))
+        zeros = [np.zeros(300)] * (d * (d + 1) // 2)
+        table = _moment_table(counts, list(points.T), zeros)
+        assert table.shape == (300, (d + 1) * (1 + d + d * (d + 1) // 2))
+        out, dens = _gaussian_shift(seeds, points, 0.5, table)
+        expected, expected_dens = fine_bin_shifts(seeds, points, counts, 0.5)
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dens, expected_dens, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_moment_weights_stay_positive_up_to_twenty_dimensions(self, d):
+        # Members of a cell of side s lie within s sqrt(d) of its centroid,
+        # so tr S <= n d s^2 and each weight n - tr S / 2 + r^T S r / 2 is
+        # at least n (1 - d s^2 / 2) > 0 while d s^2 < 2: 0.8 at d = 20,
+        # the most that MAX_ANCHORS admits. Cells whose members sit at
+        # opposite corners carry the largest scatter; every cell's weight,
+        # read through the table and the monomials, stays above the bound
+        # at seeds near and far.
+        side = clustering._CELL_FACTOR * BIN_SIDE
+        assert d * side**2 < 2.0
+        rng = np.random.default_rng(d)
+        corners = rng.integers(0, 2, size=(30, d)).astype(np.float64)
+        cells = np.arange(30)[:, None] * 3.0 * side
+        low = cells + corners * 0.998 * side + 0.001 * side
+        high = cells + (1.0 - corners) * 0.998 * side + 0.001 * side
+        inside = cells + rng.uniform(0.001, 0.999, (30, d)) * side
+        # A lone point 10 cells below the grid sets its origin, so no key
+        # rounds across a cell wall.
+        points = np.concatenate([np.full((1, d), -10.0 * side), low, high, inside])
+        counts = rng.integers(1, 50, size=91).astype(np.float64)
+        centroids, table = _moment_cells(points, counts)
+        cell = np.concatenate([[0], np.arange(90) % 30 + 1])  # the lone point's first
+        totals = np.bincount(cell, counts)
+        assert centroids.shape[0] == 31
+        np.testing.assert_allclose(centroids[1:, 0] // (3.0 * side), np.arange(30))
+        blocks = table.reshape(31, -1, d + 1)[:, :, d]
+        seeds = np.concatenate([centroids, rng.normal(0.0, 20.0, size=(20, d))])
+        weights = clustering._monomials(seeds) @ blocks.T
+        assert (weights >= totals * (1.0 - d * side**2 / 2.0)).all()
+
+    def test_wide_boxes_shift_against_the_fine_bins(self, monkeypatch):
+        # Up to _MOMENT_WIDTH bandwidths across, the moment cells keep the
+        # fine-bin bound; wider boxes shift against the fine bins.
+        values = four_blob_mixture()
+        config = MeanShiftConfig(bandwidth=0.5)
+        b = config.bandwidth
+        anchors = anchor_grid(values)
+        for width, cells in ((0.999, True), (1.001, False)):
+            far = values + clustering._MOMENT_WIDTH * b * width - 6.0
+            bins = _bin_points(np.concatenate([values, far]).T, BIN_SIDE * b)
+            fine, _ = fine_bin_shifts(anchors, *bins[1:3], b)
+            shifted, _ = _shift_anchors(anchors, bins, config, 1)
+            assert np.abs(shifted - fine).max() <= (4 * BIN_SIDE) ** 3 * b / 50.0
+            points = record_shift_points(monkeypatch)
+            _shift_anchors(anchors, bins, config, 1)
+            monkeypatch.undo()
+            fewer = points[0] <= bins[1].shape[0] / 4
+            assert fewer == cells
 
     def test_exact_when_every_point_sits_alone(self):
         # Points at least 0.2 apart never share a cell of side 0.025, so each
@@ -809,6 +978,26 @@ class TestCluster:
             block = decoded[labels == gen_label]
             assert np.unique(block).size == 1
         assert np.unique(decoded).size == 3
+
+    def test_shifts_meet_a_quarter_of_the_fine_bins_or_fewer(self, monkeypatch):
+        # A guard on counts, not times: on a 192x256, 16-plane scene drawn
+        # as the benchmark's training workload draws it, every shift of
+        # cluster meets moment cells, at most a quarter as many as the fine
+        # bins (measured about a seventh), so a silent fallback to the fine
+        # bins fails here and not only in timings.
+        grid = ImageGrid(192, 256)
+        intr = CameraIntrinsics(fx=230.4, fy=230.4, cx=127.5, cy=95.5)
+        scene = generate_scene(SceneSpec(grid=grid, intr=intr, plane_count=16, seed=7))
+        emb = generate_embeddings(
+            scene, EmbeddingNoiseSpec(center_min_gap=1.5, sigma=0.2, seed=7)
+        )
+        mask = PlanarMask(grid, corrupt_probability(scene, 0.05, seed=7).probs >= 0.5)
+        config = MeanShiftConfig()
+        bins = _binned_values(emb, mask, config)[2].shape[0]
+        points = record_shift_points(monkeypatch)
+        cluster(emb, mask, config)
+        assert len(points) == config.iterations
+        assert bins >= 10_000 and max(points) <= bins / 4
 
     def test_cached_values_free_their_builders(self):
         # The label builder holds the binning (box, centroids, counts and

@@ -232,6 +232,23 @@ class TestPooling:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("shape", [(1, 1), (17, 23), (48, 64)])
+    def test_soft_pooling_matches_two_products(self, shape):
+        # The one-pass product [params | 1]^T @ W against the two products
+        # it replaced, the masses 1^T W and the sums W^T params.
+        rng = np.random.default_rng(shape[0])
+        grid = ImageGrid(*shape)
+        weights = rng.random((grid.n_pixels, 16))
+        weights[rng.random(grid.n_pixels) < 0.2] = 0.0
+        weights[0] = rng.random(16) + 0.1  # no instance is empty
+        weights /= np.maximum(weights.sum(axis=1, keepdims=True), 1e-300)
+        params = rng.normal(size=(grid.n_pixels, 3)) + 2.0
+        pooled = pool_instance_params(
+            PixelPlaneParams(grid, params), SoftAssignment(grid, weights)
+        )
+        expected = (weights.T @ params) / (np.ones(grid.n_pixels) @ weights)[:, None]
+        np.testing.assert_allclose(pooled.params, expected, rtol=1e-14, atol=0.0)
+
     def test_one_hot_matches_per_cluster_mean(self):
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 4, size=GRID.n_pixels)
