@@ -1,7 +1,9 @@
 """Shared domain types for plane-instance segmentation.
 
 All types are immutable after construction: array fields are copied and
-marked read-only, so instances are safe to share across threads.
+marked read-only, so instances are safe to share across threads. The
+library's own kernels hand fresh arrays to :meth:`DepthMap._owned` and
+:meth:`PointMap._owned` instead, which freeze them without a copy.
 :class:`SoftAssignment` may build its labels and weights on first read;
 each is cached once, read-only, and a race can at worst build it twice.
 Pixels are linearized row-major (index = row * width + col) everywhere.
@@ -39,6 +41,18 @@ def _frozen(values, dtype) -> np.ndarray:
     """Copy ``values`` into a read-only array of the given dtype."""
     out = np.array(values, dtype=dtype, copy=True)
     out.flags.writeable = False
+    return out
+
+
+def _frozen_fields(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set
+    directly, bypassing ``__init__`` and ``__post_init__``; array fields
+    are made read-only in place."""
+    out = cls.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(out, name, value)
     return out
 
 
@@ -371,6 +385,19 @@ class DepthMap:
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "validity", validity)
 
+    @classmethod
+    def _owned(
+        cls, grid: ImageGrid, depth: np.ndarray, validity: np.ndarray
+    ) -> "DepthMap":
+        """A depth map that takes ``depth`` and ``validity`` as they are:
+        no copy and no check; both are frozen in place. The caller
+        vouches that nothing writes either array afterwards (fresh
+        arrays it drops, or arrays already read-only), and that they
+        hold what :meth:`__post_init__` would enforce: float64
+        depth and bool validity of shape (N,), every valid depth finite
+        and > 0, and every invalid depth exactly +0.0."""
+        return _frozen_fields(cls, grid=grid, depth=depth, validity=validity)
+
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -419,6 +446,20 @@ class PointMap:
         validity.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "validity", validity)
+
+    @classmethod
+    def _owned(
+        cls, grid: ImageGrid, points: np.ndarray, validity: np.ndarray
+    ) -> "PointMap":
+        """A point map that takes ``points`` and ``validity`` as they
+        are: no copy and no check; both are frozen in place. The caller
+        vouches that nothing writes either array afterwards (fresh
+        arrays it drops, or arrays already read-only), and that they
+        hold what :meth:`__post_init__` would enforce: C-order
+        float64 points of shape (N, 3) and bool validity of shape (N,),
+        every valid point finite, and every invalid point (+0.0, +0.0,
+        +0.0)."""
+        return _frozen_fields(cls, grid=grid, points=points, validity=validity)
 
 
 @dataclass(frozen=True)

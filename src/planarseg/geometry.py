@@ -52,7 +52,11 @@ class Plane:
         n = np.array(self.n, dtype=np.float64, copy=True).reshape(3)
         if not np.all(np.isfinite(n)):
             raise ValueError("plane vector must be finite")
-        if np.linalg.norm(n) < EPS_PLANE:
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(n)
+        if norm == np.inf:  # its unit normal would be all zeros
+            raise ValueError("plane vector norm must be finite")
+        if norm < EPS_PLANE:
             raise ValueError(f"plane vector norm below {EPS_PLANE}")
         n.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -71,18 +75,22 @@ def _ray_coords(
     grid: ImageGrid, intr: CameraIntrinsics
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Viewing-ray coordinates x/z per column and y/z per row; the ray
-    of pixel (row, col) is (x[col], y[row], 1)."""
-    x = (np.arange(grid.width) - intr.cx) / intr.fx
-    y = (np.arange(grid.height) - intr.cy) / intr.fy
+    of pixel (row, col) is (x[col], y[row], 1). A focal length so small
+    that a coordinate overflows is an error."""
+    with np.errstate(over="ignore"):
+        x = (np.arange(grid.width) - intr.cx) / intr.fx
+        y = (np.arange(grid.height) - intr.cy) / intr.fy
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("viewing rays overflow: focal length too small for the grid")
     return x, y
 
 
 def _ray_directions(grid: ImageGrid, intr: CameraIntrinsics) -> np.ndarray:
     """Unnormalized viewing rays (x/z, y/z, 1) per pixel, row-major."""
-    v, u = np.divmod(np.arange(grid.n_pixels), grid.width)
+    x, y = _ray_coords(grid, intr)
     rays = np.empty((grid.n_pixels, 3), dtype=np.float64)
-    rays[:, 0] = (u - intr.cx) / intr.fx
-    rays[:, 1] = (v - intr.cy) / intr.fy
+    rays[:, 0] = np.tile(x, grid.height)
+    rays[:, 1] = np.repeat(y, grid.width)
     rays[:, 2] = 1.0
     return rays
 
@@ -95,27 +103,49 @@ def _render(
     Pixel i lies on the plane in row ``labels[i]`` of the (K, 3)
     ``normals``. Depth is 1 / (ray . n) where that denominator exceeds
     ``EPS_RAY``; elsewhere the ray is (near-)parallel to the plane or
-    meets it behind the camera, and the pixel is invalid. An all-zero
-    row therefore renders its pixels invalid. The ray coordinates come
-    per column and per row, and each plane coefficient is gathered per
-    pixel, so the cost is O(N) whatever K is.
+    meets it behind the camera, or the denominator is NaN, and the pixel
+    is invalid with depth +0.0. An all-zero row therefore renders its
+    pixels invalid. The ray coordinates come per column and per row, and
+    each plane coefficient is gathered per pixel, so the cost is O(N)
+    whatever K is.
+
+    Precondition: every label lies in 0..K-1. The gathers clip instead
+    of checking bounds; ``InstanceSegmentation`` keeps its labels in
+    0..n_instances, and :func:`render_segment_depth` passes one row per
+    label. The denominators are summed as (nx·x + ny·y) + nz in two
+    buffers; the first becomes the depth. An O(K) guard bounds every
+    denominator by the same sum of ``|n|`` times the largest ``|x|`` and
+    ``|y|``: when each row's bound is finite, no denominator overflows.
+    Only when a bound is not finite does one scan look for a +inf
+    denominator, whose depth 1/inf = 0 would be a valid zero and raises
+    the error of :class:`DepthMap`.
     """
     x, y = _ray_coords(grid, intr)
-    nx, ny, nz = (
-        np.ascontiguousarray(column).take(labels).reshape(grid.height, grid.width)
-        for column in normals.T
-    )
-    # denom = nx * x + ny * y + nz, summed in that order in the gathered
-    # buffers
-    np.multiply(nx, x, out=nx)
-    np.multiply(ny, y[:, None], out=ny)
-    nx += ny
-    nx += nz
-    denom = nx.reshape(-1)
+    denom = np.empty(grid.n_pixels, dtype=np.float64)
+    term = np.empty(grid.n_pixels, dtype=np.float64)
+    denom2d = denom.reshape(grid.height, grid.width)
+    term2d = term.reshape(grid.height, grid.width)
+    nx, ny, nz = (np.ascontiguousarray(column) for column in normals.T)
+    # inf - inf is NaN and stays invalid; a +inf is caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.abs(normals)
+        bound = reach[:, 0] * np.abs(x).max() + reach[:, 1] * np.abs(y).max()
+        bound += reach[:, 2]
+        nx.take(labels, mode="clip", out=denom)
+        np.multiply(denom2d, x, out=denom2d)
+        ny.take(labels, mode="clip", out=term)
+        np.multiply(term2d, y[:, None], out=term2d)
+        denom += term
+        nz.take(labels, mode="clip", out=term)
+        denom += term
+    if not np.isfinite(bound).all() and (denom == np.inf).any():
+        raise ValueError("valid depths must be finite and > 0")
     valid = denom > EPS_RAY
-    depth = np.zeros(grid.n_pixels, dtype=np.float64)
-    np.divide(1.0, denom, out=depth, where=valid)
-    return DepthMap(grid, depth, valid)
+    # invalid and NaN denominators become EPS_RAY, then 1/EPS_RAY * 0 = +0.0
+    np.fmax(denom, EPS_RAY, out=denom)
+    np.divide(1.0, denom, out=denom)
+    np.multiply(denom, valid, out=denom)
+    return DepthMap._owned(grid, denom, valid)
 
 
 def backproject(depth: DepthMap, intr: CameraIntrinsics) -> PointMap:
@@ -123,16 +153,37 @@ def backproject(depth: DepthMap, intr: CameraIntrinsics) -> PointMap:
 
     The point of pixel (row, col) is depth * (x[col], y[row], 1), with
     the ray coordinates taken once per column and once per row, so no
-    per-pixel ray array is built.
+    per-pixel ray array is built. Invalid pixels have depth +0.0, so
+    their points are (±0.0, ±0.0, +0.0); adding +0.0 makes them +0.0.
+
+    When the largest depth times max(1, |x|, |y|) is finite no point
+    overflows, and when the smallest valid depth times the smallest
+    nonzero |x| or |y| is nonzero no valid coordinate underflows to a
+    zero whose sign the +0.0 would change. Then the fresh points are
+    handed to :class:`PointMap` without a copy or check. Otherwise the
+    checked constructor takes them, and overflowing points raise its
+    error.
     """
     grid = depth.grid
     x, y = _ray_coords(grid, intr)
     z = depth.depth.reshape(grid.height, grid.width)
     points = np.empty((grid.height, grid.width, 3), dtype=np.float64)
-    np.multiply(x, z, out=points[:, :, 0])
-    np.multiply(y[:, None], z, out=points[:, :, 1])
+    with np.errstate(over="ignore"):  # only the checked path can overflow
+        np.multiply(x, z, out=points[:, :, 0])
+        np.multiply(y[:, None], z, out=points[:, :, 1])
     points[:, :, 2] = z
-    return PointMap(grid, points.reshape(-1, 3), depth.validity)
+    rays = np.abs(np.concatenate([x, y]))
+    fits = np.isfinite(float(depth.depth.max()) * max(1.0, float(rays.max())))
+    # A valid depth z >= floor gives z * |ray| > 2**-1075 for every nonzero
+    # ray coordinate, so the product rounds to a nonzero value.
+    smallest = float(rays[rays > 0.0].min(initial=np.inf))
+    floor = max(2.0**-1074 / smallest, 2.0**-1074)
+    signed = np.count_nonzero(depth.depth >= floor) == np.count_nonzero(depth.validity)
+    if not (fits and signed):
+        return PointMap(grid, points.reshape(-1, 3), depth.validity)
+    for axis in (0, 1):  # one pass each: the inner loop runs along a row
+        points[:, :, axis] += 0.0
+    return PointMap._owned(grid, points.reshape(-1, 3), depth.validity)
 
 
 def depth_from_plane(
@@ -236,6 +287,7 @@ def fit_plane_lsq(
     RMS. Q has the singular values of R[:3, :3], so the points are
     rejected as collinear or coincident when the smallest of them is at
     most m * eps times the largest, the tolerance of ``matrix_rank``.
+    Points so large that the QR overflows are rejected too.
     """
     subset = np.asarray(subset, dtype=np.int64).ravel()
     keep = subset[points.validity[subset]]
@@ -247,8 +299,11 @@ def fit_plane_lsq(
         block[axis] = points.points[:, axis][keep]
     block[3] = 1.0
     r = np.linalg.qr(block.T, mode="r")
+    if not np.isfinite(r).all():  # the QR overflowed; the SVD would fail on NaN
+        raise ValueError("point coordinates too large to fit a plane")
     s = np.linalg.svd(r[:3, :3], compute_uv=False)
-    if s[-1] <= s[0] * m * np.finfo(np.float64).eps:
+    # m * eps is exact and below 1, so the tolerance cannot overflow
+    if s[-1] <= s[0] * (m * np.finfo(np.float64).eps):
         raise ValueError("degenerate point set: points are collinear or coincident")
     n = np.linalg.solve(r[:3, :3], r[:3, 3])
     rms = float(abs(r[3, 3]) / np.sqrt(m)) if m > 3 else 0.0

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -87,16 +87,25 @@ class DepthMetrics:
         return asdict(self)
 
 
+def _pair_key(
+    a: InstanceSegmentation, b: InstanceSegmentation
+) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """Each pixel's flat label-pair key ``a·cols + b``, built in place,
+    with the (rows, cols) shape of the table it indexes."""
+    if a.grid != b.grid:
+        raise ValueError("segmentation grids must match")
+    shape = (a.n_instances + 1, b.n_instances + 1)
+    key = np.multiply(a.labels, shape[1])
+    key += b.labels
+    return key, shape
+
+
 def _contingency(
     a: InstanceSegmentation, b: InstanceSegmentation
 ) -> np.ndarray:
     """Pixel counts per label pair, including label 0 in row/column 0."""
-    if a.grid != b.grid:
-        raise ValueError("segmentation grids must match")
-    rows = a.n_instances + 1
-    cols = b.n_instances + 1
-    flat = a.labels * cols + b.labels
-    return np.bincount(flat, minlength=rows * cols).reshape(rows, cols)
+    key, shape = _pair_key(a, b)
+    return np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def _iou(table: np.ndarray) -> np.ndarray:
@@ -167,24 +176,29 @@ def recall_depth(
     over their valid overlap is at most t; a matched pair with no such
     pixel gets no score.
 
-    The predicted depth is rendered once over all predicted labels, and
-    the per-pair error sums and pixel counts come from two bincounts
-    over the jointly valid pixels, so the cost is O(N) whatever the
-    plane count.
+    The predicted depth is rendered once over all predicted labels. One
+    pair key serves the contingency table and two weighted bincounts
+    over the full grid: per pair, the sum of ``|depth − gt|·both`` and
+    of ``both``, where ``both`` marks the jointly valid pixels. No
+    pixel subset is gathered. The other pixels add +0.0 terms, which
+    leave every sum as the sum over the jointly valid pixels alone. The
+    cost is O(N) whatever the plane count.
     """
     if pred_seg.grid != gt_seg.grid or gt_seg.grid != gt_depth.grid:
         raise ValueError("prediction, reference, and depth grids must match")
     if len(pred_planes) != pred_seg.n_instances:
         raise ValueError("need one plane per predicted instance")
-    table = _contingency(pred_seg, gt_seg)
+    key, shape = _pair_key(pred_seg, gt_seg)
+    size = shape[0] * shape[1]
+    table = np.bincount(key, minlength=size).reshape(shape)
     matched = _match_instances(table)
     rendered = render_segment_depth(pred_seg, pred_planes, intr)
-    both = np.flatnonzero(rendered.validity & gt_depth.validity)
-    cols = table.shape[1]
-    key = pred_seg.labels[both] * cols + gt_seg.labels[both]
-    error = np.abs(rendered.depth[both] - gt_depth.depth[both])
-    sums = np.bincount(key, error, minlength=table.size).reshape(table.shape)
-    counts = np.bincount(key, minlength=table.size).reshape(table.shape)
+    both = np.logical_and(rendered.validity, gt_depth.validity)
+    error = np.subtract(rendered.depth, gt_depth.depth)
+    np.abs(error, out=error)
+    error *= both
+    sums = np.bincount(key, error, minlength=size).reshape(shape)
+    counts = np.bincount(key, both, minlength=size).reshape(shape)
     scores = {
         g: float(sums[p, g] / counts[p, g])
         for g, p in matched.items()
@@ -313,7 +327,10 @@ def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:
     term is computed in place in four buffers of that length. Both log
     errors come from one natural log of p / g (``log10`` divides its
     mean by ln 10). ``acc_k`` is the share with max(p / g, g / p) <
-    1.25^k, so a ratio of exactly 1.25^k fails it.
+    1.25^k, so a ratio of exactly 1.25^k fails it. Depths far apart in
+    scale (say 1e-300 against 1) can overflow a term, or underflow p / g
+    to 0; such a term and the errors built on it read inf, with no
+    warning, and the pixel fails every accuracy threshold.
     """
     if pred.grid != gt.grid:
         raise ValueError("depth grids must match")
@@ -322,18 +339,19 @@ def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:
         raise ValueError("no jointly valid pixels")
     p = pred.depth[joint]
     g = gt.depth[joint]
-    diff = p - g
-    sq = diff**2
-    rmse = float(np.sqrt(np.mean(sq)))
-    rel_sqr = float(np.mean(np.divide(sq, g, out=sq)))
-    rel = float(np.mean(np.divide(np.abs(diff, out=diff), g, out=diff)))
-    forward = np.divide(p, g, out=sq)
-    log_ratio = np.log(forward, out=diff)
-    ratio = np.maximum(forward, np.divide(g, p, out=p), out=forward)
-    n = ratio.size
-    acc = [100.0 * (np.count_nonzero(ratio < 1.25**k) / n) for k in (1, 2, 3)]
-    rmse_log = float(np.sqrt(np.mean(np.square(log_ratio, out=g))))
-    log10 = float(np.mean(np.abs(log_ratio, out=log_ratio)) / np.log(10.0))
+    with np.errstate(over="ignore", divide="ignore"):  # inf is the limit here
+        diff = p - g
+        sq = diff**2
+        rmse = float(np.sqrt(np.mean(sq)))
+        rel_sqr = float(np.mean(np.divide(sq, g, out=sq)))
+        rel = float(np.mean(np.divide(np.abs(diff, out=diff), g, out=diff)))
+        forward = np.divide(p, g, out=sq)
+        log_ratio = np.log(forward, out=diff)
+        ratio = np.maximum(forward, np.divide(g, p, out=p), out=forward)
+        n = ratio.size
+        acc = [100.0 * (np.count_nonzero(ratio < 1.25**k) / n) for k in (1, 2, 3)]
+        rmse_log = float(np.sqrt(np.mean(np.square(log_ratio, out=g))))
+        log10 = float(np.mean(np.abs(log_ratio, out=log_ratio)) / np.log(10.0))
     return DepthMetrics(rel, rel_sqr, log10, rmse, rmse_log, *acc)
 
 

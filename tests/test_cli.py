@@ -446,6 +446,111 @@ class TestClusterFuzz:
             assert message.endswith("\n")
 
 
+# Values a spoilt eval input may carry: labels that are not integers, or
+# negative, or beyond int64; depths that are missing, negative, huge or
+# tiny; plane rows that are missing, huge or opposing.
+FUZZ_LABELS = [0.5, -0.5, np.nan, np.inf, -np.inf, -1.0, -3.0, 1e30, 2.0**63, 7.0]
+FUZZ_DEPTHS = [
+    np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-308, 5e-324, 1e300, 1e308, 1.7e308,
+]
+FUZZ_PARAMS = [np.nan, np.inf, -np.inf, 0.0, 1e300, -1e300, 1e308, -1e308, 1e-300]
+
+
+@st.composite
+def malformed_eval_inputs(draw):
+    """Label, parameter and depth files for ``planarseg eval`` from a
+    small synthetic scene, with the prediction equal to the reference,
+    then spoilt in one way or none: special values in labels, depths or
+    plane rows, a wrong rank, another dtype or a wrong plane count. The
+    scene is made with the default focal length, and the evaluation's
+    may shrink to 0.01, so that rays reach far outside the unit square
+    and huge values overflow, or to 1e-310, where the rays overflow."""
+    seed = draw(st.integers(0, 2**16))
+    h, w = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    planes = draw(st.integers(1, 3))
+    scene_intr, intr = (
+        planarseg.CameraIntrinsics(fx=focal, fy=focal, cx=(w - 1) / 2.0, cy=(h - 1) / 2.0)
+        for focal in (0.9 * w, draw(st.sampled_from([0.9 * w, 1.0, 0.01, 1e-310])))
+    )
+    spec = planarseg.SceneSpec(
+        planarseg.ImageGrid(h, w), scene_intr, plane_count=planes,
+        nonplanar_fraction=0.0, seed=seed,
+    )
+    scene = planarseg.generate_scene(spec)
+    labels = scene.segmentation.labels.reshape(h, w).astype(np.float64)
+    tensors = {
+        "pred_labels": labels.copy(),
+        "gt_labels": labels,
+        "pred_params": np.stack([p.n for p in scene.planes]),
+        "gt_depth": scene.depth.depth.reshape(h, w).copy(),
+    }
+    spoil = draw(
+        st.sampled_from(["none", "labels", "depth", "params", "rank", "dtype", "count"])
+    )
+    pools = {"labels": FUZZ_LABELS, "depth": FUZZ_DEPTHS, "params": FUZZ_PARAMS}
+    if spoil in pools:
+        names = {
+            "labels": ["pred_labels", "gt_labels"],
+            "depth": ["gt_depth"],
+            "params": ["pred_params"],
+        }[spoil]
+        for _ in range(draw(st.integers(1, 4))):
+            values = tensors[draw(st.sampled_from(names))].reshape(-1)
+            values[draw(st.integers(0, values.size - 1))] = draw(
+                st.sampled_from(pools[spoil])
+            )
+    elif spoil == "rank":
+        name = draw(st.sampled_from(sorted(tensors)))
+        tensors[name] = tensors[name].reshape(-1) if draw(st.booleans()) else (
+            tensors[name][..., None]
+        )
+    elif spoil == "dtype":
+        name = draw(st.sampled_from(sorted(tensors)))
+        dtype = draw(st.sampled_from([np.float32, np.int32, np.uint8]))
+        with np.errstate(over="ignore", invalid="ignore"):  # lossy on purpose
+            tensors[name] = tensors[name].astype(dtype)
+    elif spoil == "count":
+        params = tensors["pred_params"]
+        tensors["pred_params"] = (
+            params[:-1] if draw(st.booleans()) and len(params) > 1
+            else np.concatenate([params, params[:1]])
+        )
+    return tensors, intr
+
+
+class TestEvalFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=malformed_eval_inputs())
+    def test_malformed_inputs_exit_with_one_line(self, case):
+        # As for ``cluster``: exit code 0, 1 or 2, and at most one stderr
+        # line, "error: ..." on failure. Warnings are errors here.
+        tensors, intr = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {key: Path(tmp) / f"{key}.pten" for key in tensors}
+            for key, tensor in tensors.items():
+                write_tensor(paths[key], tensor)
+            err = io.StringIO()
+            quiet = contextlib.redirect_stdout(io.StringIO())
+            with contextlib.redirect_stderr(err), quiet:
+                code = main(
+                    ["eval"]
+                    + [f"--{key.replace('_', '-')}={paths[key]}" for key in sorted(paths)]
+                    + [f"--{name}={getattr(intr, name)!r}" for name in ("fx", "fy", "cx", "cy")]
+                    + ["--out", str(Path(tmp) / "out")]
+                )
+        message = err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert message == ""
+        else:
+            assert message.startswith("error: ") and message.count("\n") == 1
+            assert message.endswith("\n")
+
+
 class TestEvalCommand:
     def eval_args(self, scene, out, pred_labels=None, params_path=None):
         manifest = json.loads((scene / "manifest.json").read_text())

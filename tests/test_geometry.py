@@ -16,7 +16,10 @@ from planarseg.core import (
     SoftAssignment,
 )
 from planarseg.geometry import (
+    EPS_RAY,
     Plane,
+    _ray_directions,
+    _render,
     backproject,
     depth_from_plane,
     fit_plane_lsq,
@@ -25,6 +28,8 @@ from planarseg.geometry import (
     pool_instance_params,
     render_segment_depth,
 )
+from planarseg.metrics import recall_depth
+from planarseg.synth import SceneSpec, generate_scene
 
 GRID = ImageGrid(4, 6)
 INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=2.5, cy=1.5)
@@ -43,6 +48,12 @@ class TestPlane:
     def test_rejects_near_zero_vector(self):
         with pytest.raises(ValueError, match="norm"):
             Plane([0.0, 0.0, 1e-7])
+
+    @pytest.mark.parametrize("row", [[1e300, 0.0, 0.7], [1e154, 1e154, 1e154]])
+    def test_rejects_vector_whose_norm_overflows(self, row):
+        # Its unit normal would be all zeros, at angle 0 to every plane.
+        with pytest.raises(ValueError, match="norm must be finite"):
+            Plane(row)
 
 
 class TestBackproject:
@@ -80,6 +91,27 @@ class TestBackproject:
         pm = backproject(depth, intr)
         np.testing.assert_array_equal(pm.points, rays * depth.depth[:, None])
         np.testing.assert_array_equal(pm.validity, depth.validity)
+
+
+class TestRayCoordinates:
+    def test_per_pixel_rays_match_divmod_oracle_exactly(self):
+        grid = ImageGrid(7, 5)
+        intr = CameraIntrinsics(fx=4.5, fy=3.7, cx=2.3, cy=3.1)
+        v, u = np.divmod(np.arange(grid.n_pixels), grid.width)
+        want = np.stack([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy,
+                         np.ones(grid.n_pixels)], axis=1)
+        assert _ray_directions(grid, intr).tobytes() == want.tobytes()
+
+    def test_overflowing_rays_are_an_error(self):
+        # (col - cx) / 1e-310 overflows for every column 1 or more away
+        intr = CameraIntrinsics(fx=1e-310, fy=1e-310, cx=2.5, cy=1.5)
+        depth = fronto_depth(GRID, 2.0)
+        for call in (
+            lambda: backproject(depth, intr),
+            lambda: depth_from_plane(Plane([0.0, 0.0, 0.5]), GRID, intr),
+        ):
+            with pytest.raises(ValueError, match="focal length too small"):
+                call()
 
 
 class TestDepthFromPlane:
@@ -179,6 +211,188 @@ class TestRenderSegmentDepth:
         seg = InstanceSegmentation(grid, np.array([1, 1, 2, 0]))
         with pytest.raises(ValueError, match="one plane per instance"):
             render_segment_depth(seg, [Plane([0, 0, 1.0])], INTR)
+
+
+def masked_render(grid, intr, labels, normals):
+    """The masked kernel that ``_render`` replaced: bounds-checked
+    gathers, a zero-filled depth and a divide only where the denominator
+    exceeds EPS_RAY, all into the checked DepthMap constructor."""
+    x = (np.arange(grid.width) - intr.cx) / intr.fx
+    y = (np.arange(grid.height) - intr.cy) / intr.fy
+    nx, ny, nz = (
+        np.ascontiguousarray(column).take(labels).reshape(grid.height, grid.width)
+        for column in normals.T
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(nx, x, out=nx)
+        np.multiply(ny, y[:, None], out=ny)
+        nx += ny
+        nx += nz
+    denom = nx.reshape(-1)
+    valid = denom > EPS_RAY
+    depth = np.zeros(grid.n_pixels, dtype=np.float64)
+    np.divide(1.0, denom, out=depth, where=valid)
+    return DepthMap(grid, depth, valid)
+
+
+def checked_backproject(depth, intr):
+    """``backproject`` with every point passed through the checked
+    PointMap constructor, which copies, zeroes invalid rows and checks."""
+    grid = depth.grid
+    x = (np.arange(grid.width) - intr.cx) / intr.fx
+    y = (np.arange(grid.height) - intr.cy) / intr.fy
+    z = depth.depth.reshape(grid.height, grid.width)
+    points = np.empty((grid.height, grid.width, 3), dtype=np.float64)
+    with np.errstate(over="ignore"):
+        np.multiply(x, z, out=points[:, :, 0])
+        np.multiply(y[:, None], z, out=points[:, :, 1])
+    points[:, :, 2] = z
+    return PointMap(grid, points.reshape(-1, 3), depth.validity)
+
+
+def same_bits(a, b):
+    """Equal arrays, signed zeros and NaN payloads included."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+# x spans [-2.5, 2.5] and y [-1.5, 1.5], so huge plane entries overflow
+# the products, and the zero column and row give exact zeros.
+EDGE_GRID = ImageGrid(4, 6)
+EDGE_INTR = CameraIntrinsics(fx=1.0, fy=1.0, cx=2.5, cy=1.5)
+EDGE_ROWS = {
+    "eps": [0.0, 0.0, EPS_RAY],  # denominator exactly EPS_RAY: invalid
+    "above_eps": [0.0, 0.0, np.nextafter(EPS_RAY, 1.0)],
+    "zero": [0.0, 0.0, 0.0],
+    "negative": [0.0, 0.0, -1.0],
+    "tilted": [0.3, -0.2, 0.9],  # negative on part of the grid
+    "opposing_huge": [1e308, 1e308, 0.0],  # inf - inf = NaN where x, y differ in sign
+    "huge_negative": [-1e308, 0.0, 0.5],  # -inf and huge negative: invalid
+    "huge_finite": [0.0, 0.0, 1.7e308],  # a tiny but valid depth
+}
+
+
+def finite_side_labels(rows):
+    """Labels cycling through ``rows`` (row 0 included), with every pixel
+    whose denominator on its row would be +inf moved to row 0."""
+    x = (np.arange(EDGE_GRID.width) - EDGE_INTR.cx) / EDGE_INTR.fx
+    y = (np.arange(EDGE_GRID.height) - EDGE_INTR.cy) / EDGE_INTR.fy
+    labels = np.arange(EDGE_GRID.n_pixels) % len(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.asarray(rows)[labels].reshape(EDGE_GRID.height, EDGE_GRID.width, 3)
+        denom = (n[..., 0] * x + n[..., 1] * y[:, None]) + n[..., 2]
+    labels[denom.reshape(-1) == np.inf] = 0
+    return labels
+
+
+class TestRenderOracle:
+    """``_render`` against the masked kernel, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(EDGE_ROWS))
+    def test_edge_denominators(self, kind):
+        normals = np.array([[0.0, 0.0, 0.5], EDGE_ROWS[kind]])
+        labels = finite_side_labels(normals)
+        assert (labels == 1).any()
+        got = _render(EDGE_GRID, EDGE_INTR, labels, normals)
+        want = masked_render(EDGE_GRID, EDGE_INTR, labels, normals)
+        same_bits(got.depth, want.depth)
+        same_bits(got.validity, want.validity)
+        assert not got.depth.flags.writeable and not got.validity.flags.writeable
+
+    def test_every_edge_row_at_once(self):
+        normals = np.array([[0.0, 0.0, 0.0]] + list(EDGE_ROWS.values()))
+        labels = finite_side_labels(normals)
+        got = _render(EDGE_GRID, EDGE_INTR, labels, normals)
+        want = masked_render(EDGE_GRID, EDGE_INTR, labels, normals)
+        same_bits(got.depth, want.depth)
+        same_bits(got.validity, want.validity)
+
+    @pytest.mark.parametrize("row", [[1e308, 0.0, 0.0], [0.0, 1e308, 1e308]])
+    def test_positive_infinite_denominator_raises_the_same_error(self, row):
+        normals = np.array([[0.0, 0.0, 0.5], row])
+        labels = np.arange(EDGE_GRID.n_pixels) % 2
+        with pytest.raises(ValueError) as want:
+            masked_render(EDGE_GRID, EDGE_INTR, labels, normals)
+        with pytest.raises(ValueError) as got:
+            _render(EDGE_GRID, EDGE_INTR, labels, normals)
+        assert str(got.value) == str(want.value) == "valid depths must be finite and > 0"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_segments_with_gapped_ids(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = ImageGrid(9, 11)
+        intr = CameraIntrinsics(fx=6.0, fy=5.0, cx=5.2, cy=3.9)
+        labels = rng.choice([0, 1, 2, 5], grid.n_pixels)  # IDs 3 and 4 own no pixel
+        planes = [Plane(rng.uniform(-0.6, 0.6, 3) + [0.0, 0.0, 0.4]) for _ in range(5)]
+        seg = InstanceSegmentation(grid, labels, 5)
+        normals = np.concatenate([np.zeros((1, 3))] + [p.n[None, :] for p in planes])
+        got = render_segment_depth(seg, planes, intr)
+        want = masked_render(grid, intr, labels, normals)
+        assert not want.validity.all() and want.validity.any()
+        same_bits(got.depth, want.depth)
+        same_bits(got.validity, want.validity)
+
+
+class TestBackprojectOracle:
+    """``backproject`` against the checked constructor path, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "low", [0.5, 1e-300, 1e-320, 5e-324], ids=["plain", "tiny", "subnormal", "least"]
+    )
+    def test_matches_checked_points(self, low):
+        # Tiny valid depths underflow some coordinates to signed zeros,
+        # which the checked path keeps as they are.
+        rng = np.random.default_rng(1)
+        depth = DepthMap(
+            EDGE_GRID,
+            rng.uniform(1.0, 3.0, EDGE_GRID.n_pixels) * low,
+            rng.random(EDGE_GRID.n_pixels) < 0.7,
+        )
+        for intr in (EDGE_INTR, CameraIntrinsics(fx=700.0, fy=650.0, cx=2.4, cy=1.6)):
+            got = backproject(depth, intr)
+            want = checked_backproject(depth, intr)
+            same_bits(got.points, want.points)
+            same_bits(got.validity, want.validity)
+            assert not got.points.flags.writeable
+
+    @pytest.mark.parametrize("top", [1e308, 1.7976931348623157e308])
+    def test_overflowing_points_raise_the_same_error(self, top):
+        depth = DepthMap(EDGE_GRID, np.full(EDGE_GRID.n_pixels, top))
+        with pytest.raises(ValueError) as want:
+            checked_backproject(depth, EDGE_INTR)
+        with pytest.raises(ValueError) as got:
+            backproject(depth, EDGE_INTR)
+        assert str(got.value) == str(want.value) == "valid points must be finite"
+
+    def test_huge_depth_that_fits_is_kept(self):
+        # |x|, |y| < 1 here, so 1e308 depths give finite points
+        intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=2.5, cy=1.5)
+        depth = DepthMap(EDGE_GRID, np.full(EDGE_GRID.n_pixels, 1e308))
+        same_bits(backproject(depth, intr).points, checked_backproject(depth, intr).points)
+
+
+class TestNoCheckedCopies:
+    def test_kernels_build_no_checked_maps(self, monkeypatch):
+        # On a finite scene, the render, the depth recall and the
+        # backprojection hand their fresh arrays over without the
+        # copying constructors. A silent fallback to those fails here.
+        intr = CameraIntrinsics(fx=28.8, fy=28.8, cx=15.5, cy=11.5)
+        scene = generate_scene(SceneSpec(ImageGrid(24, 32), intr, plane_count=4, seed=2))
+        planes = list(scene.planes)
+        calls = []
+        for cls in (DepthMap, PointMap):
+            checked = cls.__post_init__
+
+            def counting(self, checked=checked, name=cls.__name__):
+                calls.append(name)
+                checked(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        depth = render_segment_depth(scene.segmentation, planes, intr)
+        recall_depth(scene.segmentation, planes, scene.segmentation, scene.depth, intr)
+        points = backproject(scene.depth, intr)
+        assert calls == []
+        assert depth.validity.any() and points.validity.any()
 
 
 class TestPooling:
@@ -320,6 +534,26 @@ class TestFitPlaneLsq:
         pm = PointMap(ImageGrid(1, 3), pts)
         with pytest.raises(ValueError, match="degenerate point set"):
             fit_plane_lsq(pm, np.arange(3))
+
+    @pytest.mark.parametrize(
+        "scale, far, message",
+        [
+            (1e200, 1.0, "norm below"),
+            (1.5e308, 1.0, "too large to fit"),
+            (1.0, 1e308, "collinear or coincident"),
+        ],
+    )
+    def test_huge_points_fail_with_an_error(self, scale, far, message):
+        # At 1e200 the plane's norm falls below EPS_PLANE. At 1.5e308 the
+        # QR overflows, and the SVD would raise LinAlgError on its NaN.
+        # One point at 1e308 makes the rank tolerance s_max * m * eps
+        # overflow unless m * eps is taken first.
+        pts = PointMap(ImageGrid(1, 5), scale * np.array(
+            [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.1], [0.5, 0.2, 1.0],
+             [0.3, 0.3, far]]
+        ))
+        with pytest.raises(ValueError, match=message):
+            fit_plane_lsq(pts, np.arange(5))
 
     def test_ignores_invalid_points(self):
         pts = np.array(

@@ -26,7 +26,7 @@ from planarseg.metrics import (
     segmentation_covering,
     variation_of_information,
 )
-from planarseg.metrics import _contingency, _iou
+from planarseg.metrics import _contingency, _iou, _match_instances, _recall_curve
 
 
 def seg(labels, n_instances=None, width=None):
@@ -444,6 +444,75 @@ class TestRecallDepth:
             recall_depth(gt_seg, planes[:1], gt_seg, gt_depth, INTR)
 
 
+def gathered_recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, intr, thresholds):
+    """The gather-based kernel ``recall_depth`` replaced: the jointly
+    valid pixels are gathered first, and two bincounts run over them."""
+    table = _contingency(pred_seg, gt_seg)
+    matched = _match_instances(table)
+    rendered = render_segment_depth(pred_seg, pred_planes, intr)
+    both = np.flatnonzero(rendered.validity & gt_depth.validity)
+    cols = table.shape[1]
+    key = pred_seg.labels[both] * cols + gt_seg.labels[both]
+    error = np.abs(rendered.depth[both] - gt_depth.depth[both])
+    sums = np.bincount(key, error, minlength=table.size).reshape(table.shape)
+    counts = np.bincount(key, minlength=table.size).reshape(table.shape)
+    scores = {
+        g: float(sums[p, g] / counts[p, g]) for g, p in matched.items() if counts[p, g]
+    }
+    return _recall_curve(table, scores, matched, thresholds)
+
+
+class TestRecallDepthGatherOracle:
+    """``recall_depth`` against the gather-based kernel, bit for bit."""
+
+    def assert_same(self, pred_seg, pred_planes, gt_seg, gt_depth, thresholds):
+        got = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds)
+        want = gathered_recall_depth(
+            pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds
+        )
+        for name in ("thresholds", "plane_recall", "pixel_recall"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gapped_ids_and_unlabeled_predictions(self, seed):
+        pred_seg, pred_planes, gt_seg, gt_depth, _ = random_eval_case(seed)
+        rng = np.random.default_rng(seed)
+        # Shift predicted IDs up by one so ID 1 owns no pixel, and leave
+        # a block of predicted label 0 over labeled reference pixels.
+        labels = np.where(pred_seg.labels > 0, pred_seg.labels + 1, 0)
+        labels[rng.integers(0, labels.size, 8)] = 0
+        pred_seg = InstanceSegmentation(pred_seg.grid, labels, pred_seg.n_instances + 1)
+        pred_planes = [Plane([0.0, 0.0, 0.3])] + pred_planes
+        # Holes in the reference depth, and a continuous error spread.
+        holes = rng.random(gt_depth.depth.size) < 0.2
+        gt_depth = DepthMap(
+            gt_depth.grid,
+            gt_depth.depth * rng.uniform(0.9, 1.1, gt_depth.depth.size),
+            gt_depth.validity & ~holes,
+        )
+        thresholds = np.sort(rng.uniform(0.0, 0.5, 7))
+        self.assert_same(pred_seg, pred_planes, gt_seg, gt_depth, thresholds)
+
+    @pytest.mark.parametrize("hole", ["reference", "rendered"])
+    def test_matched_pair_without_jointly_valid_pixels(self, hole):
+        planes = [Plane([0, 0, 0.5]), Plane([0, 0, 0.4]), Plane([0, 0, 0.6])]
+        grid, gt_seg, gt_depth = banded_scene([3, 3, 2], planes)
+        pred_planes = planes
+        if hole == "reference":
+            gt_depth = DepthMap(
+                grid, gt_depth.depth, gt_depth.validity & (gt_seg.labels != 2)
+            )
+        else:
+            pred_planes = [planes[0], Plane([0, 0, -0.5]), planes[2]]
+        self.assert_same(gt_seg, pred_planes, gt_seg, gt_depth, DEPTH_THRESHOLDS)
+
+    def test_prediction_all_unlabeled(self):
+        planes = [Plane([0, 0, 0.5]), Plane([0, 0, 0.4])]
+        grid, gt_seg, gt_depth = banded_scene([4, 4], planes)
+        pred_seg = InstanceSegmentation(grid, np.zeros(grid.n_pixels, dtype=np.int64), 2)
+        self.assert_same(pred_seg, planes, gt_seg, gt_depth, DEPTH_THRESHOLDS)
+
+
 class TestRecallNormal:
     def test_identical_planes_always_correct(self):
         planes = [Plane([0, 0, 0.5]), Plane([0.2, 0, 0.5])]
@@ -596,6 +665,17 @@ class TestDepthMetrics:
         gt = DepthMap(grid, np.array([1.0, 9.0, 5.0]), np.array([True, False, True]))
         m = depth_metrics(pred, gt)
         assert m.rel == 0.0
+
+    def test_depths_far_apart_in_scale_read_inf(self):
+        grid = ImageGrid(1, 3)
+        # 1 / 5e-324 overflows, and 5e-324 / 1e10 underflows to 0
+        pred = DepthMap(grid, np.array([1.0, 5e-324, 2.0]))
+        gt = DepthMap(grid, np.array([5e-324, 1e10, 2.0]))
+        m = depth_metrics(pred, gt)
+        for name in ("rel", "rel_sqr", "log10", "rmse_log"):
+            assert getattr(m, name) == math.inf
+        assert math.isfinite(m.rmse)
+        assert m.acc_1 == m.acc_3 == pytest.approx(100.0 / 3.0)
 
     def test_no_joint_validity_rejected(self):
         grid = ImageGrid(1, 2)
