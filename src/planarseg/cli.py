@@ -88,6 +88,9 @@ def _intrinsics_from_args(args: argparse.Namespace) -> CameraIntrinsics:
             raise UsageError(f"missing file: {args.intrinsics}") from exc
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot parse intrinsics {args.intrinsics}: {exc}") from exc
+        fields = ("fx", "fy", "cx", "cy")
+        if isinstance(raw, dict) and not any(f in raw for f in fields):
+            raw = raw.get("intrinsics", raw)  # the manifest.json of `synth`
         try:
             return CameraIntrinsics(
                 fx=float(raw["fx"]),
@@ -381,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred-params", required=True, help="PTEN (C, 3) tensor")
     p_eval.add_argument("--gt-labels", required=True)
     p_eval.add_argument("--gt-depth", required=True)
-    p_eval.add_argument("--intrinsics", help="JSON file with fx, fy, cx, cy")
+    p_eval.add_argument(
+        "--intrinsics",
+        help="JSON file with fx, fy, cx, cy, or a synth manifest.json",
+    )
     p_eval.add_argument("--fx", type=float)
     p_eval.add_argument("--fy", type=float)
     p_eval.add_argument("--cx", type=float)

@@ -151,9 +151,9 @@ class MeanShiftConfig:
     """Hyper-parameters of the anchor-based mean shift.
 
     ``anchors_per_dim ** dim`` anchors start on the grid; those whose
-    density is below ``density_fraction`` of the largest are dropped,
-    and the rest shift exactly ``iterations`` times before modes closer
-    than ``bandwidth`` merge.
+    density is zero or below ``density_fraction`` of the largest are
+    dropped, and the rest shift exactly ``iterations`` times before
+    modes closer than ``bandwidth`` merge.
     """
 
     anchors_per_dim: int = 10
@@ -529,12 +529,17 @@ def _anchor_grid(
 def _dense_anchors(
     positions: np.ndarray, densities: np.ndarray, fraction: float
 ) -> np.ndarray:
-    """The anchors whose density is at least ``fraction`` of the largest.
+    """The anchors whose density is positive and at least ``fraction`` of
+    the largest.
 
-    The maximum-density anchor always survives because the fraction is
-    below 1.
+    An anchor of zero density has no point within the kernel's reach and
+    would never move, so it is dropped even at a fraction of 0. When the
+    largest density is positive it survives, because the fraction is
+    below 1; when every density is 0 no anchor does.
     """
-    return positions[densities >= fraction * densities.max()]
+    keep = densities >= fraction * densities.max()
+    keep &= densities > 0.0
+    return positions[keep]
 
 
 def _seed_anchors(
@@ -542,10 +547,17 @@ def _seed_anchors(
 ) -> Tuple[np.ndarray, tuple]:
     """Bin the masked embeddings once, place the anchor grid and drop its
     low-density anchors: (anchors, bins), with the bins of
-    :func:`_binned_values`."""
+    :func:`_binned_values`. Every grid density is 0 when the bandwidth
+    is far below the spacing between the points and the grid nodes;
+    then no anchor is left, which is an error."""
     bins = _binned_values(embeddings, mask, config)
     positions, densities = _anchor_grid(*bins[:3], config)
     anchors = _dense_anchors(positions, densities, config.density_fraction)
+    if not anchors.shape[0]:
+        raise ValueError(
+            f"no anchor has positive density at bandwidth {config.bandwidth!r} "
+            f"on the {config.anchors_per_dim}^{config.dim} anchor grid"
+        )
     return anchors, bins
 
 

@@ -95,10 +95,11 @@ def _ray_directions(grid: ImageGrid, intr: CameraIntrinsics) -> np.ndarray:
     return rays
 
 
-def _render(
+def _render_arrays(
     grid: ImageGrid, intr: CameraIntrinsics, labels: np.ndarray, normals: np.ndarray
-) -> DepthMap:
-    """Depth where each pixel's ray meets its own plane, in one gather.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Depth and validity where each pixel's ray meets its own plane, in
+    one gather, as fresh writable arrays.
 
     Pixel i lies on the plane in row ``labels[i]`` of the (K, 3)
     ``normals``. Depth is 1 / (ray . n) where that denominator exceeds
@@ -145,7 +146,28 @@ def _render(
     np.fmax(denom, EPS_RAY, out=denom)
     np.divide(1.0, denom, out=denom)
     np.multiply(denom, valid, out=denom)
-    return DepthMap._owned(grid, denom, valid)
+    return denom, valid
+
+
+def _render(
+    grid: ImageGrid, intr: CameraIntrinsics, labels: np.ndarray, normals: np.ndarray
+) -> DepthMap:
+    """:func:`_render_arrays` frozen into a :class:`DepthMap` in place."""
+    return DepthMap._owned(grid, *_render_arrays(grid, intr, labels, normals))
+
+
+def _instance_normals(
+    segments: InstanceSegmentation, planes: Sequence[Plane]
+) -> np.ndarray:
+    """The (C + 1, 3) rows that render ``segments``: an all-zero row 0,
+    a zero denominator that is never a valid depth, for the unlabeled
+    pixels, then one row per instance's plane."""
+    if len(planes) != segments.n_instances:
+        raise ValueError(
+            f"need one plane per instance: {len(planes)} planes for "
+            f"{segments.n_instances} instances"
+        )
+    return np.concatenate([np.zeros((1, 3))] + [plane.n[None, :] for plane in planes])
 
 
 def backproject(depth: DepthMap, intr: CameraIntrinsics) -> PointMap:
@@ -211,13 +233,7 @@ def render_segment_depth(
     so the cost is O(N) whatever the plane count. Pixels labeled 0 or
     falling on an invalid ray are invalid.
     """
-    if len(planes) != segments.n_instances:
-        raise ValueError(
-            f"need one plane per instance: {len(planes)} planes for "
-            f"{segments.n_instances} instances"
-        )
-    unlabeled = np.zeros((1, 3))  # a zero denominator: never a valid depth
-    normals = np.concatenate([unlabeled] + [plane.n[None, :] for plane in planes])
+    normals = _instance_normals(segments, planes)
     return _render(segments.grid, intr, segments.labels, normals)
 
 
@@ -288,15 +304,20 @@ def fit_plane_lsq(
     rejected as collinear or coincident when the smallest of them is at
     most m * eps times the largest, the tolerance of ``matrix_rank``.
     Points so large that the QR overflows are rejected too.
+
+    The kept points are taken as whole rows in one ``take`` and copied,
+    transposed, into the block, whose transpose the QR reads in Fortran
+    order. When every index is valid, as for a segment already masked
+    by validity, the subset is used as it is.
     """
     subset = np.asarray(subset, dtype=np.int64).ravel()
-    keep = subset[points.validity[subset]]
+    valid = points.validity.take(subset)
+    keep = subset if valid.all() else subset.compress(valid)
     m = keep.shape[0]
     if m < 3:
         raise ValueError("degenerate point set: need >= 3 valid points")
     block = np.empty((4, m), dtype=np.float64)
-    for axis in range(3):
-        block[axis] = points.points[:, axis][keep]
+    block[:3] = points.points.take(keep, axis=0).T
     block[3] = 1.0
     r = np.linalg.qr(block.T, mode="r")
     if not np.isfinite(r).all():  # the QR overflowed; the SVD would fail on NaN
@@ -310,13 +331,22 @@ def fit_plane_lsq(
     return Plane(n), rms
 
 
-def normal_angle(a: Plane, b: Plane) -> float:
-    """Angle between plane normals in degrees, in [0, 180].
+def _normal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angles in degrees, in [0, 180], between the plane normals in the
+    rows of the (M, 3) plane vectors ``a`` and ``b``, in one pass.
 
     atan2 of the cross/dot pair stays accurate near 0 and 180 where
-    arccos loses precision, and is exactly 0 for identical normals.
+    arccos loses precision, and is exactly 0 for identical normals. Each
+    row's norms and dot come from ``vecdot``, the same dot product that a
+    single pair's ``u @ v`` and ``Plane.unit_normal`` take.
     """
-    u, v = a.unit_normal, b.unit_normal
-    sin = float(np.linalg.norm(np.cross(u, v)))
-    cos = float(u @ v)
-    return float(np.degrees(np.arctan2(sin, cos)))
+    u = a / np.sqrt(np.vecdot(a, a))[:, None]
+    v = b / np.sqrt(np.vecdot(b, b))[:, None]
+    cross = np.cross(u, v)
+    return np.degrees(np.arctan2(np.sqrt(np.vecdot(cross, cross)), np.vecdot(u, v)))
+
+
+def normal_angle(a: Plane, b: Plane) -> float:
+    """Angle between plane normals in degrees, in [0, 180]: the one-row
+    case of the kernel that scores the matched pairs of ``recall_normal``."""
+    return float(_normal_angles(a.n[None, :], b.n[None, :])[0])

@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 
 from .core import CameraIntrinsics, DepthMap, InstanceSegmentation
-from .geometry import Plane, normal_angle, render_segment_depth
+from .geometry import Plane, _instance_normals, _normal_angles, _render_arrays
 
 __all__ = [
     "RecallCurve",
@@ -119,44 +119,46 @@ def _iou(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _match_instances(table: np.ndarray) -> Dict[int, int]:
-    """gt_id -> pred_id for pairs with IOU > 0.5; at most one pred per gt.
+def _match_instances(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(gt_ids, pred_ids) of the pairs with IOU > 0.5, gt IDs ascending.
 
-    ``table`` is the (pred, gt) contingency table.
+    ``table`` is the (pred, gt) contingency table. Each gt instance takes
+    the first predicted instance whose IOU with it exceeds 0.5, by one
+    ``argmax`` per column; predicted instances are disjoint, so no other
+    can also exceed 0.5.
     """
-    iou = _iou(table)
-    pairs = {}
-    for g in range(iou.shape[1]):
-        winners = np.nonzero(iou[:, g] > 0.5)[0]
-        if winners.shape[0]:
-            pairs[g + 1] = int(winners[0]) + 1
-    return pairs
+    won = _iou(table) > 0.5
+    gt = np.flatnonzero(won.any(axis=0))
+    pred = won[:, gt].argmax(axis=0) if gt.size else gt
+    return gt + 1, pred + 1
 
 
 def _recall_curve(
     table: np.ndarray,
-    scores: Mapping[int, float],
-    matched_pred: Mapping[int, int],
+    matched: Tuple[np.ndarray, np.ndarray],
+    scores: np.ndarray,
     thresholds: Sequence[float],
 ) -> RecallCurve:
-    """Fold per-gt-instance scores into plane and pixel recall curves.
+    """Fold per-pair scores into plane and pixel recall curves.
 
-    ``table`` is the (pred, gt) contingency table; ``scores[g]`` is the
-    geometric error of matched gt instance g; gt instances missing from
-    ``scores`` never count as correct.
+    ``table`` is the (pred, gt) contingency table, ``matched`` the
+    (gt_ids, pred_ids) of :func:`_match_instances` and ``scores[i]`` the
+    geometric error of matched pair i; a NaN score never counts as
+    correct, and neither do unmatched gt instances. One (thresholds x
+    pairs) comparison gives the correct pairs; their count and their
+    overlaps sum in integers.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
+    gt, pred = matched
     n_gt = table.shape[1] - 1
     total_planar = int(table[:, 1:].sum())
+    correct = scores <= thresholds[:, None]
     plane = np.zeros(thresholds.size)
     pixel = np.zeros(thresholds.size)
-    overlap = {g: int(table[p, g]) for g, p in matched_pred.items()}
-    for t_idx, t in enumerate(thresholds):
-        correct = [g for g, err in scores.items() if err <= t]
-        plane[t_idx] = 100.0 * len(correct) / n_gt if n_gt else 0.0
-        if total_planar:
-            covered = sum(overlap[g] for g in correct)
-            pixel[t_idx] = 100.0 * covered / total_planar
+    if n_gt:
+        plane = 100.0 * np.count_nonzero(correct, axis=1) / n_gt
+    if total_planar:
+        pixel = 100.0 * (correct @ table[pred, gt]) / total_planar
     return RecallCurve(thresholds, plane, pixel)
 
 
@@ -176,35 +178,38 @@ def recall_depth(
     over their valid overlap is at most t; a matched pair with no such
     pixel gets no score.
 
-    The predicted depth is rendered once over all predicted labels. One
-    pair key serves the contingency table and two weighted bincounts
-    over the full grid: per pair, the sum of ``|depth − gt|·both`` and
-    of ``both``, where ``both`` marks the jointly valid pixels. No
-    pixel subset is gathered. The other pixels add +0.0 terms, which
-    leave every sum as the sum over the jointly valid pixels alone. The
-    cost is O(N) whatever the plane count.
+    The predicted depth is rendered once over all predicted labels, and
+    ``|depth − gt|·both`` is formed in the render's own buffers, where
+    ``both`` marks the jointly valid pixels. The render comes first, so
+    its scratch buffer is freed before the pair key is made. One pair
+    key serves the contingency table and one weighted bincount over the
+    full grid: per pair, the error sum. The other pixels add +0.0 terms,
+    which leave every sum as the sum over the jointly valid pixels alone.
+    The jointly valid count per pair is the table less a bincount over
+    the keys of the other pixels, in exact integers. The cost is O(N)
+    whatever the plane count.
     """
     if pred_seg.grid != gt_seg.grid or gt_seg.grid != gt_depth.grid:
         raise ValueError("prediction, reference, and depth grids must match")
     if len(pred_planes) != pred_seg.n_instances:
         raise ValueError("need one plane per predicted instance")
+    normals = _instance_normals(pred_seg, pred_planes)
+    error, both = _render_arrays(pred_seg.grid, intr, pred_seg.labels, normals)
+    np.logical_and(both, gt_depth.validity, out=both)
+    np.subtract(error, gt_depth.depth, out=error)
+    np.abs(error, out=error)
+    error *= both
     key, shape = _pair_key(pred_seg, gt_seg)
     size = shape[0] * shape[1]
     table = np.bincount(key, minlength=size).reshape(shape)
-    matched = _match_instances(table)
-    rendered = render_segment_depth(pred_seg, pred_planes, intr)
-    both = np.logical_and(rendered.validity, gt_depth.validity)
-    error = np.subtract(rendered.depth, gt_depth.depth)
-    np.abs(error, out=error)
-    error *= both
-    sums = np.bincount(key, error, minlength=size).reshape(shape)
-    counts = np.bincount(key, both, minlength=size).reshape(shape)
-    scores = {
-        g: float(sums[p, g] / counts[p, g])
-        for g, p in matched.items()
-        if counts[p, g]
-    }
-    return _recall_curve(table, scores, matched, thresholds)
+    gt, pred = matched = _match_instances(table)
+    sums = np.bincount(key, error, minlength=size).reshape(shape)[pred, gt]
+    apart = key.take(np.flatnonzero(np.logical_not(both, out=both)))
+    counts = table - np.bincount(apart, minlength=size).reshape(shape)
+    counts = counts[pred, gt]
+    scores = np.full(gt.size, np.nan)
+    np.divide(sums, counts, out=scores, where=counts > 0)
+    return _recall_curve(table, matched, scores, thresholds)
 
 
 def recall_normal(
@@ -214,7 +219,10 @@ def recall_normal(
     gt_planes: Sequence[Plane],
     thresholds: Sequence[float] = NORMAL_THRESHOLDS,
 ) -> RecallCurve:
-    """Recall vs surface-normal angle threshold (degrees)."""
+    """Recall vs surface-normal angle threshold (degrees).
+
+    Every matched pair is scored in one pass of :func:`_normal_angles`.
+    """
     if pred_seg.grid != gt_seg.grid:
         raise ValueError("prediction and reference grids must match")
     if len(pred_planes) != pred_seg.n_instances:
@@ -222,29 +230,27 @@ def recall_normal(
     if len(gt_planes) != gt_seg.n_instances:
         raise ValueError("need one plane per reference instance")
     table = _contingency(pred_seg, gt_seg)
-    matched = _match_instances(table)
-    scores = {
-        g: normal_angle(pred_planes[p - 1], gt_planes[g - 1])
-        for g, p in matched.items()
-    }
-    return _recall_curve(table, scores, matched, thresholds)
+    gt, pred = matched = _match_instances(table)
+    pred_n = np.array([plane.n for plane in pred_planes]).reshape(-1, 3)
+    gt_n = np.array([plane.n for plane in gt_planes]).reshape(-1, 3)
+    scores = _normal_angles(pred_n[pred - 1], gt_n[gt - 1])
+    return _recall_curve(table, matched, scores, thresholds)
 
 
 def _restricted(
     a: InstanceSegmentation, b: InstanceSegmentation, exclude_unlabeled: bool
 ) -> np.ndarray:
-    """Contingency table, optionally restricted to pixels labeled in ``a``."""
+    """Contingency table, optionally restricted to pixels labeled in ``a``.
+
+    The restricted table is the full one with row 0 (the pixels
+    unlabeled in ``a``) set to zero, so no pixel subset is gathered.
+    """
+    table = _contingency(a, b)
     if exclude_unlabeled:
-        keep = a.labels > 0
-        grid_n = int(keep.sum())
-        if grid_n == 0:
+        table[0] = 0
+        if not table.any():
             raise ValueError("no labeled pixels to compare")
-        cols = b.n_instances + 1
-        flat = a.labels[keep] * cols + b.labels[keep]
-        return np.bincount(
-            flat, minlength=(a.n_instances + 1) * cols
-        ).reshape(a.n_instances + 1, cols)
-    return _contingency(a, b)
+    return table
 
 
 def rand_index(
@@ -308,25 +314,25 @@ def segmentation_covering(
     gt_sizes = table.sum(axis=1)
     pred_sizes = table.sum(axis=0)
     start = 1 if exclude_unlabeled else 0
-    total = 0.0
     denom = gt_sizes[start:].sum()
-    for g in range(start, table.shape[0]):
-        if gt_sizes[g] == 0.0:
-            continue
-        union = gt_sizes[g] + pred_sizes[start:] - table[g, start:]
-        iou = np.zeros_like(union)
-        np.divide(table[g, start:], union, out=iou, where=union > 0.0)
-        total += gt_sizes[g] * float(iou.max()) if iou.size else 0.0
+    inter = table[start:, start:]
+    union = gt_sizes[start:, None] + pred_sizes[None, start:] - inter
+    iou = np.zeros_like(union)
+    np.divide(inter, union, out=iou, where=union > 0.0)
+    best = iou.max(axis=1, initial=0.0)
+    # summed in row order, as a running float, over the non-empty rows
+    total = sum((gt_sizes[start:] * best)[gt_sizes[start:] > 0.0].tolist())
     return float(total / denom) if denom else 1.0
 
 
 def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:
     """Error statistics over jointly valid pixels.
 
-    The jointly valid depths p and g are gathered once, and every later
-    term is computed in place in four buffers of that length. Both log
-    errors come from one natural log of p / g (``log10`` divides its
-    mean by ln 10). ``acc_k`` is the share with max(p / g, g / p) <
+    The jointly valid depths p and g are taken once through their
+    indices (one ``flatnonzero``, two ``take``s, no boolean gather), and
+    every later term is computed in place in four buffers of that
+    length. Both log errors come from one natural log of p / g
+    (``log10`` divides its mean by ln 10). ``acc_k`` is the share with max(p / g, g / p) <
     1.25^k, so a ratio of exactly 1.25^k fails it. Depths far apart in
     scale (say 1e-300 against 1) can overflow a term, or underflow p / g
     to 0; such a term and the errors built on it read inf, with no
@@ -334,11 +340,12 @@ def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:
     """
     if pred.grid != gt.grid:
         raise ValueError("depth grids must match")
-    joint = pred.validity & gt.validity
-    if not joint.any():
+    joint = np.flatnonzero(pred.validity & gt.validity)
+    if not joint.size:
         raise ValueError("no jointly valid pixels")
-    p = pred.depth[joint]
-    g = gt.depth[joint]
+    p = pred.depth.take(joint)
+    g = gt.depth.take(joint)
+    del joint  # freed before the two work buffers are made
     with np.errstate(over="ignore", divide="ignore"):  # inf is the limit here
         diff = p - g
         sq = diff**2
@@ -361,7 +368,9 @@ def plane_count_histogram(
     """Images per distinct-instance count (label 0 excluded)."""
     hist: Dict[int, int] = {}
     for seg in segmentations:
-        count = int(np.count_nonzero(np.bincount(seg.labels)[1:]))
+        present = np.zeros(seg.n_instances + 1, dtype=bool)
+        present[seg.labels] = True
+        count = int(np.count_nonzero(present[1:]))
         hist[count] = hist.get(count, 0) + 1
     return hist
 

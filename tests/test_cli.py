@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import planarseg
@@ -230,40 +230,69 @@ class TestClusterCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @staticmethod
+    def cluster_in_subprocess(embeddings, probs, out):
+        """Run ``cluster`` at bandwidth 1e-154 in a subprocess, which shows
+        the real stderr that pytest's warning capture would hide."""
+        env = dict(os.environ, PYTHONPATH=str(Path(planarseg.__file__).parents[1]))
+        return subprocess.run(
+            [
+                sys.executable, "-m", "planarseg.cli", "cluster",
+                str(embeddings), str(probs), "--bandwidth", "1e-154", "--out", str(out),
+            ],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
     def test_tiny_bandwidth_runs_without_warnings(self, tmp_path):
         # At b = 1e-154 the scaled squared distances overflow to -inf on
         # purpose (their exp is the right kernel value of 0), and so does
         # the binning's key-space size; numpy must not warn about either.
-        # A subprocess shows the real stderr, which pytest's warning
-        # capture would hide.
-        scene, out = tmp_path / "scene", tmp_path / "pred"
-        assert main(["synth", "--height", "8", "--width", "8", "--out", str(scene)]) == 0
-        env = dict(os.environ, PYTHONPATH=str(Path(planarseg.__file__).parents[1]))
-        done = subprocess.run(
-            [
-                sys.executable, "-m", "planarseg.cli", "cluster",
-                str(scene / "embeddings.pten"),
-                str(scene / "probs.pten"),
-                "--bandwidth", "1e-154",
-                "--out", str(out),
-            ],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        # The embeddings sit on the corners of the unit square, which are
+        # grid nodes, so four anchors have positive density and the run
+        # goes through the shifts, the merge and the labels.
+        emb, probs, out = tmp_path / "emb.pten", tmp_path / "probs.pten", tmp_path / "pred"
+        rng = np.random.default_rng(0)
+        write_tensor(emb, rng.integers(0, 2, (8, 8, 2)).astype(np.float64))
+        write_tensor(probs, np.ones((8, 8)))
+        done = self.cluster_in_subprocess(emb, probs, out)
         assert done.returncode == 0
         assert done.stderr == ""
         assert (out / "labels.pten").exists()
+        labels = read_tensor(out / "labels.pten")
+        assert np.unique(labels).size == 4
+
+    def test_all_zero_anchor_densities_exit_one(self, tmp_path):
+        # On a synth scene at b = 1e-154 no grid node lies within the
+        # kernel's reach of any embedding: one error line, no warning,
+        # no output directory.
+        scene, out = tmp_path / "scene", tmp_path / "pred"
+        assert main(["synth", "--height", "8", "--width", "8", "--out", str(scene)]) == 0
+        done = self.cluster_in_subprocess(
+            scene / "embeddings.pten", scene / "probs.pten", out
+        )
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: no anchor has positive density at bandwidth 1e-154 "
+            "on the 10^2 anchor grid\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("scale, code", [(1e308, 1), (1e150, 0)])
     def test_huge_embeddings(self, tmp_path, capsys, scale, code):
         # 1e308 lies beyond the kernels' bound of ~4.7e153 at d = 2 and is
-        # refused with one line; 1e150 lies within it and clusters with no
-        # numpy warning (which the test settings turn into an error).
+        # refused with one line; 1e150 lies within it and, with the
+        # bandwidth scaled alike, clusters as the unscaled scene does, with
+        # no numpy warning (which the test settings turn into an error).
         scene = run_synth(tmp_path)
         embeddings = tmp_path / "huge.pten"
         values = read_tensor(scene / "embeddings.pten")
-        write_tensor(embeddings, values * (scale / np.abs(values).max()))
+        factor = scale / np.abs(values).max()
+        write_tensor(embeddings, values * factor)
         out = tmp_path / "pred"
-        args = ["cluster", str(embeddings), str(scene / "probs.pten"), "--out", str(out)]
+        args = [
+            "cluster", str(embeddings), str(scene / "probs.pten"),
+            f"--bandwidth={float(0.5 * factor)!r}", "--out", str(out),
+        ]
         assert main(args) == code
         err = capsys.readouterr().err
         if code:
@@ -271,7 +300,10 @@ class TestClusterCommand:
             assert err.count("\n") == 1
         else:
             assert err == ""
-            assert (out / "labels.pten").exists()
+            unscaled = run_cluster(tmp_path / "unscaled", scene)
+            np.testing.assert_array_equal(
+                read_tensor(out / "labels.pten"), read_tensor(unscaled / "labels.pten")
+            )
 
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys):
         # The directory is created only once clustering has succeeded.
@@ -409,6 +441,17 @@ class TestClusterFuzz:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     @given(case=malformed_cluster_inputs(), bandwidth=st.sampled_from(FUZZ_BANDWIDTHS))
+    @example(  # every anchor density underflows to 0
+        case=(
+            {
+                "emb": np.random.default_rng(0).standard_normal((5, 5, 2)) * 1e153,
+                "probs": np.ones((5, 5)),
+            },
+            "emb",
+            None,
+        ),
+        bandwidth="1e-154",
+    )
     def test_malformed_inputs_exit_with_one_line(self, case, bandwidth):
         # Every input gives exit code 0, 1 or 2 and at most one stderr
         # line: "error: ..." on failure, nothing on success. Warnings are
@@ -612,6 +655,46 @@ class TestEvalCommand:
         )
         assert code == 0
         assert (out / "metrics.json").exists()
+
+    def test_synth_manifest_as_intrinsics(self, tmp_path):
+        # --intrinsics takes the manifest.json that synth writes, through
+        # its "intrinsics" key, and scores exactly as the four flags do.
+        scene = run_synth(tmp_path)
+        flags = tmp_path / "flags"
+        assert main(self.eval_args(scene, flags)) == 0
+        args = self.eval_args(scene, tmp_path / "manifest")
+        at = args.index("--fx")
+        args[at:at + 8] = ["--intrinsics", str(scene / "manifest.json")]
+        assert main(args) == 0
+        for name in ("metrics.json", "recall_depth.csv", "recall_normal.csv"):
+            want = (flags / name).read_bytes()
+            assert (tmp_path / "manifest" / name).read_bytes() == want
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"spec": {"height": 4}},
+            {"intrinsics": {"fx": 1.0, "fy": 1.0}},
+            {"intrinsics": "fx"},
+            {"fx": 1.0, "intrinsics": {"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0}},
+            [1.0, 2.0],
+        ],
+    )
+    def test_intrinsics_file_without_fields_exits_two(self, tmp_path, capsys, content):
+        # A file with neither complete top-level fields nor a complete
+        # "intrinsics" key gets the same message as before; top-level
+        # fields, when any is present, are the ones read.
+        scene = run_synth(tmp_path)
+        intr_path = tmp_path / "intr.json"
+        intr_path.write_text(json.dumps(content))
+        args = self.eval_args(scene, tmp_path / "eval")
+        at = args.index("--fx")
+        args[at:at + 8] = ["--intrinsics", str(intr_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: intrinsics file must supply numeric fx, fy, cx, cy")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "eval").exists()
 
     def test_clustered_prediction_chain(self, tmp_path):
         scene = run_synth(tmp_path)

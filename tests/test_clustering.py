@@ -651,9 +651,22 @@ class TestBinning:
 class TestFilterLowDensity:
     """The density filter (:func:`_dense_anchors`)."""
 
-    def test_zero_fraction_keeps_all(self):
-        kept = _dense_anchors(np.zeros((3, 2)), np.array([5.0, 1.0, 0.0]), 0.0)
-        assert len(kept) == 3
+    def test_zero_fraction_keeps_every_positive_density(self):
+        # an anchor of zero density never moves, so even a fraction of 0
+        # drops it
+        positions = np.arange(6.0).reshape(3, 2)
+        kept = _dense_anchors(positions, np.array([5.0, 1.0, 0.0]), 0.0)
+        np.testing.assert_array_equal(kept, positions[:2])
+
+    def test_underflowing_threshold_drops_zero_densities(self):
+        # fraction * max underflows to 0 for a subnormal max density
+        positions = np.arange(6.0).reshape(3, 2)
+        kept = _dense_anchors(positions, np.array([5e-324, 0.0, 5e-324]), 0.1)
+        np.testing.assert_array_equal(kept, positions[[0, 2]])
+
+    def test_all_zero_densities_keep_none(self):
+        kept = _dense_anchors(np.zeros((4, 2)), np.zeros(4), 0.1)
+        assert kept.shape == (0, 2)
 
     def test_uniform_densities_survive(self):
         kept = _dense_anchors(np.zeros((4, 2)), np.full(4, 2.0), 0.9)
@@ -669,6 +682,37 @@ class TestFilterLowDensity:
         kept = _dense_anchors(np.array([[0.0], [1.0]]), np.array([3.0, 1.0]), 0.99)
         assert len(kept) >= 1
         assert 0.0 in kept
+
+
+class TestZeroDensityGrid:
+    """``cluster`` when no grid node lies within the kernel's reach."""
+
+    def test_every_density_zero_is_an_error(self):
+        # 25 pixels of 1e153-scale embeddings at bandwidth 1e-154: every
+        # grid density underflows to 0, so no anchor would ever move.
+        values = np.random.default_rng(0).standard_normal((25, 2)) * 1e153
+        emb, mask = embedding_fixture(values)
+        config = MeanShiftConfig(bandwidth=1e-154)
+        with pytest.raises(
+            ValueError,
+            match=r"no anchor has positive density at bandwidth 1e-154 "
+            r"on the 10\^2 anchor grid",
+        ):
+            cluster(emb, mask, config)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1])
+    def test_only_anchors_with_points_in_reach_are_kept(self, fraction):
+        # Points on the corners of the unit square at bandwidth 1e-154:
+        # only the four corner nodes of the grid have positive density,
+        # so four clusters come out, each owning its corner's pixels.
+        values = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]] * 3)
+        emb, mask = embedding_fixture(values)
+        config = MeanShiftConfig(bandwidth=1e-154, density_fraction=fraction)
+        clusters, assignment = cluster(emb, mask, config)
+        assert len(clusters) == 4
+        labels = hard_labels(assignment).labels
+        np.testing.assert_array_equal(labels[4:], np.tile(labels[:4], 2))
+        assert np.unique(labels).size == 4
 
 
 class TestMergeAnchors:

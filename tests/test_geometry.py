@@ -524,6 +524,23 @@ class TestFitPlaneLsq:
         np.testing.assert_allclose(plane.n, [1.0, 0.0, 0.0], atol=1e-9)
         assert rms < 1e-9
 
+    def test_invalid_points_in_the_subset_are_skipped(self):
+        # A subset that reaches invalid pixels fits its valid points alone,
+        # bit for bit as a map holding only those points, and fails when
+        # fewer than three of them are valid.
+        rng = np.random.default_rng(4)
+        q = rng.normal(size=(12, 3)) + [0.0, 0.0, 4.0]
+        valid = np.ones(12, dtype=bool)
+        valid[[1, 5, 6, 11]] = False
+        pm = PointMap(ImageGrid(1, 12), q, valid)
+        subset = np.array([11, 0, 5, 3, 2, 6, 7, 1, 9])
+        plane, rms = fit_plane_lsq(pm, subset)
+        kept = q[[0, 3, 2, 7, 9]]
+        want_plane, want_rms = fit_plane_lsq(PointMap(ImageGrid(1, 5), kept), np.arange(5))
+        assert plane.n.tobytes() == want_plane.n.tobytes() and rms == want_rms
+        with pytest.raises(ValueError, match="need >= 3 valid points"):
+            fit_plane_lsq(pm, np.array([1, 5, 6, 11, 0, 2]))
+
     def test_two_points_degenerate(self):
         pm = PointMap(ImageGrid(1, 2), np.array([[1.0, 0, 1], [0, 1.0, 1]]))
         with pytest.raises(ValueError, match="degenerate point set"):

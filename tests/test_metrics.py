@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarseg.core import CameraIntrinsics, DepthMap, ImageGrid, InstanceSegmentation
-from planarseg.geometry import Plane, depth_from_plane, normal_angle, render_segment_depth
+from planarseg.geometry import EPS_RAY, Plane, _normal_angles, normal_angle
 from planarseg.metrics import (
     DEPTH_THRESHOLDS,
     NORMAL_THRESHOLDS,
@@ -26,7 +26,7 @@ from planarseg.metrics import (
     segmentation_covering,
     variation_of_information,
 )
-from planarseg.metrics import _contingency, _iou, _match_instances, _recall_curve
+from planarseg.metrics import _contingency, _iou, _restricted
 
 
 def seg(labels, n_instances=None, width=None):
@@ -270,6 +270,184 @@ class TestSegmentationCovering:
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+# --- Loop oracles ---------------------------------------------------------
+# The per-instance and per-threshold loops, boolean gathers and full
+# bincounts that the metric kernels replaced. They share no helper with
+# planarseg.metrics, so a fault in a helper cannot hide in its oracle.
+
+
+def loop_table(pred, gt):
+    """(pred, gt) pixel counts per label pair, added one pixel at a time."""
+    table = np.zeros((pred.n_instances + 1, gt.n_instances + 1), dtype=np.int64)
+    np.add.at(table, (pred.labels, gt.labels), 1)
+    return table
+
+
+def loop_iou(table):
+    inter = table[1:, 1:].astype(np.float64)
+    pred_sizes = table[1:, :].sum(axis=1, dtype=np.float64)
+    gt_sizes = table[:, 1:].sum(axis=0, dtype=np.float64)
+    union = pred_sizes[:, None] + gt_sizes[None, :] - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
+def loop_match_instances(table):
+    """gt_id -> pred_id for pairs with IOU > 0.5, one column at a time."""
+    iou = loop_iou(table)
+    pairs = {}
+    for g in range(iou.shape[1]):
+        winners = np.nonzero(iou[:, g] > 0.5)[0]
+        if winners.shape[0]:
+            pairs[g + 1] = int(winners[0]) + 1
+    return pairs
+
+
+def loop_recall_curve(table, scores, matched_pred, thresholds):
+    """Plane and pixel recall, one threshold at a time; ``scores`` maps
+    the scored gt IDs to their errors."""
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    n_gt = table.shape[1] - 1
+    total_planar = int(table[:, 1:].sum())
+    plane = np.zeros(thresholds.size)
+    pixel = np.zeros(thresholds.size)
+    overlap = {g: int(table[p, g]) for g, p in matched_pred.items()}
+    for t_idx, t in enumerate(thresholds):
+        correct = [g for g, err in scores.items() if err <= t]
+        plane[t_idx] = 100.0 * len(correct) / n_gt if n_gt else 0.0
+        if total_planar:
+            covered = sum(overlap[g] for g in correct)
+            pixel[t_idx] = 100.0 * covered / total_planar
+    return RecallCurve(thresholds, plane, pixel)
+
+
+def loop_normal_angle(a, b):
+    """The angle of one pair of planes, from its own unit normals."""
+    u, v = a.unit_normal, b.unit_normal
+    sin = float(np.linalg.norm(np.cross(u, v)))
+    cos = float(u @ v)
+    return float(np.degrees(np.arctan2(sin, cos)))
+
+
+def ray_render(seg, planes, intr):
+    """Depth 1 / ((nx·x + ny·y) + nz) on each pixel's own plane where that
+    denominator exceeds EPS_RAY; label 0 and the rest are invalid."""
+    grid = seg.grid
+    x = (np.arange(grid.width) - intr.cx) / intr.fx
+    y = (np.arange(grid.height) - intr.cy) / intr.fy
+    normals = np.concatenate([np.zeros((1, 3))] + [p.n[None, :] for p in planes])
+    n = normals[seg.labels].reshape(grid.height, grid.width, 3)
+    denom = ((n[..., 0] * x + n[..., 1] * y[:, None]) + n[..., 2]).reshape(-1)
+    valid = denom > EPS_RAY
+    depth = np.zeros(grid.n_pixels)
+    np.divide(1.0, denom, out=depth, where=valid)
+    return DepthMap(grid, depth, valid)
+
+
+def gathered_depth_scores(pred_seg, pred_planes, gt_seg, gt_depth, intr):
+    """(table, matches, scores) of the depth recall: the jointly valid
+    pixels are gathered first, and two bincounts run over them."""
+    table = loop_table(pred_seg, gt_seg)
+    matched = loop_match_instances(table)
+    rendered = ray_render(pred_seg, pred_planes, intr)
+    both = np.flatnonzero(rendered.validity & gt_depth.validity)
+    cols = table.shape[1]
+    key = pred_seg.labels[both] * cols + gt_seg.labels[both]
+    error = np.abs(rendered.depth[both] - gt_depth.depth[both])
+    sums = np.bincount(key, error, minlength=table.size).reshape(table.shape)
+    counts = np.bincount(key, minlength=table.size).reshape(table.shape)
+    scores = {
+        g: float(sums[p, g] / counts[p, g]) for g, p in matched.items() if counts[p, g]
+    }
+    return table, matched, scores
+
+
+def gathered_recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, intr, thresholds):
+    table, matched, scores = gathered_depth_scores(
+        pred_seg, pred_planes, gt_seg, gt_depth, intr
+    )
+    return loop_recall_curve(table, scores, matched, thresholds)
+
+
+def loop_recall_normal(pred_seg, pred_planes, gt_seg, gt_planes, thresholds):
+    """Normal recall with every matched pair scored on its own."""
+    table = loop_table(pred_seg, gt_seg)
+    matched = loop_match_instances(table)
+    scores = {
+        g: loop_normal_angle(pred_planes[p - 1], gt_planes[g - 1])
+        for g, p in matched.items()
+    }
+    return loop_recall_curve(table, scores, matched, thresholds)
+
+
+def gathered_restricted(a, b, exclude_unlabeled):
+    """The contingency table, restricted by gathering the pixels labeled
+    in ``a`` and counting their pair keys."""
+    if exclude_unlabeled:
+        keep = a.labels > 0
+        if int(keep.sum()) == 0:
+            raise ValueError("no labeled pixels to compare")
+        cols = b.n_instances + 1
+        flat = a.labels[keep] * cols + b.labels[keep]
+        return np.bincount(
+            flat, minlength=(a.n_instances + 1) * cols
+        ).reshape(a.n_instances + 1, cols)
+    return loop_table(a, b)
+
+
+def loop_segmentation_covering(gt, pred, exclude_unlabeled=False):
+    """Segmentation covering, one reference row at a time."""
+    table = gathered_restricted(gt, pred, exclude_unlabeled).astype(np.float64)
+    if table.sum() == 0:
+        raise ValueError("no pixels to compare")
+    gt_sizes = table.sum(axis=1)
+    pred_sizes = table.sum(axis=0)
+    start = 1 if exclude_unlabeled else 0
+    total = 0.0
+    denom = gt_sizes[start:].sum()
+    for g in range(start, table.shape[0]):
+        if gt_sizes[g] == 0.0:
+            continue
+        union = gt_sizes[g] + pred_sizes[start:] - table[g, start:]
+        iou = np.zeros_like(union)
+        np.divide(table[g, start:], union, out=iou, where=union > 0.0)
+        total += gt_sizes[g] * float(iou.max()) if iou.size else 0.0
+    return float(total / denom) if denom else 1.0
+
+
+def bincount_plane_count_histogram(segmentations):
+    hist = {}
+    for s in segmentations:
+        count = int(np.count_nonzero(np.bincount(s.labels)[1:]))
+        hist[count] = hist.get(count, 0) + 1
+    return hist
+
+
+def gathered_depth_metrics(pred, gt):
+    """``depth_metrics`` with the jointly valid depths taken by two
+    boolean gathers."""
+    joint = pred.validity & gt.validity
+    if not joint.any():
+        raise ValueError("no jointly valid pixels")
+    p = pred.depth[joint]
+    g = gt.depth[joint]
+    with np.errstate(over="ignore", divide="ignore"):
+        diff = p - g
+        sq = diff**2
+        rmse = float(np.sqrt(np.mean(sq)))
+        rel_sqr = float(np.mean(np.divide(sq, g, out=sq)))
+        rel = float(np.mean(np.divide(np.abs(diff, out=diff), g, out=diff)))
+        forward = np.divide(p, g, out=sq)
+        log_ratio = np.log(forward, out=diff)
+        ratio = np.maximum(forward, np.divide(g, p, out=p), out=forward)
+        n = ratio.size
+        acc = [100.0 * (np.count_nonzero(ratio < 1.25**k) / n) for k in (1, 2, 3)]
+        rmse_log = float(np.sqrt(np.mean(np.square(log_ratio, out=g))))
+        log10 = float(np.mean(np.abs(log_ratio, out=log_ratio)) / np.log(10.0))
+    return DepthMetrics(rel, rel_sqr, log10, rmse, rmse_log, *acc)
+
+
 INTR = CameraIntrinsics(fx=60.0, fy=60.0, cx=3.5, cy=2.5)
 
 
@@ -282,7 +460,7 @@ def banded_scene(widths, planes, grid_width=8, rows=6):
         labels[(cols >= start) & (cols < start + w)] = idx
         start += w
     gt_seg = InstanceSegmentation(grid, labels, len(widths))
-    gt_depth = render_segment_depth(gt_seg, planes, INTR)
+    gt_depth = ray_render(gt_seg, planes, INTR)
     return grid, gt_seg, gt_depth
 
 
@@ -300,7 +478,8 @@ def oracle_recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, intr, threshold
             if union == 0 or len(inter) / union <= 0.5:
                 continue
             overlaps[g] = len(inter)
-            rendered = depth_from_plane(pred_planes[p - 1], gt_seg.grid, intr)
+            one = InstanceSegmentation(gt_seg.grid, np.ones(gt_seg.grid.n_pixels, int), 1)
+            rendered = ray_render(one, [pred_planes[p - 1]], intr)
             region = [
                 i for i in inter if gt_depth.validity[i] and rendered.validity[i]
             ]
@@ -334,7 +513,7 @@ def oracle_recall_normal(pred_seg, pred_planes, gt_seg, gt_planes, thresholds):
             if union == 0 or len(inter) / union <= 0.5:
                 continue
             overlaps[g] = len(inter)
-            scores[g] = normal_angle(pred_planes[p - 1], gt_planes[g - 1])
+            scores[g] = loop_normal_angle(pred_planes[p - 1], gt_planes[g - 1])
     total = int((gt_seg.labels > 0).sum())
     plane, pixel = [], []
     for t in thresholds:
@@ -408,8 +587,7 @@ class TestRecallDepth:
         curve = recall_depth(
             pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds=[1e9]
         )
-        iou = iou_matrix(pred_seg, gt_seg)
-        matched = sum((iou[:, g] > 0.5).any() for g in range(gt_seg.n_instances))
+        matched = len(loop_match_instances(loop_table(pred_seg, gt_seg)))
         assert curve.plane_recall[0] == pytest.approx(
             100.0 * matched / gt_seg.n_instances
         )
@@ -442,24 +620,6 @@ class TestRecallDepth:
         _, gt_seg, gt_depth = banded_scene([4, 4], planes)
         with pytest.raises(ValueError, match="one plane per"):
             recall_depth(gt_seg, planes[:1], gt_seg, gt_depth, INTR)
-
-
-def gathered_recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, intr, thresholds):
-    """The gather-based kernel ``recall_depth`` replaced: the jointly
-    valid pixels are gathered first, and two bincounts run over them."""
-    table = _contingency(pred_seg, gt_seg)
-    matched = _match_instances(table)
-    rendered = render_segment_depth(pred_seg, pred_planes, intr)
-    both = np.flatnonzero(rendered.validity & gt_depth.validity)
-    cols = table.shape[1]
-    key = pred_seg.labels[both] * cols + gt_seg.labels[both]
-    error = np.abs(rendered.depth[both] - gt_depth.depth[both])
-    sums = np.bincount(key, error, minlength=table.size).reshape(table.shape)
-    counts = np.bincount(key, minlength=table.size).reshape(table.shape)
-    scores = {
-        g: float(sums[p, g] / counts[p, g]) for g, p in matched.items() if counts[p, g]
-    }
-    return _recall_curve(table, scores, matched, thresholds)
 
 
 class TestRecallDepthGatherOracle:
@@ -511,6 +671,185 @@ class TestRecallDepthGatherOracle:
         grid, gt_seg, gt_depth = banded_scene([4, 4], planes)
         pred_seg = InstanceSegmentation(grid, np.zeros(grid.n_pixels, dtype=np.int64), 2)
         self.assert_same(pred_seg, planes, gt_seg, gt_depth, DEPTH_THRESHOLDS)
+
+
+def shift_ids(seg, planes, filler):
+    """The segmentation with every ID moved up by one, so ID 1 owns no
+    pixel, and its plane list with ``filler`` as plane 1."""
+    labels = np.where(seg.labels > 0, seg.labels + 1, 0)
+    return InstanceSegmentation(seg.grid, labels, seg.n_instances + 1), [filler] + planes
+
+
+def oracle_case(name):
+    """(pred_seg, pred_planes, gt_seg, gt_depth, gt_planes) of a named
+    edge case for the loop-oracle comparisons."""
+    if name.startswith("random-"):
+        seed = int(name.split("-")[1])
+        pred_seg, pred_planes, gt_seg, gt_depth, gt_planes = random_eval_case(seed)
+        rng = np.random.default_rng(seed)
+        labels = pred_seg.labels.copy()
+        labels[rng.integers(0, labels.size, 6)] = 0
+        pred_seg = InstanceSegmentation(pred_seg.grid, labels, pred_seg.n_instances)
+        holes = rng.random(gt_depth.depth.size) < 0.2
+        gt_depth = DepthMap(gt_depth.grid, gt_depth.depth, gt_depth.validity & ~holes)
+        return pred_seg, list(pred_planes), gt_seg, gt_depth, list(gt_planes)
+    if name == "gapped":
+        # Both ID spaces have an empty ID 1, and the prediction leaves a
+        # few labeled reference pixels unlabeled.
+        pred_seg, pred_planes, gt_seg, gt_depth, gt_planes = oracle_case("random-7")
+        pred_seg, pred_planes = shift_ids(pred_seg, pred_planes, Plane([0.0, 0.0, 0.3]))
+        gt_seg, gt_planes = shift_ids(gt_seg, gt_planes, Plane([0.1, 0.0, 0.3]))
+        return pred_seg, pred_planes, gt_seg, gt_depth, gt_planes
+    planes = [Plane([0, 0, 0.5]), Plane([0.05, 0, 0.4]), Plane([0, -0.05, 0.6])]
+    grid, gt_seg, gt_depth = banded_scene([3, 3, 2], planes)
+    if name == "no-match":
+        # One predicted instance over the first six of eight columns: its
+        # IOU with bands 1 and 2 is exactly 0.5, which is no match.
+        cols = np.arange(grid.n_pixels) % grid.width
+        one = InstanceSegmentation(grid, (cols < 6).astype(np.int64), 1)
+        assert np.array_equal(loop_iou(loop_table(one, gt_seg)), [[0.5, 0.5, 0.0]])
+        return one, planes[:1], gt_seg, gt_depth, planes
+    if name == "all-unlabeled":
+        none = InstanceSegmentation(grid, np.zeros(grid.n_pixels, dtype=np.int64), 3)
+        return none, planes, gt_seg, gt_depth, planes
+    if name == "no-joint-valid":
+        # Pair 2 has no valid reference depth, and pair 3 renders behind
+        # the camera: both are matched, neither has a jointly valid pixel.
+        gt_depth = DepthMap(grid, gt_depth.depth, gt_depth.validity & (gt_seg.labels != 2))
+        pred_planes = [planes[0], planes[1], Plane([0, 0, -0.6])]
+        return gt_seg, pred_planes, gt_seg, gt_depth, planes
+    assert name == "at-threshold"
+    # Depth errors 0 and 2 and angles 0, 90 and 180 degrees, all exact.
+    gt_planes = [Plane([0, 0, 0.5])] * 4
+    grid, gt_seg, gt_depth = banded_scene([2, 2, 2, 2], gt_planes)
+    pred_planes = [
+        Plane([0, 0, 0.5]), Plane([0, 0, 0.25]), Plane([0.5, 0, 0]), Plane([0, 0, -0.5]),
+    ]
+    return gt_seg, pred_planes, gt_seg, gt_depth, gt_planes
+
+
+ORACLE_CASES = [
+    "gapped", "no-match", "all-unlabeled", "no-joint-valid", "at-threshold",
+] + [f"random-{seed}" for seed in range(8)]
+
+
+def same_bytes(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestLoopOracles:
+    """Every metric kernel against the loop it replaced, byte for byte.
+
+    The thresholds include every score the oracle gives, so a score
+    exactly at a threshold must count as correct on both sides.
+    """
+
+    def assert_same_curve(self, got, want):
+        for name in ("thresholds", "plane_recall", "pixel_recall"):
+            assert same_bytes(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_recall_depth(self, name):
+        pred_seg, pred_planes, gt_seg, gt_depth, _ = oracle_case(name)
+        _, _, scores = gathered_depth_scores(pred_seg, pred_planes, gt_seg, gt_depth, INTR)
+        thresholds = np.unique(np.concatenate([DEPTH_THRESHOLDS, list(scores.values())]))
+        got = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds)
+        want = gathered_recall_depth(
+            pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds
+        )
+        self.assert_same_curve(got, want)
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_recall_normal(self, name):
+        pred_seg, pred_planes, gt_seg, _, gt_planes = oracle_case(name)
+        thresholds = np.asarray(NORMAL_THRESHOLDS)
+        if name == "at-threshold":
+            angles = [loop_normal_angle(p, g) for p, g in zip(pred_planes, gt_planes)]
+            assert angles == [0.0, 0.0, 90.0, 180.0]
+            thresholds = np.unique(np.concatenate([thresholds, angles]))
+        got = recall_normal(pred_seg, pred_planes, gt_seg, gt_planes, thresholds)
+        want = loop_recall_normal(pred_seg, pred_planes, gt_seg, gt_planes, thresholds)
+        self.assert_same_curve(got, want)
+
+    def test_at_threshold_case_counts_its_edges(self):
+        pred_seg, pred_planes, gt_seg, gt_depth, gt_planes = oracle_case("at-threshold")
+        depth = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, INTR, [0.0, 2.0])
+        np.testing.assert_array_equal(depth.plane_recall, [25.0, 50.0])
+        normal = recall_normal(pred_seg, pred_planes, gt_seg, gt_planes, [0.0, 90.0, 180.0])
+        np.testing.assert_array_equal(normal.plane_recall, [50.0, 75.0, 100.0])
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_restricted_tables(self, name, exclude):
+        pred_seg, _, gt_seg, _, _ = oracle_case(name)
+        for a, b in ((pred_seg, gt_seg), (gt_seg, pred_seg)):
+            try:
+                want = gathered_restricted(a, b, exclude)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    _restricted(a, b, exclude)
+                continue
+            got = _restricted(a, b, exclude)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert same_bytes(got, want)
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_segmentation_covering(self, name, exclude):
+        pred_seg, _, gt_seg, _, _ = oracle_case(name)
+        got = segmentation_covering(gt_seg, pred_seg, exclude)
+        want = loop_segmentation_covering(gt_seg, pred_seg, exclude)
+        assert same_bytes(got, want)
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_depth_metrics(self, name):
+        pred_seg, pred_planes, _, gt_depth, _ = oracle_case(name)
+        pred_depth = ray_render(pred_seg, pred_planes, INTR)
+        try:
+            want = gathered_depth_metrics(pred_depth, gt_depth)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                depth_metrics(pred_depth, gt_depth)
+            return
+        got = depth_metrics(pred_depth, gt_depth)
+        for key, value in want.as_dict().items():
+            assert same_bytes(got.as_dict()[key], value), key
+
+    def test_plane_count_histogram(self):
+        segs = []
+        for name in ORACLE_CASES:
+            pred_seg, _, gt_seg, _, _ = oracle_case(name)
+            segs += [pred_seg, gt_seg]
+        got = plane_count_histogram(segs)
+        assert got == bincount_plane_count_histogram(segs)
+        assert all(type(k) is int and type(v) is int for k, v in got.items())
+
+
+class TestNormalAngleKernel:
+    """The vectorised angle kernel against the one-pair formula."""
+
+    def test_matches_one_pair_formula(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(400, 3)) * rng.uniform(1e-3, 1e3, (400, 1))
+        # near-parallel and near-antiparallel pairs, where arccos would fail
+        b = np.concatenate([
+            rng.normal(size=(200, 3)),
+            a[:100] * 2.0 + rng.normal(scale=1e-9, size=(100, 3)),
+            -a[100:200] + rng.normal(scale=1e-9, size=(100, 3)),
+        ])
+        got = _normal_angles(a, b)
+        for row, (u, v) in enumerate(zip(a, b)):
+            # the rows take the same dot products as one pair does
+            assert got[row] == loop_normal_angle(Plane(u), Plane(v))
+            assert normal_angle(Plane(u), Plane(v)) == got[row]
+
+    def test_identical_and_opposite_normals_are_exact(self):
+        a = np.array([[0.3, -0.2, 0.7], [1e-3, 2e-3, 5e-3]])
+        np.testing.assert_array_equal(_normal_angles(a, 4.0 * a), [0.0, 0.0])
+        np.testing.assert_array_equal(_normal_angles(a, -a), [180.0, 180.0])
+
+    def test_no_pairs(self):
+        assert _normal_angles(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
 
 
 class TestRecallNormal:
