@@ -34,7 +34,6 @@ from .clustering import (
 from .geometry import (
     Plane,
     backproject,
-    depth_from_plane,
     fit_plane_lsq,
     normal_angle,
     one_hot_assignment,
@@ -101,7 +100,6 @@ __all__ = [
     "vanilla_mean_shift",
     "Plane",
     "backproject",
-    "depth_from_plane",
     "fit_plane_lsq",
     "normal_angle",
     "one_hot_assignment",

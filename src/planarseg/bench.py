@@ -115,7 +115,7 @@ def bench_clustering(
         for k, t_iters in config_grid:
             emb, mask = _mixture_input(n, 2, rng_seed)
             config = MeanShiftConfig(
-                anchors_per_dim=k, dim=2, bandwidth=0.5, iterations=t_iters
+                anchors_per_dim=k, bandwidth=0.5, iterations=t_iters
             )
             anchor_pos = _seed_anchors(emb, mask, config)[0]
             values = emb.values

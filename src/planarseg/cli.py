@@ -160,7 +160,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     mask = PlanarMask(grid, probs.probs >= args.mask_threshold)
     config = MeanShiftConfig(
         anchors_per_dim=args.k,
-        dim=embeddings.dim,
         bandwidth=args.bandwidth,
         iterations=args.iters,
         density_fraction=args.tau,

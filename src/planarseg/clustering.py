@@ -2,24 +2,26 @@
 
 Two variants share one Gaussian-kernel shift step:
 
-* :func:`cluster`, the one entry point to the anchor mean shift, moves
-  a small grid of anchors instead of every pixel. One O(N) pass first
-  bins the masked embeddings, gathered once as d columns, into cells of
-  side ``BIN_SIDE * bandwidth`` and keeps each occupied cell's centroid
-  and pixel count; the anchor densities and the one density filter run
-  against those B weighted centroids. The Gaussian factors over axes,
-  so the k^d grid densities cost O(d * k * B) exps plus a GEMM. The
-  shifts then meet moment cells: one O(B) pass groups the fine bins
-  into cells ``_CELL_FACTOR`` (4) times wider, each with its count,
-  centroid and scatter, and a second-order expansion of the kernel
-  around each centroid keeps the step within 7.1e-5 * bandwidth of the
-  fine-bin step on a tested mixture, and within the fine bins' bound of
-  BIN_SIDE^2 * bandwidth / 4 of the exact per-pixel step. Each shift of
-  M anchors costs O(M * B') for the B' cells (B / 7 on the 2-D
-  benchmark scenes) rather than O(M * B), over kernel tiles small
-  enough for a core's L2 cache. At dimensions other than 2 and 3, or in
-  a box wider than ``_MOMENT_WIDTH`` bandwidths, the shifts meet the
-  fine bins.
+* :func:`cluster`, the one entry point to the anchor mean shift, moves a
+  small grid of anchors instead of every pixel. The embeddings fix the
+  dimension d, and ``anchors_per_dim ** d`` may not exceed
+  ``MAX_ANCHORS``; that is checked before anything is allocated. One
+  O(N) pass first bins the masked embeddings, gathered once as d
+  columns, into cells of side ``BIN_SIDE * bandwidth`` and keeps each
+  occupied cell's centroid and pixel count; the anchor densities and the
+  one density filter run against those B weighted centroids. The
+  Gaussian factors over axes, so the k^d grid densities cost
+  O(d * k * B) exps plus a GEMM. The shifts then meet moment cells: one
+  O(B) pass groups the fine bins into cells ``_CELL_FACTOR`` (4) times
+  wider, each with its count, centroid and scatter, and a second-order
+  expansion of the kernel around each centroid keeps the step within
+  7.1e-5 * bandwidth of the fine-bin step on a tested mixture, and
+  within the fine bins' bound of BIN_SIDE^2 * bandwidth / 4 of the exact
+  per-pixel step. Each shift of M anchors costs O(M * B') for the B'
+  cells (B / 7 on the 2-D benchmark scenes) rather than O(M * B), over
+  kernel tiles small enough for a core's L2 cache. At dimensions other
+  than 2 and 3, or in a box wider than ``_MOMENT_WIDTH`` bandwidths, the
+  shifts meet the fine bins.
 * :func:`vanilla_mean_shift` is the classic per-pixel baseline used as a
   correctness oracle; it runs the exact, unweighted kernel on every
   pixel.
@@ -139,7 +141,8 @@ _MOMENT_DIMS = (2, 3)
 # W = 1e4, 1e-3 at 1e5 and 1.1 at 1e6.
 _MOMENT_WIDTH = 1e4
 
-# Most anchors a config may place (anchors_per_dim ** dim). The grid's
+# Most anchors a grid may hold (anchors_per_dim ** d for the embeddings'
+# dimension d), checked by _seed_anchors before anything else. The grid's
 # positions, mesh and filtered copy then stay within a few hundred MiB
 # (a process peak of about 200 MiB at d = 6, k = 10); k = 10 at d = 8
 # would need 6.4 GB for the positions alone.
@@ -150,14 +153,14 @@ MAX_ANCHORS = 1 << 20
 class MeanShiftConfig:
     """Hyper-parameters of the anchor-based mean shift.
 
-    ``anchors_per_dim ** dim`` anchors start on the grid; those whose
-    density is zero or below ``density_fraction`` of the largest are
-    dropped, and the rest shift exactly ``iterations`` times before
-    modes closer than ``bandwidth`` merge.
+    ``anchors_per_dim ** d`` anchors start on the grid, for the
+    embeddings' own dimension d; those whose density is zero or below
+    ``density_fraction`` of the largest are dropped, and the rest shift
+    exactly ``iterations`` times before modes closer than ``bandwidth``
+    merge.
     """
 
     anchors_per_dim: int = 10
-    dim: int = 2
     bandwidth: float = 0.5
     iterations: int = 10
     density_fraction: float = 0.1
@@ -165,15 +168,6 @@ class MeanShiftConfig:
     def __post_init__(self) -> None:
         if self.anchors_per_dim < 2:
             raise ValueError("anchors_per_dim must be >= 2")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        # Python ints cannot overflow, and with k >= 2 a dim beyond the
-        # bound's bit length exceeds it, so the power stays small.
-        k, d = int(self.anchors_per_dim), int(self.dim)
-        if d >= MAX_ANCHORS.bit_length() or k > MAX_ANCHORS or k**d > MAX_ANCHORS:
-            raise ValueError(
-                f"anchors_per_dim ** dim must be <= {MAX_ANCHORS}, got {k} ** {d}"
-            )
         _check_bandwidth(self.bandwidth)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -444,22 +438,6 @@ def _bin_points(
     return box, sums / counts[:, None], counts, inverse
 
 
-def _binned_values(
-    embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig
-) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Bounding box of the masked embeddings, their bin centroids and
-    counts, and each masked pixel's bin (see :func:`_bin_points`).
-
-    The per-pixel values themselves are not returned, so callers do not
-    hold them while later stages allocate.
-    """
-    if config.dim != embeddings.dim:
-        raise ValueError(
-            f"config.dim={config.dim} does not match embedding dim {embeddings.dim}"
-        )
-    return _bin_points(_masked_columns(embeddings, mask), BIN_SIDE * config.bandwidth)
-
-
 def _grid_densities(
     axes: List[np.ndarray], points: np.ndarray, weights: np.ndarray, bandwidth: float
 ) -> np.ndarray:
@@ -520,7 +498,7 @@ def _anchor_grid(
     per-axis factors into the k^d sums (see :func:`_grid_densities`).
     """
     lo, hi = box
-    axes = [np.linspace(lo[a], hi[a], config.anchors_per_dim) for a in range(config.dim)]
+    axes = [np.linspace(low, high, config.anchors_per_dim) for low, high in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     positions = np.stack([m.ravel() for m in mesh], axis=1)
     return positions, _grid_densities(axes, centroids, counts, config.bandwidth)
@@ -546,17 +524,28 @@ def _seed_anchors(
     embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig
 ) -> Tuple[np.ndarray, tuple]:
     """Bin the masked embeddings once, place the anchor grid and drop its
-    low-density anchors: (anchors, bins), with the bins of
-    :func:`_binned_values`. Every grid density is 0 when the bandwidth
-    is far below the spacing between the points and the grid nodes;
-    then no anchor is left, which is an error."""
-    bins = _binned_values(embeddings, mask, config)
+    low-density anchors: (anchors, bins), with the (box, centroids,
+    counts, inverse) of :func:`_bin_points`; the per-pixel values are
+    not kept while later stages allocate.
+
+    A grid of more than ``MAX_ANCHORS`` anchors is an error, raised
+    before any column or grid is allocated. So is a grid with no anchor
+    left: every grid density is 0 when the bandwidth is far below the
+    spacing between the points and the grid nodes."""
+    # Python ints cannot overflow, and with k >= 2 a d beyond the bound's
+    # bit length exceeds it, so the power stays small.
+    k, d = int(config.anchors_per_dim), embeddings.dim
+    if d >= MAX_ANCHORS.bit_length() or k > MAX_ANCHORS or k**d > MAX_ANCHORS:
+        raise ValueError(
+            f"anchors_per_dim ** dim must be <= {MAX_ANCHORS}, got {k} ** {d}"
+        )
+    bins = _bin_points(_masked_columns(embeddings, mask), BIN_SIDE * config.bandwidth)
     positions, densities = _anchor_grid(*bins[:3], config)
     anchors = _dense_anchors(positions, densities, config.density_fraction)
     if not anchors.shape[0]:
         raise ValueError(
             f"no anchor has positive density at bandwidth {config.bandwidth!r} "
-            f"on the {config.anchors_per_dim}^{config.dim} anchor grid"
+            f"on the {k}^{d} anchor grid"
         )
     return anchors, bins
 
@@ -707,8 +696,6 @@ def soft_assign(
     """
     if embeddings.grid != mask.grid:
         raise ValueError("embedding and mask grids must match")
-    if len(clusters) == 0:
-        raise ValueError("cluster set is empty")
     return _assignment(embeddings, mask, clusters, _span_labels)
 
 
@@ -778,7 +765,7 @@ def _binned_labels(
     a time in O(B * C * d + N) for B bins.
 
     ``bins`` and ``side`` are the binning that :func:`cluster` ran: the
-    (box, centroids, counts, inverse) of :func:`_binned_values`, with
+    (box, centroids, counts, inverse) of :func:`_seed_anchors`, with
     each masked pixel's bin in mask order, and the cell side. A bin
     whose nearest center is settled for every point it may hold
     (:func:`_decided_bins`) gives that label to its members in one
@@ -983,7 +970,7 @@ def _shift_anchors(
     anchors: np.ndarray, bins: tuple, config: MeanShiftConfig, steps: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shift the anchors ``steps`` times against the binning of
-    :func:`_binned_values`: (positions, densities of the last step).
+    :func:`_seed_anchors`: (positions, densities of the last step).
 
     At the dimensions of ``_MOMENT_DIMS`` and within a box at most
     ``_MOMENT_WIDTH`` bandwidths wide, they meet the moment cells of the
@@ -993,11 +980,12 @@ def _shift_anchors(
     """
     (lo, hi), centroids, counts, _ = bins
     bandwidth = config.bandwidth
-    if config.dim in _MOMENT_DIMS and (hi - lo).max() <= _MOMENT_WIDTH * bandwidth:
+    d = anchors.shape[1]
+    if d in _MOMENT_DIMS and (hi - lo).max() <= _MOMENT_WIDTH * bandwidth:
         origin, scale = (lo + hi) / 2.0, bandwidth
         points, table = _moment_cells((centroids - origin) / scale, counts)
     else:
-        origin, scale = np.zeros(config.dim), 1.0
+        origin, scale = np.zeros(d), 1.0
         points, table = centroids, _point_table(centroids, counts)
     seeds = (anchors - origin) / scale
     for _ in range(steps):
@@ -1010,7 +998,7 @@ def _anchor_modes(
 ) -> Tuple[np.ndarray, tuple]:
     """Seed the anchors, then shift them T times against the moment cells
     of the bins (:func:`_shift_anchors`): (modes, bins), with the bins of
-    :func:`_binned_values`, which label the pixels later."""
+    :func:`_seed_anchors`, which label the pixels later."""
     anchors, bins = _seed_anchors(embeddings, mask, config)
     modes, _ = _shift_anchors(anchors, bins, config, config.iterations)
     return modes, bins

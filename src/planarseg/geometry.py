@@ -30,7 +30,6 @@ __all__ = [
     "EPS_PLANE",
     "EPS_RAY",
     "backproject",
-    "depth_from_plane",
     "render_segment_depth",
     "pool_instance_params",
     "one_hot_assignment",
@@ -206,20 +205,6 @@ def backproject(depth: DepthMap, intr: CameraIntrinsics) -> PointMap:
     for axis in (0, 1):  # one pass each: the inner loop runs along a row
         points[:, :, axis] += 0.0
     return PointMap._owned(grid, points.reshape(-1, 3), depth.validity)
-
-
-def depth_from_plane(
-    plane: Plane, grid: ImageGrid, intr: CameraIntrinsics
-) -> DepthMap:
-    """Render the depth of a plane at every pixel ray.
-
-    Pixels whose ray is (near-)parallel to the plane or would intersect
-    it behind the camera are marked invalid instead of producing huge or
-    negative depths.
-    """
-    return _render(
-        grid, intr, np.zeros(grid.n_pixels, dtype=np.int64), plane.n[None, :]
-    )
 
 
 def render_segment_depth(

@@ -3,7 +3,9 @@
 Every loss returns ``(value, gradient)`` where the gradient matches the
 shape of the differentiated input. Hinge and absolute-value kinks use
 subgradient zero, and instance means are always recomputed from the
-supplied embeddings so gradients flow through them.
+supplied embeddings so gradients flow through them. The segmentation
+loss is the paper's balanced cross entropy, weighted by the fraction of
+planar pixels.
 
 The losses carry integer labels, not per-instance index lists. The
 pull/push pair takes instance sizes and means from ``np.bincount`` over
@@ -73,17 +75,14 @@ class Margins:
 
 
 def balanced_bce(
-    probs: PlanarProbabilityMap,
-    gt: PlanarMask,
-    weight_mode: str = "fraction",
+    probs: PlanarProbabilityMap, gt: PlanarMask
 ) -> Tuple[float, np.ndarray]:
     """Class-balanced binary cross entropy over the planar mask.
 
-    ``weight_mode='fraction'`` weighs the background sum by the
-    foreground fraction |F| / N and vice versa; ``'ratio'`` uses the raw
-    count ratio |F| / |B| on the background sum and 1 on the foreground
-    sum. Probabilities are clamped to [1e-12, 1 - 1e-12] before the log;
-    the gradient is zero where the clamp is active.
+    With w = |F| / N, the foreground fraction, the background sum is
+    weighted by w and the foreground sum by 1 - w, as in the paper.
+    Probabilities are clamped to [1e-12, 1 - 1e-12] before the log; the
+    gradient is zero where the clamp is active.
     """
     if probs.grid != gt.grid:
         raise ValueError("probability and mask grids must match")
@@ -92,14 +91,8 @@ def balanced_bce(
     n_bg = gt.grid.n_pixels - n_fg
     if n_fg == 0 or n_bg == 0:
         raise ValueError("degenerate class balance: need both classes present")
-    if weight_mode == "fraction":
-        w = n_fg / (n_fg + n_bg)
-        fg_coeff, bg_coeff = 1.0 - w, w
-    elif weight_mode == "ratio":
-        w = n_fg / n_bg
-        fg_coeff, bg_coeff = 1.0, w
-    else:
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
+    w = n_fg / (n_fg + n_bg)
+    fg_coeff, bg_coeff = 1.0 - w, w
     p = np.clip(probs.probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     value = -fg_coeff * float(np.log(p[fg]).sum())
     value -= bg_coeff * float(np.log1p(-p[~fg]).sum())
@@ -363,10 +356,9 @@ def total_loss(
     assignment: SoftAssignment,
     points: PointMap,
     margins: Margins = Margins(),
-    weight_mode: str = "fraction",
 ) -> LossReport:
     """Evaluate every term once and assemble the additive report."""
-    l_s, _ = balanced_bce(probs, gt_mask, weight_mode)
+    l_s, _ = balanced_bce(probs, gt_mask)
     inst = _instances(embeddings, gt_segments)
     l_pull, _ = _pull(inst, margins)
     l_push, _ = _push(inst, margins)

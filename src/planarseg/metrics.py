@@ -1,10 +1,11 @@
 """Segmentation and depth evaluation.
 
 Partition metrics (Rand index, variation of information, segmentation
-covering) come from an O(C_a * C_b) contingency table. Recall curves
-match predicted instances to reference instances by IOU > 0.5 and then
-apply a per-threshold geometric test (mean depth difference or normal
-angle). Depth metrics follow the standard monocular evaluation set.
+covering) come from an O(C_a * C_b) contingency table over every pixel,
+label 0 counting as one more segment. Recall curves match predicted
+instances to reference instances by IOU > 0.5 and then apply a
+per-threshold geometric test (mean depth difference or normal angle).
+Depth metrics follow the standard monocular evaluation set.
 """
 
 from __future__ import annotations
@@ -237,33 +238,12 @@ def recall_normal(
     return _recall_curve(table, matched, scores, thresholds)
 
 
-def _restricted(
-    a: InstanceSegmentation, b: InstanceSegmentation, exclude_unlabeled: bool
-) -> np.ndarray:
-    """Contingency table, optionally restricted to pixels labeled in ``a``.
-
-    The restricted table is the full one with row 0 (the pixels
-    unlabeled in ``a``) set to zero, so no pixel subset is gathered.
-    """
-    table = _contingency(a, b)
-    if exclude_unlabeled:
-        table[0] = 0
-        if not table.any():
-            raise ValueError("no labeled pixels to compare")
-    return table
-
-
-def rand_index(
-    a: InstanceSegmentation,
-    b: InstanceSegmentation,
-    exclude_unlabeled: bool = False,
-) -> float:
+def rand_index(a: InstanceSegmentation, b: InstanceSegmentation) -> float:
     """Fraction of pixel pairs on which the two partitions agree.
 
-    Label 0 participates as one extra segment unless
-    ``exclude_unlabeled``; then only pixels labeled in ``a`` count.
+    Label 0 participates as one extra segment.
     """
-    table = _restricted(a, b, exclude_unlabeled).astype(np.float64)
+    table = _contingency(a, b).astype(np.float64)
     n = table.sum()
     if n < 2:
         return 1.0
@@ -277,16 +257,11 @@ def rand_index(
 
 
 def variation_of_information(
-    a: InstanceSegmentation,
-    b: InstanceSegmentation,
-    exclude_unlabeled: bool = False,
+    a: InstanceSegmentation, b: InstanceSegmentation
 ) -> float:
     """Summed conditional entropies H(a|b) + H(b|a) in nats."""
-    table = _restricted(a, b, exclude_unlabeled).astype(np.float64)
-    n = table.sum()
-    if n == 0:
-        raise ValueError("no pixels to compare")
-    p = table / n
+    table = _contingency(a, b).astype(np.float64)
+    p = table / table.sum()
     rows = p.sum(axis=1)
     cols = p.sum(axis=0)
     nz = p > 0.0
@@ -302,27 +277,19 @@ def variation_of_information(
 
 
 def segmentation_covering(
-    gt: InstanceSegmentation,
-    pred: InstanceSegmentation,
-    exclude_unlabeled: bool = False,
+    gt: InstanceSegmentation, pred: InstanceSegmentation
 ) -> float:
     """Size-weighted best-IOU cover of reference segments by prediction."""
-    table = _restricted(gt, pred, exclude_unlabeled).astype(np.float64)
-    n = table.sum()
-    if n == 0:
-        raise ValueError("no pixels to compare")
+    table = _contingency(gt, pred).astype(np.float64)
     gt_sizes = table.sum(axis=1)
     pred_sizes = table.sum(axis=0)
-    start = 1 if exclude_unlabeled else 0
-    denom = gt_sizes[start:].sum()
-    inter = table[start:, start:]
-    union = gt_sizes[start:, None] + pred_sizes[None, start:] - inter
+    union = gt_sizes[:, None] + pred_sizes[None, :] - table
     iou = np.zeros_like(union)
-    np.divide(inter, union, out=iou, where=union > 0.0)
+    np.divide(table, union, out=iou, where=union > 0.0)
     best = iou.max(axis=1, initial=0.0)
     # summed in row order, as a running float, over the non-empty rows
-    total = sum((gt_sizes[start:] * best)[gt_sizes[start:] > 0.0].tolist())
-    return float(total / denom) if denom else 1.0
+    total = sum((gt_sizes * best)[gt_sizes > 0.0].tolist())
+    return float(total / gt_sizes.sum())
 
 
 def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:

@@ -43,8 +43,8 @@ from planarseg.core import (
 )
 from planarseg.geometry import (
     Plane,
+    _render,
     backproject,
-    depth_from_plane,
     fit_plane_lsq,
     one_hot_assignment,
     pool_instance_params,
@@ -93,9 +93,7 @@ def scene_spec(seed: int, plane_count: int, nonplanar: float = 0.1) -> SceneSpec
 class TestCriterion1OracleEquivalence:
     def test_fast_matches_vanilla_on_fifty_scenes(self):
         start = time.perf_counter()
-        config = MeanShiftConfig(
-            anchors_per_dim=10, dim=2, bandwidth=0.5, iterations=10
-        )
+        config = MeanShiftConfig(anchors_per_dim=10, bandwidth=0.5, iterations=10)
         agree = planar = 0
         count_matches = 0
         for i in range(50):
@@ -168,25 +166,33 @@ class TestCriterion3Gradients:
         )
 
 
+def criterion4_cases():
+    """The 1000 random (plane, intrinsics) pairs of criterion 4, on a 6x8
+    grid: (grid, one-instance segmentation, cases)."""
+    rng = np.random.default_rng(0)
+    grid = ImageGrid(6, 8)
+    cases = []
+    for _ in range(1000):
+        nz = rng.uniform(0.2, 2.0)
+        n = np.array([rng.uniform(-0.3, 0.3) * nz, rng.uniform(-0.3, 0.3) * nz, nz])
+        intr = CameraIntrinsics(
+            fx=rng.uniform(20.0, 500.0),
+            fy=rng.uniform(20.0, 500.0),
+            cx=rng.uniform(2.0, 5.0),
+            cy=rng.uniform(1.5, 4.0),
+        )
+        cases.append((Plane(n), intr))
+    whole = InstanceSegmentation(grid, np.ones(grid.n_pixels, dtype=np.int64))
+    return grid, whole, cases
+
+
 class TestCriterion4GeometryRoundTrip:
     def test_thousand_random_planes(self):
-        rng = np.random.default_rng(0)
-        grid = ImageGrid(6, 8)
+        _, whole, cases = criterion4_cases()
         worst_residual = 0.0
         worst_recovery = 0.0
-        for _ in range(1000):
-            nz = rng.uniform(0.2, 2.0)
-            n = np.array(
-                [rng.uniform(-0.3, 0.3) * nz, rng.uniform(-0.3, 0.3) * nz, nz]
-            )
-            plane = Plane(n)
-            intr = CameraIntrinsics(
-                fx=rng.uniform(20.0, 500.0),
-                fy=rng.uniform(20.0, 500.0),
-                cx=rng.uniform(2.0, 5.0),
-                cy=rng.uniform(1.5, 4.0),
-            )
-            depth = depth_from_plane(plane, grid, intr)
+        for plane, intr in cases:
+            depth = render_segment_depth(whole, [plane], intr)
             pm = backproject(depth, intr)
             valid = np.nonzero(pm.validity)[0]
             assert valid.size >= 3
@@ -205,6 +211,17 @@ class TestCriterion4GeometryRoundTrip:
             f"max fit recovery error {worst_recovery:.2e} (need < 1e-8), "
             f"1000 random planes/intrinsics",
         )
+
+    def test_one_instance_render_is_the_plane_render(self):
+        # Row 1 of the [0, n] normals that render a one-instance
+        # segmentation is row 0 of [n], which all-zero labels gather.
+        grid, whole, cases = criterion4_cases()
+        zeros = np.zeros(grid.n_pixels, dtype=np.int64)
+        for plane, intr in cases:
+            got = render_segment_depth(whole, [plane], intr)
+            want = _render(grid, intr, zeros, plane.n[None, :])
+            assert got.depth.tobytes() == want.depth.tobytes()
+            assert got.validity.tobytes() == want.validity.tobytes()
 
 
 class TestCriterion5MetricOracles:
@@ -283,9 +300,7 @@ class TestCriterion5MetricOracles:
 class TestCriterion6EndToEndPipeline:
     def test_fifty_seed_pipeline(self):
         start = time.perf_counter()
-        config = MeanShiftConfig(
-            anchors_per_dim=10, dim=2, bandwidth=0.5, iterations=10
-        )
+        config = MeanShiftConfig(anchors_per_dim=10, bandwidth=0.5, iterations=10)
         successes = 0
         for i in range(50):
             scene = generate_scene(scene_spec(seed=3000 + i, plane_count=2 + i % 5))
@@ -385,9 +400,7 @@ class TestCriterion7LossSanity:
         )
 
         recovery_ok = True
-        config = MeanShiftConfig(
-            anchors_per_dim=10, dim=2, bandwidth=0.5, iterations=10
-        )
+        config = MeanShiftConfig(anchors_per_dim=10, bandwidth=0.5, iterations=10)
         for i in range(10):
             s = generate_scene(scene_spec(seed=5000 + i, plane_count=2 + i % 4))
             e = generate_embeddings(

@@ -361,8 +361,8 @@ class TestClusterCommand:
         assert list(parent.iterdir()) == []
 
     def test_anchor_grid_beyond_bound_exits_one(self, tmp_path, capsys):
-        # 100000^2 anchors would need 74.5 GiB; the config refuses them
-        # before anything is allocated or written.
+        # 100000^2 anchors would need 74.5 GiB; cluster refuses them, at
+        # the embeddings' d = 2, before anything is allocated or written.
         scene = run_synth(tmp_path)
         out = tmp_path / "pred"
         code = main(

@@ -5,6 +5,7 @@ import gc
 import math
 import time
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -31,17 +32,18 @@ from planarseg.clustering import (
     _assign_span,
     _bin_points,
     _binned_labels,
-    _binned_values,
     _decided_bins,
     _dense_anchors,
     _gaussian_shift,
     _group_rows,
+    _masked_columns,
     _merge_labels,
     _member_reach,
     _merge_points,
     _moment_cells,
     _moment_table,
     _point_table,
+    _seed_anchors,
     _shift_anchors,
     _span_labels,
 )
@@ -108,10 +110,16 @@ def merge_groups(positions, radius):
     return sorted(np.flatnonzero(labels == g).tolist() for g in range(labels.max() + 1))
 
 
+def binned_values(emb, mask, config):
+    """The (box, centroids, counts, inverse) binning of the masked
+    embeddings that :func:`cluster` runs (see :func:`_seed_anchors`)."""
+    return _bin_points(_masked_columns(emb, mask), BIN_SIDE * config.bandwidth)
+
+
 def initial_anchors(emb, mask, config):
     """Positions and densities of the anchor grid that :func:`cluster`
     places, before its density filter."""
-    box, centroids, counts, _ = _binned_values(emb, mask, config)
+    box, centroids, counts, _ = binned_values(emb, mask, config)
     return _anchor_grid(box, centroids, counts, config)
 
 
@@ -120,7 +128,7 @@ def shift_once(positions, emb, mask, config):
     embeddings' bins, the step that :func:`cluster` repeats: (new
     positions, densities)."""
     seeds = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    return _shift_anchors(seeds, _binned_values(emb, mask, config), config, 1)
+    return _shift_anchors(seeds, binned_values(emb, mask, config), config, 1)
 
 
 def fine_bin_shifts(positions, centroids, counts, bandwidth, steps=1):
@@ -146,10 +154,11 @@ def three_blob_input(seed=0, n_per=400, spread=0.05):
 
 
 class TestConfig:
-    def test_has_five_fields(self):
+    def test_has_four_fields(self):
+        # The embeddings fix the dimension, so the config does not hold it.
         names = [f.name for f in dataclasses.fields(MeanShiftConfig)]
         assert names == [
-            "anchors_per_dim", "dim", "bandwidth", "iterations", "density_fraction"
+            "anchors_per_dim", "bandwidth", "iterations", "density_fraction"
         ]
 
     @pytest.mark.parametrize(
@@ -161,11 +170,11 @@ class TestConfig:
             {"density_fraction": 1.0},
             {"density_fraction": -0.1},
             {"bandwidth": math.inf},
-            {"dim": 0},
+            {"density_fraction": math.nan},
             {"bandwidth": -0.5},
             {"bandwidth": 1e-300},
             {"bandwidth": 1e-160},
-            {"anchors_per_dim": 100_000},
+            {"bandwidth": math.nan},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -173,12 +182,30 @@ class TestConfig:
             MeanShiftConfig(**kwargs)
 
     def test_anchor_grid_bound(self):
+        # _seed_anchors checks k^d against the embeddings' own dimension
+        # before it reads anything else of them: an object carrying only
+        # ``dim`` stands in for embeddings no test could allocate.
         assert MAX_ANCHORS == 2**20
-        MeanShiftConfig(anchors_per_dim=2, dim=20)
-        MeanShiftConfig(anchors_per_dim=MAX_ANCHORS, dim=1)
+        prefix = r"^anchors_per_dim \*\* dim must be <= "
         for k, d in [(2, 21), (MAX_ANCHORS + 1, 1), (10, 8), (10**400, 20), (3, 10**9)]:
-            with pytest.raises(ValueError, match=r"anchors_per_dim \*\* dim must be <="):
-                MeanShiftConfig(anchors_per_dim=k, dim=d)
+            config = MeanShiftConfig(anchors_per_dim=k)
+            message = rf"{prefix}{MAX_ANCHORS}, got {k} \*\* {d}$"
+            with pytest.raises(ValueError, match=message):
+                _seed_anchors(types.SimpleNamespace(dim=d), None, config)
+        # At the bound the check passes, and the stand-in, which has no
+        # grid, fails at the masked columns; a 2^20-node grid is placed.
+        for k, d in [(2, 20), (MAX_ANCHORS, 1)]:
+            config = MeanShiftConfig(anchors_per_dim=k)
+            with pytest.raises(AttributeError, match="grid"):
+                _seed_anchors(types.SimpleNamespace(dim=d), None, config)
+        emb, mask = embedding_fixture([[0.0], [1.0]])
+        config = MeanShiftConfig(anchors_per_dim=MAX_ANCHORS)
+        anchors, _ = _seed_anchors(emb, mask, config)
+        assert 1 <= anchors.shape[0] <= MAX_ANCHORS
+        for k, d in [(2, 21), (MAX_ANCHORS + 1, 1), (10, 8)]:
+            emb, mask = embedding_fixture(np.zeros((1, d)))
+            with pytest.raises(ValueError, match=prefix):
+                cluster(emb, mask, MeanShiftConfig(anchors_per_dim=k))
 
 
 class TestPairwisePotential:
@@ -249,11 +276,6 @@ class TestInitAnchors:
         with pytest.raises(ValueError, match="no planar pixels"):
             cluster(emb, mask, MeanShiftConfig())
 
-    def test_dim_mismatch_rejected(self):
-        emb, mask = embedding_fixture([[0, 0], [1, 1]])
-        with pytest.raises(ValueError, match="dim"):
-            cluster(emb, mask, MeanShiftConfig(dim=3))
-
     @pytest.mark.parametrize(
         "d, flat_axis, target",
         [(1, None, None), (2, None, None), (3, None, None), (3, 1, None), (3, None, 90)],
@@ -273,7 +295,7 @@ class TestInitAnchors:
         if flat_axis is not None:
             values[:, flat_axis] = 0.7
         emb, mask = embedding_fixture(values)
-        config = MeanShiftConfig(anchors_per_dim=7, dim=d, bandwidth=0.5)
+        config = MeanShiftConfig(anchors_per_dim=7, bandwidth=0.5)
         _, centroids, counts, _ = _bin_points(values.T, BIN_SIDE * config.bandwidth)
         assert counts.max() >= 2
         positions, densities = initial_anchors(emb, mask, config)
@@ -290,7 +312,7 @@ class TestInitAnchors:
         n, d, k = 25_000, 4, 10
         values = np.random.default_rng(6).uniform(0.0, 1.0, size=(n, d))
         emb, mask = embedding_fixture(values)
-        config = MeanShiftConfig(anchors_per_dim=k, dim=d, bandwidth=0.5)
+        config = MeanShiftConfig(anchors_per_dim=k, bandwidth=0.5)
         tracemalloc.start()
         try:
             positions, _ = initial_anchors(emb, mask, config)
@@ -319,7 +341,7 @@ class TestShiftAnchors:
     def test_equal_weights_stay_centered(self):
         # frozen: embeddings at 0 and 1 give equal kernel weights at 0.5
         emb, mask = embedding_fixture(np.array([[0.0], [1.0]]))
-        config = MeanShiftConfig(dim=1, bandwidth=0.5)
+        config = MeanShiftConfig(bandwidth=0.5)
         shifted, _ = shift_once([[0.5]], emb, mask, config)
         np.testing.assert_allclose(shifted, [[0.5]], atol=1e-12)
 
@@ -478,7 +500,7 @@ class TestBinning:
         # 2.6e-4 b at d = 2, 9.7e-5 b at d = 3), and within c^2 / 2
         # relative on densities (measured 3.1e-4 and 1.1e-4).
         values = four_blob_mixture(d)
-        config = MeanShiftConfig(bandwidth=0.5, dim=d)
+        config = MeanShiftConfig(bandwidth=0.5)
         b = config.bandwidth
         anchors = anchor_grid(values)
         exact, exact_dens = _gaussian_shift(anchors, values, b)
@@ -501,7 +523,7 @@ class TestBinning:
         # 24x and 11x; 28x and 17x); cells as wide as the fine bins hold one
         # bin each and match the step.
         values = four_blob_mixture(d)
-        config = MeanShiftConfig(bandwidth=0.5, dim=d)
+        config = MeanShiftConfig(bandwidth=0.5)
         b = config.bandwidth
         anchors = anchor_grid(values)
         bins = _bin_points(values.T, BIN_SIDE * b)
@@ -1012,6 +1034,34 @@ class TestSoftAssign:
 
 
 class TestCluster:
+    @pytest.mark.parametrize(
+        "d, centers, members, sizes",
+        [
+            (1, [[2.856163795358119], [5.154927339099227], [8.05582935255071]],
+             [3, 3, 3], [77, 191, 275, 225]),
+            (3, [[2.8700610395292903, 0.5422337963521175, 3.8328441419370733],
+                 [4.0870746685340285, 0.44784457707006364, 0.48996059822276683],
+                 [8.040988560263829, 8.092029721282444, 5.162431985182549]],
+             [17, 12, 13], [77, 275, 191, 225]),
+        ],
+    )
+    def test_default_config_takes_the_embeddings_dimension(
+        self, d, centers, members, sizes
+    ):
+        # frozen: the centers, merged anchor counts and label sizes that a
+        # config stating dim=d gave, bit for bit
+        grid = ImageGrid(24, 32)
+        intr = CameraIntrinsics(fx=28.8, fy=28.8, cx=15.5, cy=11.5)
+        scene = generate_scene(SceneSpec(grid=grid, intr=intr, plane_count=3, seed=5))
+        emb = generate_embeddings(scene, EmbeddingNoiseSpec(sigma=0.1, seed=5), dim=d)
+        clusters, assignment = cluster(emb, scene.mask)
+        assert clusters.centers.tolist() == centers
+        assert clusters.member_anchor_counts.tolist() == members
+        assert np.bincount(assignment.labels).tolist() == sizes
+        np.testing.assert_array_equal(
+            assignment.labels, soft_assign(emb, scene.mask, clusters).labels
+        )
+
     def test_three_separated_blobs(self):
         emb, mask, labels = three_blob_input()
         clusters, assignment = cluster(emb, mask)
@@ -1037,7 +1087,7 @@ class TestCluster:
         )
         mask = PlanarMask(grid, corrupt_probability(scene, 0.05, seed=7).probs >= 0.5)
         config = MeanShiftConfig()
-        bins = _binned_values(emb, mask, config)[2].shape[0]
+        bins = binned_values(emb, mask, config)[2].shape[0]
         points = record_shift_points(monkeypatch)
         cluster(emb, mask, config)
         assert len(points) == config.iterations
@@ -1138,7 +1188,7 @@ class TestCluster:
         values[:2] = np.nextafter(limit, 0.0)
         values[2:4] = -values[0]
         emb, mask = embedding_fixture(values)
-        config = MeanShiftConfig(anchors_per_dim=2, dim=d)
+        config = MeanShiftConfig(anchors_per_dim=2)
         runs = (lambda: cluster(emb, mask, config), lambda: vanilla_mean_shift(emb, mask, 0.5))
         for run in runs:
             clusters, assignment = run()
@@ -1226,7 +1276,7 @@ class TestBinnedLabels:
         values = offset + step * rng.integers(-40, 40, size=(n, d)).astype(np.float64)
         values = values[rng.integers(0, n, size=2 * n)]
         emb, mask = embedding_fixture(values)
-        config = MeanShiftConfig(anchors_per_dim=4, dim=d, bandwidth=0.5, iterations=3)
+        config = MeanShiftConfig(anchors_per_dim=4, bandwidth=0.5, iterations=3)
         clusters, assignment = cluster(emb, mask, config)
         np.testing.assert_array_equal(assignment.labels, oracle_labels(emb, mask, clusters))
 
@@ -1352,7 +1402,7 @@ class TestBinnedLabels:
         config = MeanShiftConfig()
         clusters, assignment = cluster(emb, mask, config)
         assert len(clusters) == c
-        box, centroids, counts, inverse = _binned_values(emb, mask, config)
+        box, centroids, counts, inverse = binned_values(emb, mask, config)
         side = BIN_SIDE * config.bandwidth
         decided = _decided_bins(box, centroids, counts, side, clusters.centers)
         fallback = int((decided[inverse] == 0).sum())

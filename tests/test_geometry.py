@@ -21,7 +21,6 @@ from planarseg.geometry import (
     _ray_directions,
     _render,
     backproject,
-    depth_from_plane,
     fit_plane_lsq,
     normal_angle,
     one_hot_assignment,
@@ -37,6 +36,13 @@ INTR = CameraIntrinsics(fx=100.0, fy=100.0, cx=2.5, cy=1.5)
 
 def fronto_depth(grid, z):
     return DepthMap(grid, np.full(grid.n_pixels, float(z)))
+
+
+def plane_depth(plane, grid, intr):
+    """The depth of one plane at every pixel ray: a one-instance
+    segmentation rendered by :func:`render_segment_depth`."""
+    seg = InstanceSegmentation(grid, np.ones(grid.n_pixels, dtype=np.int64))
+    return render_segment_depth(seg, [plane], intr)
 
 
 class TestPlane:
@@ -108,26 +114,28 @@ class TestRayCoordinates:
         depth = fronto_depth(GRID, 2.0)
         for call in (
             lambda: backproject(depth, intr),
-            lambda: depth_from_plane(Plane([0.0, 0.0, 0.5]), GRID, intr),
+            lambda: plane_depth(Plane([0.0, 0.0, 0.5]), GRID, intr),
         ):
             with pytest.raises(ValueError, match="focal length too small"):
                 call()
 
 
 class TestDepthFromPlane:
+    """The depth of one plane, rendered as a one-instance segmentation."""
+
     def test_fronto_parallel_at_two_meters(self):
-        depth = depth_from_plane(Plane([0.0, 0.0, 0.5]), GRID, INTR)
+        depth = plane_depth(Plane([0.0, 0.0, 0.5]), GRID, INTR)
         assert depth.validity.all()
         np.testing.assert_allclose(depth.depth, 2.0)
 
     def test_unit_offset_plane(self):
-        depth = depth_from_plane(Plane([0.0, 0.0, 1.0]), GRID, INTR)
+        depth = plane_depth(Plane([0.0, 0.0, 1.0]), GRID, INTR)
         np.testing.assert_allclose(depth.depth, 1.0)
 
     def test_tilted_plane_matches_ray_intersection_oracle(self):
         # oracle: Hessian form n_hat . X = delta intersected with X = t * ray
         plane = Plane([0.1, 0.0, 0.5])
-        depth = depth_from_plane(plane, GRID, INTR)
+        depth = plane_depth(plane, GRID, INTR)
         n_hat = plane.unit_normal
         delta = plane.offset
         for i in range(GRID.n_pixels):
@@ -138,12 +146,12 @@ class TestDepthFromPlane:
 
     def test_behind_camera_marked_invalid(self):
         # plane facing away: every intersection is at negative depth
-        depth = depth_from_plane(Plane([0.0, 0.0, -0.5]), GRID, INTR)
+        depth = plane_depth(Plane([0.0, 0.0, -0.5]), GRID, INTR)
         assert not depth.validity.any()
 
     def test_round_trip_satisfies_plane_equation(self):
         plane = Plane([0.2, -0.1, 0.7])
-        depth = depth_from_plane(plane, GRID, INTR)
+        depth = plane_depth(plane, GRID, INTR)
         pm = backproject(depth, INTR)
         residual = np.abs(pm.points[pm.validity] @ plane.n - 1.0)
         assert residual.max() < 1e-9
@@ -159,7 +167,7 @@ class TestDepthFromPlane:
     def test_round_trip_property(self, nx, ny, nz, fx, fy):
         plane = Plane([nx, ny, nz])
         intr = CameraIntrinsics(fx=fx, fy=fy, cx=2.5, cy=1.5)
-        depth = depth_from_plane(plane, GRID, intr)
+        depth = plane_depth(plane, GRID, intr)
         pm = backproject(depth, intr)
         if pm.validity.any():
             residual = np.abs(pm.points[pm.validity] @ plane.n - 1.0)
@@ -178,8 +186,8 @@ class TestRenderSegmentDepth:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_plane_composition(self, seed):
-        # Oracle: render every plane over the full grid with
-        # depth_from_plane, then copy each label's pixels from its plane.
+        # Oracle: render every plane over the full grid as a one-instance
+        # segmentation, then copy each label's pixels from its plane.
         rng = np.random.default_rng(seed)
         grid = ImageGrid(7, 9)
         intr = CameraIntrinsics(fx=5.0, fy=5.0, cx=4.0, cy=3.0)
@@ -196,7 +204,7 @@ class TestRenderSegmentDepth:
         valid = np.zeros(grid.n_pixels, dtype=bool)
         for idx, plane in enumerate(planes, start=1):
             member = labels == idx
-            rendered = depth_from_plane(plane, grid, intr)
+            rendered = plane_depth(plane, grid, intr)
             depth[member] = rendered.depth[member]
             valid[member] = rendered.validity[member]
         got = render_segment_depth(
@@ -504,7 +512,7 @@ class TestOneHotAssignment:
 
 
 def plane_points(plane, grid=GRID, intr=INTR):
-    return backproject(depth_from_plane(plane, grid, intr), intr)
+    return backproject(plane_depth(plane, grid, intr), intr)
 
 
 class TestFitPlaneLsq:

@@ -181,19 +181,14 @@ class TestBalancedBce:
         value, _ = balanced_bce(probs, gt)
         assert value == pytest.approx(0.5 * GRID.n_pixels * math.log(2.0))
 
-    def test_ratio_mode(self):
-        # frozen: |F|=2, |B|=6, p=0.5: 1 * 2 log2 + (2/6) * 6 log2 = 4 log2
+    def test_unbalanced_mask_weighs_by_planar_fraction(self):
+        # frozen: |F|=2, |B|=6, w = 2/8, p=0.5:
+        # (1 - w) * 2 log2 + w * 6 log2 = 3 log2
         grid = ImageGrid(2, 4)
         gt = PlanarMask(grid, np.arange(8) < 2)
         probs = PlanarProbabilityMap(grid, np.full(8, 0.5))
-        value, _ = balanced_bce(probs, gt, weight_mode="ratio")
-        assert value == pytest.approx(4.0 * math.log(2.0))
-
-    def test_unknown_mode_rejected(self):
-        gt = half_mask()
-        probs = PlanarProbabilityMap(GRID, np.full(GRID.n_pixels, 0.5))
-        with pytest.raises(ValueError, match="weight_mode"):
-            balanced_bce(probs, gt, weight_mode="mean")
+        value, _ = balanced_bce(probs, gt)
+        assert value == pytest.approx(3.0 * math.log(2.0))
 
     def test_single_class_rejected(self):
         gt = PlanarMask(GRID, np.ones(GRID.n_pixels, dtype=bool))
@@ -206,14 +201,13 @@ class TestBalancedBce:
         with pytest.raises(ValueError, match="grids"):
             balanced_bce(probs, half_mask())
 
-    @pytest.mark.parametrize("mode", ["fraction", "ratio"])
-    def test_gradient_matches_finite_differences(self, mode):
+    def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         gt = half_mask()
         p = rng.uniform(0.05, 0.95, GRID.n_pixels)
-        _, grad = balanced_bce(PlanarProbabilityMap(GRID, p), gt, mode)
+        _, grad = balanced_bce(PlanarProbabilityMap(GRID, p), gt)
         fd = central_difference(
-            lambda arr: balanced_bce(PlanarProbabilityMap(GRID, arr), gt, mode)[0], p
+            lambda arr: balanced_bce(PlanarProbabilityMap(GRID, arr), gt)[0], p
         )
         assert rel_err(grad, fd) < FD_TOL
 

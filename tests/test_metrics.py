@@ -26,7 +26,7 @@ from planarseg.metrics import (
     segmentation_covering,
     variation_of_information,
 )
-from planarseg.metrics import _contingency, _iou, _restricted
+from planarseg.metrics import _contingency, _iou
 
 
 def seg(labels, n_instances=None, width=None):
@@ -57,24 +57,16 @@ def brute_vi(a, b):
     return 2.0 * h_ab - h_a - h_b
 
 
-def brute_sc(gt, pred, exclude=False):
-    keep = [i for i in range(len(gt)) if not exclude or gt[i] > 0]
-    gt_ids = sorted({gt[i] for i in keep} - ({0} if exclude else set()))
-    pred_ids = sorted({pred[i] for i in keep} - ({0} if exclude else set()))
+def brute_sc(gt, pred):
     total = 0.0
-    denom = 0
-    for g in gt_ids:
-        members = {i for i in keep if gt[i] == g}
+    for g in sorted(set(gt)):
+        members = {i for i in range(len(gt)) if gt[i] == g}
         best = 0.0
-        for p in pred_ids:
-            others = {i for i in keep if pred[i] == p}
-            inter = len(members & others)
-            union = len(members | others)
-            if union:
-                best = max(best, inter / union)
+        for p in sorted(set(pred)):
+            others = {i for i in range(len(pred)) if pred[i] == p}
+            best = max(best, len(members & others) / len(members | others))
         total += len(members) * best
-        denom += len(members)
-    return total / denom if denom else 1.0
+    return total / len(gt)
 
 
 def all_partitions(n):
@@ -157,18 +149,10 @@ class TestRandIndex:
         got = rand_index(seg(a), seg(b))
         assert got == pytest.approx(brute_rand(list(a), list(b)), abs=1e-12)
 
-    def test_exclude_unlabeled_restricts_pairs(self):
-        a = [0, 0, 1, 1, 2, 2]
-        b = [1, 2, 1, 1, 2, 1]
-        got = rand_index(seg(a), seg(b), exclude_unlabeled=True)
-        keep = [i for i, v in enumerate(a) if v > 0]
-        expected = brute_rand([a[i] for i in keep], [b[i] for i in keep])
-        assert got == pytest.approx(expected, abs=1e-12)
-
     def test_single_labeled_pixel_is_perfect(self):
-        a = seg([0, 0, 1])
-        b = seg([1, 2, 2])
-        assert rand_index(a, b, exclude_unlabeled=True) == 1.0
+        # one pixel makes no pair, so nothing can disagree
+        assert rand_index(seg([1]), seg([2])) == 1.0
+        assert rand_index(seg([0]), seg([1])) == 1.0
 
     def test_relabel_invariance(self):
         a = seg([1, 1, 2, 3, 3, 2])
@@ -215,20 +199,6 @@ class TestVariationOfInformation:
         got = variation_of_information(seg(a), seg(b))
         assert got == pytest.approx(brute_vi(list(a), list(b)), abs=1e-12)
 
-    def test_exclude_unlabeled(self):
-        a = [0, 1, 1, 2, 2, 0]
-        b = [1, 1, 2, 2, 2, 2]
-        got = variation_of_information(seg(a), seg(b), exclude_unlabeled=True)
-        keep = [i for i, v in enumerate(a) if v > 0]
-        expected = brute_vi([a[i] for i in keep], [b[i] for i in keep])
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_no_labeled_pixels_rejected(self):
-        a = seg([0, 0])
-        b = seg([1, 1])
-        with pytest.raises(ValueError, match="no labeled pixels"):
-            variation_of_information(a, b, exclude_unlabeled=True)
-
 
 class TestSegmentationCovering:
     def test_identical_is_one(self):
@@ -256,18 +226,6 @@ class TestSegmentationCovering:
         pred = rng.integers(0, 4, n)
         got = segmentation_covering(seg(gt), seg(pred))
         assert got == pytest.approx(brute_sc(list(gt), list(pred)), abs=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_exclude_unlabeled_matches_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 25))
-        gt = rng.integers(0, 4, n)
-        gt[0] = 1
-        pred = rng.integers(0, 4, n)
-        got = segmentation_covering(seg(gt), seg(pred), exclude_unlabeled=True)
-        expected = brute_sc(list(gt), list(pred), exclude=True)
-        assert got == pytest.approx(expected, abs=1e-12)
 
 
 # --- Loop oracles ---------------------------------------------------------
@@ -381,39 +339,20 @@ def loop_recall_normal(pred_seg, pred_planes, gt_seg, gt_planes, thresholds):
     return loop_recall_curve(table, scores, matched, thresholds)
 
 
-def gathered_restricted(a, b, exclude_unlabeled):
-    """The contingency table, restricted by gathering the pixels labeled
-    in ``a`` and counting their pair keys."""
-    if exclude_unlabeled:
-        keep = a.labels > 0
-        if int(keep.sum()) == 0:
-            raise ValueError("no labeled pixels to compare")
-        cols = b.n_instances + 1
-        flat = a.labels[keep] * cols + b.labels[keep]
-        return np.bincount(
-            flat, minlength=(a.n_instances + 1) * cols
-        ).reshape(a.n_instances + 1, cols)
-    return loop_table(a, b)
-
-
-def loop_segmentation_covering(gt, pred, exclude_unlabeled=False):
+def loop_segmentation_covering(gt, pred):
     """Segmentation covering, one reference row at a time."""
-    table = gathered_restricted(gt, pred, exclude_unlabeled).astype(np.float64)
-    if table.sum() == 0:
-        raise ValueError("no pixels to compare")
+    table = loop_table(gt, pred).astype(np.float64)
     gt_sizes = table.sum(axis=1)
     pred_sizes = table.sum(axis=0)
-    start = 1 if exclude_unlabeled else 0
     total = 0.0
-    denom = gt_sizes[start:].sum()
-    for g in range(start, table.shape[0]):
+    for g in range(table.shape[0]):
         if gt_sizes[g] == 0.0:
             continue
-        union = gt_sizes[g] + pred_sizes[start:] - table[g, start:]
+        union = gt_sizes[g] + pred_sizes - table[g]
         iou = np.zeros_like(union)
-        np.divide(table[g, start:], union, out=iou, where=union > 0.0)
-        total += gt_sizes[g] * float(iou.max()) if iou.size else 0.0
-    return float(total / denom) if denom else 1.0
+        np.divide(table[g], union, out=iou, where=union > 0.0)
+        total += gt_sizes[g] * float(iou.max())
+    return float(total / gt_sizes.sum())
 
 
 def bincount_plane_count_histogram(segmentations):
@@ -779,26 +718,23 @@ class TestLoopOracles:
         np.testing.assert_array_equal(normal.plane_recall, [50.0, 75.0, 100.0])
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
-    @pytest.mark.parametrize("exclude", [False, True])
-    def test_restricted_tables(self, name, exclude):
+    def test_contingency_tables(self, name):
         pred_seg, _, gt_seg, _, _ = oracle_case(name)
         for a, b in ((pred_seg, gt_seg), (gt_seg, pred_seg)):
-            try:
-                want = gathered_restricted(a, b, exclude)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=str(exc)):
-                    _restricted(a, b, exclude)
-                continue
-            got = _restricted(a, b, exclude)
+            got = _contingency(a, b)
+            want = loop_table(a, b)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert same_bytes(got, want)
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
-    @pytest.mark.parametrize("exclude", [False, True])
-    def test_segmentation_covering(self, name, exclude):
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_segmentation_covering(self, name, swapped):
+        # Covering is not symmetric: each case is scored both ways round.
         pred_seg, _, gt_seg, _, _ = oracle_case(name)
-        got = segmentation_covering(gt_seg, pred_seg, exclude)
-        want = loop_segmentation_covering(gt_seg, pred_seg, exclude)
+        if swapped:
+            pred_seg, gt_seg = gt_seg, pred_seg
+        got = segmentation_covering(gt_seg, pred_seg)
+        want = loop_segmentation_covering(gt_seg, pred_seg)
         assert same_bytes(got, want)
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
