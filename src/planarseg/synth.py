@@ -6,6 +6,24 @@ the requested range, and optionally carves a fraction of pixels into the
 unlabeled class. Embedding, parameter, and probability generators then
 emulate the outputs a trained network would produce for that scene, with
 controllable noise.
+
+On one numpy and BLAS build, every output is a pure function of its
+seed, bit for bit: the random draws come in a fixed order with fixed
+sizes, and the full-grid work is done in a fixed order of floating-point
+operations. Per-label rows come from one ``take`` over a table whose
+row 0 serves unlabeled pixels, labeled rows are found once with
+``flatnonzero``, and the Voronoi distances are formed and reduced one
+block of pixels at a time, so that no pass indexes rows by a boolean
+mask or holds an N x count matrix. ``perfbench/digests.json`` pins these
+outputs for the benchmark's workloads, and ``tests/test_synth.py``
+checks them against reference implementations written with boolean
+masks and full matrices.
+
+Accepted parameters: ``plane_count`` in [1, 64], ``nonplanar_fraction``
+in [0, 1), a ``depth_range`` with 0 < lo < hi < inf, an embedding
+``sigma`` and a ``param_noise_sigma`` that are finite and >= 0, and a
+``flip_rate`` in [0, 0.5). A sigma so large that the embeddings
+overflow raises ValueError, as every other rejected input does.
 """
 
 from __future__ import annotations
@@ -27,6 +45,7 @@ from .core import (
     PlanarMask,
     PlanarProbabilityMap,
     PointMap,
+    _frozen_fields,
 )
 from .geometry import Plane, _ray_directions, backproject
 
@@ -44,6 +63,7 @@ PLANE_RESAMPLE_LIMIT = 1000
 CENTER_ATTEMPT_LIMIT = 10000
 BALANCE_RATIO = 0.2
 EMBED_DOMAIN = 10.0
+VORONOI_BLOCK = 4096  # pixels per block of the Voronoi distance pass
 
 
 @dataclass(frozen=True)
@@ -63,8 +83,8 @@ class SceneSpec:
         if not 0.0 <= self.nonplanar_fraction < 1.0:
             raise ValueError("nonplanar_fraction must lie in [0, 1)")
         lo, hi = self.depth_range
-        if not (0.0 < lo < hi):
-            raise ValueError("depth_range must be positive and increasing")
+        if not 0.0 < lo < hi < math.inf:
+            raise ValueError("depth_range must be finite, positive and increasing")
         if self.plane_count > self.grid.n_pixels:
             raise ValueError("more planes than pixels")
 
@@ -80,8 +100,8 @@ class EmbeddingNoiseSpec:
     def __post_init__(self) -> None:
         if not self.center_min_gap > 0.0:
             raise ValueError("center_min_gap must be > 0")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -107,9 +127,16 @@ def _voronoi_labels(
     Sites are rejection-sampled with a minimum separation, and whole
     site sets are redrawn until the smallest cell holds at least
     BALANCE_RATIO of the largest, so no cell is vanishingly small.
+
+    Each pixel p takes the first site s that minimizes
+    (|p|^2 + |s|^2) - 2p.s, as np.argmin would: the (count, block)
+    distances of VORONOI_BLOCK pixels at a time are scanned site by
+    site, and a site replaces the best so far only where it is strictly
+    closer. Pixel coordinates are integers, so |p|^2 and 2p are exact.
     """
-    rows, cols = np.divmod(np.arange(grid.n_pixels), grid.width)
-    pix = np.stack([rows, cols], axis=1).astype(np.float64)
+    pix = np.indices((grid.height, grid.width), dtype=np.float64).reshape(2, -1)
+    pix_sq, pix2 = (pix * pix).sum(axis=0), 2.0 * pix
+    labels = np.empty(grid.n_pixels, dtype=np.int64)
     min_sep = 0.7 * math.sqrt(grid.n_pixels / count)
     for _ in range(500):
         sites: List[np.ndarray] = []
@@ -124,12 +151,16 @@ def _voronoi_labels(
         if len(sites) < count:
             continue
         site_arr = np.asarray(sites)
-        d2 = (
-            np.einsum("ij,ij->i", pix, pix)[:, None]
-            + np.einsum("ij,ij->i", site_arr, site_arr)[None, :]
-            - 2.0 * pix @ site_arr.T
-        )
-        labels = np.argmin(d2, axis=1) + 1
+        site_sq = np.einsum("ij,ij->i", site_arr, site_arr)
+        for a in range(0, grid.n_pixels, VORONOI_BLOCK):
+            d2 = site_sq[:, None] + pix_sq[a : a + VORONOI_BLOCK]
+            d2 -= site_arr @ pix2[:, a : a + VORONOI_BLOCK]
+            best, block = d2[0], labels[a : a + VORONOI_BLOCK]
+            block.fill(1)
+            for j in range(1, count):
+                closer = d2[j] < best
+                np.minimum(best, d2[j], out=best)
+                block[closer] = j + 1
         sizes = np.bincount(labels, minlength=count + 1)[1:]
         if sizes.min() >= max(1, BALANCE_RATIO * sizes.max()):
             return labels
@@ -145,8 +176,9 @@ def _sample_cell_plane(
     """Random plane whose depths over ``members`` stay inside the range."""
     lo, hi = depth_range
     margin = 0.1 * (hi - lo)
-    cell_rays = rays[members]
-    anchor_ray = cell_rays.mean(axis=0)
+    cell_rays = rays.take(members, axis=0)
+    with np.errstate(over="ignore"):  # huge rays fail the depth check below
+        anchor_ray = cell_rays.mean(axis=0)
     for _ in range(PLANE_RESAMPLE_LIMIT):
         normal = rng.normal(size=3)
         normal[2] = abs(normal[2]) + 1.0
@@ -170,10 +202,12 @@ def generate_scene(spec: SceneSpec) -> Scene:
     rng = np.random.default_rng(spec.seed)
     labels = _voronoi_labels(rng, spec.grid, spec.plane_count)
     rays = _ray_directions(spec.grid, spec.intr)
-    depth = np.zeros(spec.grid.n_pixels, dtype=np.float64)
+    depth = np.empty(spec.grid.n_pixels, dtype=np.float64)  # every pixel has a cell
     planes: List[Plane] = []
-    for idx in range(1, spec.plane_count + 1):
-        members = np.nonzero(labels == idx)[0]
+    sizes = np.bincount(labels, minlength=spec.plane_count + 1)
+    # A stable sort lists each cell's pixels in increasing order.
+    order = np.argsort(labels.astype(np.uint8), kind="stable")
+    for members in np.split(order, np.cumsum(sizes)[:-1])[1:]:
         plane, z = _sample_cell_plane(rng, rays, members, spec.depth_range)
         planes.append(plane)
         depth[members] = z
@@ -181,16 +215,14 @@ def generate_scene(spec: SceneSpec) -> Scene:
     if carve_count:
         for _ in range(100):
             carved = rng.choice(spec.grid.n_pixels, size=carve_count, replace=False)
-            trial = labels.copy()
-            trial[carved] = 0
-            sizes = np.bincount(trial, minlength=spec.plane_count + 1)[1:]
-            if sizes.min() >= max(1, BALANCE_RATIO * sizes.max()):
-                labels = trial
+            kept = sizes - np.bincount(labels[carved], minlength=spec.plane_count + 1)
+            if kept[1:].min() >= max(1, BALANCE_RATIO * kept[1:].max()):
+                labels[carved] = 0
                 break
         else:
             raise ValueError("carving kept unbalancing the cells")
     segmentation = InstanceSegmentation(spec.grid, labels, spec.plane_count)
-    depth_map = DepthMap(spec.grid, depth)
+    depth_map = DepthMap._owned(spec.grid, depth, np.ones(depth.size, dtype=bool))
     points = backproject(depth_map, spec.intr)
     return Scene(spec, segmentation, tuple(planes), depth_map, points)
 
@@ -215,6 +247,8 @@ def generate_embeddings(
 
     Unlabeled pixels draw uniformly over the bounding box of the labeled
     embeddings, modeling background pixels scattered across the space.
+    A sigma so large that the embeddings, or that box's width, overflow
+    raises ValueError.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -222,17 +256,20 @@ def generate_embeddings(
     count = scene.spec.plane_count
     centers = _place_centers(rng, count, noise.center_min_gap, dim)
     labels = scene.segmentation.labels
-    values = np.zeros((scene.spec.grid.n_pixels, dim), dtype=np.float64)
-    planar = labels > 0
-    jitter = rng.normal(0.0, 1.0, size=(scene.spec.grid.n_pixels, dim))
-    values[planar] = centers[labels[planar] - 1] + noise.sigma * jitter[planar]
-    background = ~planar
-    if background.any():
-        lo = values[planar].min(axis=0)
-        hi = values[planar].max(axis=0)
-        values[background] = rng.uniform(
-            lo, hi, size=(int(background.sum()), dim)
-        )
+    values = rng.normal(0.0, 1.0, size=(scene.spec.grid.n_pixels, dim))
+    with np.errstate(over="ignore"):  # overflow is caught below
+        values *= noise.sigma
+        values += np.vstack([np.zeros(dim), centers]).take(labels, axis=0)
+    background = np.flatnonzero(labels == 0)
+    if background.size:
+        planar = np.flatnonzero(labels)
+        cols = [values[:, j].take(planar) for j in range(dim)]
+        lo, hi = np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = hi - lo  # finite only if every planar value is
+        if not np.isfinite(width).all():
+            raise ValueError(f"embeddings overflow at sigma={noise.sigma}")
+        values[background] = rng.uniform(lo, hi, size=(background.size, dim))
     return EmbeddingMap(scene.spec.grid, values)
 
 
@@ -241,20 +278,20 @@ def generate_pixel_params(
 ) -> PixelPlaneParams:
     """Per-pixel plane parameters: instance truth plus Gaussian noise.
 
-    Unlabeled pixels carry zero vectors.
+    Unlabeled pixels carry zero vectors. ``param_noise_sigma`` must be
+    finite and >= 0.
     """
-    if param_noise_sigma < 0.0:
-        raise ValueError("param_noise_sigma must be >= 0")
+    if not 0.0 <= param_noise_sigma < math.inf:
+        raise ValueError(
+            f"param_noise_sigma must be finite and >= 0, got {param_noise_sigma}"
+        )
     rng = np.random.default_rng(seed)
     labels = scene.segmentation.labels
-    params = np.zeros((scene.spec.grid.n_pixels, 3), dtype=np.float64)
-    planar = labels > 0
-    truth = np.stack([p.n for p in scene.planes])
-    params[planar] = truth[labels[planar] - 1]
+    truth = np.vstack([np.zeros(3)] + [p.n for p in scene.planes])
+    params = truth.take(labels, axis=0)
     if param_noise_sigma > 0.0:
-        params[planar] += rng.normal(
-            0.0, param_noise_sigma, size=(int(planar.sum()), 3)
-        )
+        planar = np.flatnonzero(labels)
+        params[planar] += rng.normal(0.0, param_noise_sigma, size=(planar.size, 3))
     return PixelPlaneParams(scene.spec.grid, params)
 
 
@@ -276,6 +313,7 @@ def corrupt_probability(
     logits = np.where(scene.segmentation.labels > 0, base_logit, -base_logit)
     if flip_rate > 0.0:
         sigma = base_logit / NormalDist().inv_cdf(1.0 - flip_rate)
-        logits = logits + rng.normal(0.0, sigma, size=logits.shape)
-    probs = 1.0 / (1.0 + np.exp(-logits))
-    return PlanarProbabilityMap(scene.spec.grid, probs)
+        logits += rng.normal(0.0, sigma, size=logits.shape)
+    with np.errstate(over="ignore"):  # exp(-logit) = inf gives the limit 0
+        probs = 1.0 / (1.0 + np.exp(-logits))
+    return _frozen_fields(PlanarProbabilityMap, grid=scene.spec.grid, probs=probs)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,104 @@ class TestSynthCommand:
         assert err.startswith("error: flip_rate must lie in [0, 0.5)")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+# The numeric flags of ``planarseg synth`` and the special values fed to
+# them. The integer flags take only "0" of these; argparse refuses the rest.
+SYNTH_FLAGS = [
+    "--height", "--width", "--planes", "--seed", "--dim",
+    "--nonplanar-fraction", "--depth-min", "--depth-max", "--sigma",
+    "--param-noise", "--flip-rate", "--fx", "--fy", "--cx", "--cy",
+]
+SYNTH_VALUES = ["nan", "inf", "-inf", "-0.0", "1e308", "0"]
+
+
+def _no_constants(name):
+    raise ValueError(f"manifest holds the non-JSON constant {name}")
+
+
+def synth_with(flags):
+    """Run ``synth`` on a 12x16 grid with ``flags`` ((flag, value) pairs,
+    later ones winning) and every warning an error. Returns the exit
+    code, stderr, whether the output directory exists, and the manifest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = (
+            ["synth", "--height=12", "--width=16", "--planes=3"]
+            + [f"{flag}={value}" for flag, value in flags]
+            + ["--out", str(out)]
+        )
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+            io.StringIO()
+        ), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused a value
+                code = exc.code
+        manifest = out / "manifest.json"
+        text = manifest.read_text() if manifest.exists() else None
+        return code, err.getvalue(), out.exists(), text
+
+
+def assert_synth_contract(code, message, wrote, manifest):
+    """Exit 0 with strict JSON in the manifest, or exit 1 or 2 with one
+    ``error:`` line (argparse puts its usage lines first) and nothing
+    written. A traceback or a warning would have escaped ``main``."""
+    if code == 0:
+        assert message == ""
+        json.loads(manifest, parse_constant=_no_constants)
+        return
+    assert code in (1, 2)
+    lines = message.splitlines()
+    assert message.endswith("\n")
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    if not lines[0].startswith("usage: "):
+        assert message.startswith("error: ") and len(lines) == 1
+    assert not wrote
+
+
+class TestSynthFuzz:
+    @pytest.mark.parametrize("value", SYNTH_VALUES)
+    @pytest.mark.parametrize("flag", SYNTH_FLAGS)
+    def test_special_value_exits_cleanly(self, flag, value):
+        assert_synth_contract(*synth_with([(flag, value)]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        flags=st.lists(
+            st.tuples(st.sampled_from(SYNTH_FLAGS), st.sampled_from(SYNTH_VALUES)),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    def test_special_value_combinations_exit_cleanly(self, flags):
+        assert_synth_contract(*synth_with(flags))
+
+    @pytest.mark.parametrize(
+        "flags, code, start",
+        [
+            (["--sigma=nan"], 1, "error: sigma must be finite and >= 0"),
+            (["--sigma=inf"], 1, "error: sigma must be finite and >= 0"),
+            (["--sigma=1e308"], 1, "error: embeddings overflow"),
+            # Finite embeddings whose bounding box is wider than max_float.
+            (["--sigma=3e307", "--height=48", "--width=64"], 1,
+             "error: embeddings overflow"),
+            (["--param-noise=nan"], 1, "error: param_noise_sigma must be finite"),
+            (["--param-noise=inf"], 1, "error: param_noise_sigma must be finite"),
+            (["--depth-max=inf"], 1, "error: depth_range must be finite"),
+            # Rays so far off axis that their mean overflows.
+            (["--cx=1e308"], 1, "error: could not satisfy depth_range"),
+            # exp overflows on the far side of the logit noise; 1/(1+inf) = 0.
+            (["--flip-rate=0.4999999999"], 0, ""),
+        ],
+        ids=lambda x: "".join(x) if isinstance(x, list) else None,
+    )
+    def test_reported_faults(self, flags, code, start):
+        result = synth_with([flag.split("=") for flag in flags])
+        assert_synth_contract(*result)
+        assert result[0] == code and result[1].startswith(start)
 
 
 class TestClusterCommand:
