@@ -106,10 +106,15 @@ def bench_clustering(
     scales as N and N^2; :func:`cluster` itself shifts anchors against
     the moment cells of its bins. ``total_ms`` times the whole call.
     The baseline runs ``vanilla_iters`` iterations in its total so large
-    sizes stay affordable.
+    sizes stay affordable. Every size and ``vanilla_iters`` must be at
+    least 1 and ``repeats`` at least 3, all checked before any timing.
     """
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"sizes must be >= 1, got {min(sizes)}")
+    if vanilla_iters < 1:
+        raise ValueError(f"vanilla_iters must be >= 1, got {vanilla_iters}")
     results: List[BenchResult] = []
     for n in sizes:
         for k, t_iters in config_grid:

@@ -232,7 +232,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     gt_points = backproject(gt_depth, intr)
     gt_planes = []
     for idx in range(1, gt_seg.n_instances + 1):
-        members = np.nonzero((gt_seg.labels == idx) & gt_points.validity)[0]
+        members = np.nonzero(gt_seg.labels == idx)[0]  # the fit drops invalid ones
         try:
             plane, _ = fit_plane_lsq(gt_points, members)
         except ValueError as exc:

@@ -53,7 +53,13 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import EmbeddingMap, InstanceSegmentation, PlanarMask, SoftAssignment
+from .core import (
+    EmbeddingMap,
+    InstanceSegmentation,
+    PlanarMask,
+    SoftAssignment,
+    _frozen,
+)
 
 __all__ = [
     "MeanShiftConfig",
@@ -183,16 +189,14 @@ class ClusterSet:
     member_anchor_counts: np.ndarray
 
     def __post_init__(self) -> None:
-        centers = np.array(self.centers, dtype=np.float64, copy=True)
-        counts = np.array(self.member_anchor_counts, dtype=np.int64, copy=True)
+        centers = _frozen(self.centers, np.float64)
+        counts = _frozen(self.member_anchor_counts, np.int64)
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise ValueError(f"centers must be (C, d) with C >= 1, got {centers.shape}")
         if counts.shape != (centers.shape[0],) or counts.min() < 1:
             raise ValueError("member_anchor_counts must be positive, one per center")
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers must be finite")
-        centers.flags.writeable = False
-        counts.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "member_anchor_counts", counts)
 
@@ -446,20 +450,18 @@ def _grid_densities(
 
     The Gaussian factors over axes, so per span of points each axis needs
     one (k, span) table exp(-(x - p_a)^2 / (2 b^2)). The outer product of
-    the tables of every axis but the last is contracted with the last
-    axis's weighted table in one GEMM. If the k^(d-1) rows of that
-    product do not fit in half of ``_CHUNK_TARGET`` floats, the leading
-    axes are looped over instead. The span is sized so that one span's
-    tables and outer products stay within ``_CHUNK_TARGET`` floats.
+    the tables of every axis but the last (a row of ones at d = 1) is
+    contracted with the last axis's weighted table in one GEMM. The span
+    is sized so that one span's tables and outer products stay within
+    ``_CHUNK_TARGET`` floats. The k^(d-1) rows of that product always
+    fit in half of it: :func:`_seed_anchors` admits k^d <= MAX_ANCHORS
+    with k >= 2, so k^(d-1) <= MAX_ANCHORS / 2 = ``_CHUNK_TARGET`` / 4.
     """
     d, k, n = len(axes), axes[0].shape[0], points.shape[0]
-    inner = d - 1  # row axes held in one block; the `outer` leading ones loop
-    while inner > 0 and k**inner > _CHUNK_TARGET // 2:
-        inner -= 1
-    outer = d - 1 - inner
-    span = max(1, min(n, _CHUNK_TARGET // (2 * k**inner + d * k)))
+    rows = k ** (d - 1)
+    span = max(1, min(n, _CHUNK_TARGET // (2 * rows + d * k)))
     inv = -1.0 / (2.0 * bandwidth * bandwidth)
-    sums = np.zeros((k**outer, k**inner, k))
+    sums = np.zeros((rows, k))
     for start, stop in _chunk_spans(n, span):
         tables = []
         for a, axis in enumerate(axes):
@@ -470,14 +472,10 @@ def _grid_densities(
             np.exp(table, out=table)
             tables.append(table)
         tables[-1] *= weights[start:stop]
-        for p, prefix in enumerate(np.ndindex(*(k,) * outer)):
-            block = tables[outer] if inner else np.ones(stop - start)
-            for a, i in enumerate(prefix):
-                block = block * tables[a][i]
-            block = block.reshape(-1, stop - start)
-            for table in tables[outer + 1 : d - 1]:
-                block = (block[:, None, :] * table[None, :, :]).reshape(-1, stop - start)
-            sums[p] += block @ tables[-1].T
+        block = tables[0] if d > 1 else np.ones((1, stop - start))
+        for table in tables[1:-1]:
+            block = (block[:, None, :] * table[None, :, :]).reshape(-1, stop - start)
+        sums += block @ tables[-1].T
     prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth)
     return prefactor * sums.ravel()
 

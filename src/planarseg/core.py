@@ -2,8 +2,8 @@
 
 All types are immutable after construction: array fields are copied and
 marked read-only, so instances are safe to share across threads. The
-library's own kernels hand fresh arrays to :meth:`DepthMap._owned` and
-:meth:`PointMap._owned` instead, which freeze them without a copy.
+library's own kernels hand fresh arrays to :func:`_frozen_fields`
+instead, which freezes them without a copy or a check.
 :class:`SoftAssignment` may build its labels and weights on first read;
 each is cached once, read-only, and a race can at worst build it twice.
 Pixels are linearized row-major (index = row * width + col) everywhere.
@@ -47,7 +47,16 @@ def _frozen(values, dtype) -> np.ndarray:
 def _frozen_fields(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with ``fields`` set
     directly, bypassing ``__init__`` and ``__post_init__``; array fields
-    are made read-only in place."""
+    are made read-only in place, without a copy or a check.
+
+    The caller vouches for two things. Nothing writes the arrays
+    afterwards: they are fresh arrays the caller drops, or arrays that
+    are already read-only. And they hold what ``cls.__post_init__``
+    would enforce: its dtypes, shapes and value checks, and the values
+    it normalizes. For :class:`DepthMap` and :class:`PointMap` that
+    means C-ordered float64 values, bool validity, every valid value
+    finite (and each depth > 0), and every invalid entry exactly +0.0.
+    """
     out = cls.__new__(cls)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -385,19 +394,6 @@ class DepthMap:
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "validity", validity)
 
-    @classmethod
-    def _owned(
-        cls, grid: ImageGrid, depth: np.ndarray, validity: np.ndarray
-    ) -> "DepthMap":
-        """A depth map that takes ``depth`` and ``validity`` as they are:
-        no copy and no check; both are frozen in place. The caller
-        vouches that nothing writes either array afterwards (fresh
-        arrays it drops, or arrays already read-only), and that they
-        hold what :meth:`__post_init__` would enforce: float64
-        depth and bool validity of shape (N,), every valid depth finite
-        and > 0, and every invalid depth exactly +0.0."""
-        return _frozen_fields(cls, grid=grid, depth=depth, validity=validity)
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -446,20 +442,6 @@ class PointMap:
         validity.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "validity", validity)
-
-    @classmethod
-    def _owned(
-        cls, grid: ImageGrid, points: np.ndarray, validity: np.ndarray
-    ) -> "PointMap":
-        """A point map that takes ``points`` and ``validity`` as they
-        are: no copy and no check; both are frozen in place. The caller
-        vouches that nothing writes either array afterwards (fresh
-        arrays it drops, or arrays already read-only), and that they
-        hold what :meth:`__post_init__` would enforce: C-order
-        float64 points of shape (N, 3) and bool validity of shape (N,),
-        every valid point finite, and every invalid point (+0.0, +0.0,
-        +0.0)."""
-        return _frozen_fields(cls, grid=grid, points=points, validity=validity)
 
 
 @dataclass(frozen=True)

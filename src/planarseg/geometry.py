@@ -23,6 +23,8 @@ from .core import (
     PlaneInstanceParams,
     PointMap,
     SoftAssignment,
+    _frozen,
+    _frozen_fields,
 )
 
 __all__ = [
@@ -48,7 +50,7 @@ class Plane:
     n: np.ndarray
 
     def __post_init__(self) -> None:
-        n = np.array(self.n, dtype=np.float64, copy=True).reshape(3)
+        n = _frozen(self.n, np.float64).reshape(3)
         if not np.all(np.isfinite(n)):
             raise ValueError("plane vector must be finite")
         with np.errstate(over="ignore"):
@@ -57,7 +59,6 @@ class Plane:
             raise ValueError("plane vector norm must be finite")
         if norm < EPS_PLANE:
             raise ValueError(f"plane vector norm below {EPS_PLANE}")
-        n.flags.writeable = False
         object.__setattr__(self, "n", n)
 
     @property
@@ -152,7 +153,8 @@ def _render(
     grid: ImageGrid, intr: CameraIntrinsics, labels: np.ndarray, normals: np.ndarray
 ) -> DepthMap:
     """:func:`_render_arrays` frozen into a :class:`DepthMap` in place."""
-    return DepthMap._owned(grid, *_render_arrays(grid, intr, labels, normals))
+    depth, validity = _render_arrays(grid, intr, labels, normals)
+    return _frozen_fields(DepthMap, grid=grid, depth=depth, validity=validity)
 
 
 def _instance_normals(
@@ -204,7 +206,9 @@ def backproject(depth: DepthMap, intr: CameraIntrinsics) -> PointMap:
         return PointMap(grid, points.reshape(-1, 3), depth.validity)
     for axis in (0, 1):  # one pass each: the inner loop runs along a row
         points[:, :, axis] += 0.0
-    return PointMap._owned(grid, points.reshape(-1, 3), depth.validity)
+    return _frozen_fields(
+        PointMap, grid=grid, points=points.reshape(-1, 3), validity=depth.validity
+    )
 
 
 def render_segment_depth(

@@ -26,6 +26,8 @@ from .core import (
 )
 from .losses import (
     Margins,
+    _instances,
+    _row_norms,
     balanced_bce,
     central_difference,
     instance_param_loss,
@@ -35,14 +37,6 @@ from .losses import (
 )
 
 __all__ = ["GradCheckResult", "run_gradient_checks", "LOSS_NAMES"]
-
-LOSS_NAMES = (
-    "balanced_bce",
-    "pull_loss",
-    "push_loss",
-    "pixel_param_loss",
-    "instance_param_loss",
-)
 
 KINK_MARGIN = 1e-3
 
@@ -113,15 +107,14 @@ def _check_pull(rng: np.random.Generator, h: float) -> float:
 def _pull_off_kink(
     emb: EmbeddingMap, seg: InstanceSegmentation, margins: Margins
 ) -> bool:
-    for idx in range(1, seg.n_instances + 1):
-        members = np.nonzero(seg.labels == idx)[0]
-        if not members.shape[0]:
-            continue
-        mu = emb.values[members].mean(axis=0)
-        dist = np.linalg.norm(mu[None, :] - emb.values[members], axis=1)
-        if np.any(np.abs(dist - margins.delta_v) < KINK_MARGIN):
-            return False
-    return True
+    """No labeled pixel lies within ``KINK_MARGIN`` of distance delta_v
+    from its instance mean, the means and distances taken as
+    :func:`pull_loss` takes them."""
+    inst = _instances(emb, seg)
+    offsets = inst.means.take(inst.labels, axis=1)
+    offsets -= inst.columns
+    near = np.abs(_row_norms(offsets) - margins.delta_v) < KINK_MARGIN
+    return not np.any(near & (inst.labels > 0))
 
 
 def _check_push(rng: np.random.Generator, h: float) -> float:
@@ -146,17 +139,15 @@ def _check_push(rng: np.random.Generator, h: float) -> float:
 def _push_off_kink(
     emb: EmbeddingMap, seg: InstanceSegmentation, margins: Margins
 ) -> bool:
-    means = []
-    for idx in range(1, seg.n_instances + 1):
-        members = np.nonzero(seg.labels == idx)[0]
-        if members.shape[0]:
-            means.append(emb.values[members].mean(axis=0))
-    for a in range(len(means)):
-        for b in range(a + 1, len(means)):
-            dist = float(np.linalg.norm(means[a] - means[b]))
-            if abs(dist - margins.delta_d) < KINK_MARGIN or dist < KINK_MARGIN:
-                return False
-    return True
+    """No two instance means lie within ``KINK_MARGIN`` of distance
+    delta_d, or of each other, the means taken as :func:`push_loss`
+    takes them."""
+    inst = _instances(emb, seg)
+    means = inst.means.take(np.flatnonzero(inst.live), axis=1)
+    first, second = np.triu_indices(means.shape[1], 1)
+    dist = _row_norms(means.take(first, axis=1) - means.take(second, axis=1))
+    near = (np.abs(dist - margins.delta_d) < KINK_MARGIN) | (dist < KINK_MARGIN)
+    return not np.any(near)
 
 
 def _check_pixel_param(rng: np.random.Generator, h: float) -> float:
@@ -216,6 +207,8 @@ _CHECKS: Dict[str, Callable[[np.random.Generator, float], float]] = {
     "instance_param_loss": _check_instance_param,
 }
 
+LOSS_NAMES = tuple(_CHECKS)
+
 
 def run_gradient_checks(
     samples: int = 100,
@@ -228,8 +221,7 @@ def run_gradient_checks(
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     results = []
-    for name in LOSS_NAMES:
-        check = _CHECKS[name]
+    for name, check in _CHECKS.items():
         worst = 0.0
         for _ in range(samples):
             worst = max(worst, check(rng, h))

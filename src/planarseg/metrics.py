@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .core import CameraIntrinsics, DepthMap, InstanceSegmentation
+from .core import CameraIntrinsics, DepthMap, InstanceSegmentation, _frozen
 from .geometry import Plane, _instance_normals, _normal_angles, _render_arrays
 
 __all__ = [
@@ -50,9 +50,9 @@ class RecallCurve:
     pixel_recall: np.ndarray
 
     def __post_init__(self) -> None:
-        thresholds = np.array(self.thresholds, dtype=np.float64, copy=True)
-        plane = np.array(self.plane_recall, dtype=np.float64, copy=True)
-        pixel = np.array(self.pixel_recall, dtype=np.float64, copy=True)
+        thresholds = _frozen(self.thresholds, np.float64)
+        plane = _frozen(self.plane_recall, np.float64)
+        pixel = _frozen(self.pixel_recall, np.float64)
         if not (thresholds.shape == plane.shape == pixel.shape):
             raise ValueError("curve arrays must share one shape")
         if thresholds.ndim != 1 or thresholds.size < 1:
@@ -64,8 +64,6 @@ class RecallCurve:
                 raise ValueError(f"{name} must lie in [0, 100]")
             if np.any(np.diff(arr) < 0.0):
                 raise ValueError(f"{name} must be non-decreasing in threshold")
-        for arr in (thresholds, plane, pixel):
-            arr.flags.writeable = False
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "plane_recall", plane)
         object.__setattr__(self, "pixel_recall", pixel)
@@ -110,11 +108,13 @@ def _contingency(
 
 
 def _iou(table: np.ndarray) -> np.ndarray:
-    """IOU per (pred, gt) instance pair from a (pred, gt) contingency table."""
-    inter = table[1:, 1:].astype(np.float64)
-    pred_sizes = table[1:, :].sum(axis=1, dtype=np.float64)
-    gt_sizes = table[:, 1:].sum(axis=0, dtype=np.float64)
-    union = pred_sizes[:, None] + gt_sizes[None, :] - inter
+    """IOU per label pair of a contingency table, label 0's row and
+    column included; 0 where both segments are empty. The counts are
+    integers, so every union is exact."""
+    inter = table.astype(np.float64)
+    rows = table.sum(axis=1, dtype=np.float64)
+    cols = table.sum(axis=0, dtype=np.float64)
+    union = rows[:, None] + cols[None, :] - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
@@ -128,7 +128,7 @@ def _match_instances(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``argmax`` per column; predicted instances are disjoint, so no other
     can also exceed 0.5.
     """
-    won = _iou(table) > 0.5
+    won = _iou(table)[1:, 1:] > 0.5
     gt = np.flatnonzero(won.any(axis=0))
     pred = won[:, gt].argmax(axis=0) if gt.size else gt
     return gt + 1, pred + 1
@@ -192,8 +192,6 @@ def recall_depth(
     """
     if pred_seg.grid != gt_seg.grid or gt_seg.grid != gt_depth.grid:
         raise ValueError("prediction, reference, and depth grids must match")
-    if len(pred_planes) != pred_seg.n_instances:
-        raise ValueError("need one plane per predicted instance")
     normals = _instance_normals(pred_seg, pred_planes)
     error, both = _render_arrays(pred_seg.grid, intr, pred_seg.labels, normals)
     np.logical_and(both, gt_depth.validity, out=both)
@@ -222,19 +220,16 @@ def recall_normal(
 ) -> RecallCurve:
     """Recall vs surface-normal angle threshold (degrees).
 
-    Every matched pair is scored in one pass of :func:`_normal_angles`.
+    Every matched pair is scored in one pass of :func:`_normal_angles`,
+    over the plane rows of :func:`_instance_normals` indexed by ID.
     """
     if pred_seg.grid != gt_seg.grid:
         raise ValueError("prediction and reference grids must match")
-    if len(pred_planes) != pred_seg.n_instances:
-        raise ValueError("need one plane per predicted instance")
-    if len(gt_planes) != gt_seg.n_instances:
-        raise ValueError("need one plane per reference instance")
+    pred_n = _instance_normals(pred_seg, pred_planes)
+    gt_n = _instance_normals(gt_seg, gt_planes)
     table = _contingency(pred_seg, gt_seg)
     gt, pred = matched = _match_instances(table)
-    pred_n = np.array([plane.n for plane in pred_planes]).reshape(-1, 3)
-    gt_n = np.array([plane.n for plane in gt_planes]).reshape(-1, 3)
-    scores = _normal_angles(pred_n[pred - 1], gt_n[gt - 1])
+    scores = _normal_angles(pred_n[pred], gt_n[gt])
     return _recall_curve(table, matched, scores, thresholds)
 
 
@@ -280,13 +275,9 @@ def segmentation_covering(
     gt: InstanceSegmentation, pred: InstanceSegmentation
 ) -> float:
     """Size-weighted best-IOU cover of reference segments by prediction."""
-    table = _contingency(gt, pred).astype(np.float64)
-    gt_sizes = table.sum(axis=1)
-    pred_sizes = table.sum(axis=0)
-    union = gt_sizes[:, None] + pred_sizes[None, :] - table
-    iou = np.zeros_like(union)
-    np.divide(table, union, out=iou, where=union > 0.0)
-    best = iou.max(axis=1, initial=0.0)
+    table = _contingency(gt, pred)
+    gt_sizes = table.sum(axis=1, dtype=np.float64)
+    best = _iou(table).max(axis=1, initial=0.0)
     # summed in row order, as a running float, over the non-empty rows
     total = sum((gt_sizes * best)[gt_sizes > 0.0].tolist())
     return float(total / gt_sizes.sum())

@@ -222,7 +222,8 @@ def generate_scene(spec: SceneSpec) -> Scene:
         else:
             raise ValueError("carving kept unbalancing the cells")
     segmentation = InstanceSegmentation(spec.grid, labels, spec.plane_count)
-    depth_map = DepthMap._owned(spec.grid, depth, np.ones(depth.size, dtype=bool))
+    validity = np.ones(depth.size, dtype=bool)
+    depth_map = _frozen_fields(DepthMap, grid=spec.grid, depth=depth, validity=validity)
     points = backproject(depth_map, spec.intr)
     return Scene(spec, segmentation, tuple(planes), depth_map, points)
 
@@ -312,7 +313,12 @@ def corrupt_probability(
     base_logit = 2.0
     logits = np.where(scene.segmentation.labels > 0, base_logit, -base_logit)
     if flip_rate > 0.0:
-        sigma = base_logit / NormalDist().inv_cdf(1.0 - flip_rate)
+        keep = 1.0 - flip_rate
+        if keep < 1.0:
+            quantile = NormalDist().inv_cdf(keep)
+        else:  # a rate below about 1.1e-16 rounds keep to 1, where inv_cdf fails
+            quantile = -NormalDist().inv_cdf(flip_rate)
+        sigma = base_logit / quantile
         logits += rng.normal(0.0, sigma, size=logits.shape)
     with np.errstate(over="ignore"):  # exp(-logit) = inf gives the limit 0
         probs = 1.0 / (1.0 + np.exp(-logits))

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import planarseg
-from planarseg import cli, gradcheck
+from planarseg import bench, cli, gradcheck
 from planarseg.cli import build_parser, main
 from planarseg.tensor_io import read_tensor, write_tensor
 
@@ -238,6 +238,9 @@ class TestSynthFuzz:
             (["--cx=1e308"], 1, "error: could not satisfy depth_range"),
             # exp overflows on the far side of the logit noise; 1/(1+inf) = 0.
             (["--flip-rate=0.4999999999"], 0, ""),
+            # 1 - rate rounds to 1, where the normal quantile is undefined.
+            (["--flip-rate=1e-17"], 0, ""),
+            (["--flip-rate=5e-324"], 0, ""),
         ],
         ids=lambda x: "".join(x) if isinstance(x, list) else None,
     )
@@ -959,3 +962,30 @@ class TestBenchCommand:
         code = main(["bench", "--sizes", "abc"])
         assert code == 2
         assert "--sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sizes", "-5"], "error: sizes must be >= 1, got -5\n"),
+            (["--sizes", "256,0"], "error: sizes must be >= 1, got 0\n"),
+            (["--vanilla-iters", "0"], "error: vanilla_iters must be >= 1, got 0\n"),
+        ],
+    )
+    def test_bad_values_exit_one_before_timing(
+        self, flags, message, monkeypatch, capsys
+    ):
+        # No clustering call runs: the fast variant is not timed first.
+        calls = []
+
+        def counted(name):
+            real = getattr(bench, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        timed = ("_seed_anchors", "_gaussian_shift", "cluster", "vanilla_mean_shift")
+        for name in timed:
+            monkeypatch.setattr(bench, name, counted(name))
+        code = main(["bench", "--sizes", "256", "--repeats", "3"] + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == message and captured.out == ""
+        assert calls == []

@@ -207,6 +207,27 @@ class TestConfig:
             with pytest.raises(ValueError, match=prefix):
                 cluster(emb, mask, MeanShiftConfig(anchors_per_dim=k))
 
+    def test_accepted_grids_fit_one_density_block(self):
+        # _grid_densities forms the k^(d-1) rows of its outer product in
+        # one block, sized for k^(d-1) <= _CHUNK_TARGET // 2. That holds
+        # for every (k, d) that _seed_anchors accepts: k^(d-1) grows with
+        # k, so the largest accepted k per d is the case to check.
+        with pytest.raises(ValueError, match="anchors_per_dim must be >= 2"):
+            MeanShiftConfig(anchors_per_dim=1)
+        for d in range(1, MAX_ANCHORS.bit_length() + 2):
+            k = round(MAX_ANCHORS ** (1.0 / d))
+            while k**d > MAX_ANCHORS:
+                k -= 1
+            while (k + 1) ** d <= MAX_ANCHORS:
+                k += 1
+            stand_in = types.SimpleNamespace(dim=d)
+            with pytest.raises(ValueError, match="anchors_per_dim"):
+                _seed_anchors(stand_in, None, MeanShiftConfig(anchors_per_dim=k + 1))
+            if k >= 2:
+                with pytest.raises(AttributeError, match="grid"):
+                    _seed_anchors(stand_in, None, MeanShiftConfig(anchors_per_dim=k))
+                assert k ** (d - 1) <= clustering._CHUNK_TARGET // 2
+
 
 class TestPairwisePotential:
     """The per-pair kernel value as the library computes it: the density
@@ -285,8 +306,10 @@ class TestInitAnchors:
     ):
         # The grid densities come from per-axis factor tables; the shift
         # kernel sums the same weighted Gaussians at the same positions.
-        # A 90-float chunk target holds 7 but not 7^2 rows, so the first
-        # axis is looped over, two points per span.
+        # A 90-float chunk target is below the 7^2 rows of the d = 3
+        # product, which no accepted grid reaches at the real target
+        # (test_accepted_grids_fit_one_density_block); the block is still
+        # formed whole, one point per span.
         if target is not None:
             monkeypatch.setattr(clustering, "_CHUNK_TARGET", target)
         rng = np.random.default_rng(20 + d)

@@ -83,7 +83,19 @@ def all_partitions(n):
 
 def iou_matrix(pred, gt):
     """IOU per (pred, gt) instance pair, as the recall matching takes it."""
-    return _iou(_contingency(pred, gt))
+    return _iou(_contingency(pred, gt))[1:, 1:]
+
+
+def whole_table_iou(table):
+    """Segmentation covering's own IOU matrix over the whole table,
+    label 0 included: the oracle for the whole-table ``_iou``."""
+    table = table.astype(np.float64)
+    rows = table.sum(axis=1)
+    cols = table.sum(axis=0)
+    union = rows[:, None] + cols[None, :] - table
+    iou = np.zeros_like(union)
+    np.divide(table, union, out=iou, where=union > 0.0)
+    return iou
 
 
 class TestIouMatrix:
@@ -115,6 +127,20 @@ class TestIouMatrix:
     def test_grid_mismatch(self):
         with pytest.raises(ValueError, match="grids"):
             iou_matrix(seg([1, 1]), seg([1, 1, 1]))
+
+    def test_one_kernel_for_matching_and_covering(self):
+        # The whole-table IOU equals, bit for bit, both the instance IOU
+        # that the matching read and the matrix that covering built; the
+        # counts are integers, so every union is exact.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            rows, cols = rng.integers(1, 7, size=2)
+            table = rng.integers(0, 50, size=(rows, cols))
+            table[rng.uniform(size=table.shape) < 0.4] = 0  # empty segments too
+            got = _iou(table)
+            assert got.shape == table.shape
+            np.testing.assert_array_equal(got, whole_table_iou(table))
+            np.testing.assert_array_equal(got[1:, 1:], loop_iou(table))
 
 
 class TestRandIndex:
