@@ -53,11 +53,6 @@ class BenchResult:
         if self.iter_ms <= 0.0 or self.total_ms <= 0.0:
             raise ValueError("times must be > 0")
 
-    @property
-    def throughput(self) -> float:
-        """Full clustering calls per second."""
-        return 1000.0 / self.total_ms
-
 
 def _mixture_input(
     n: int, d: int, rng_seed: int
@@ -93,12 +88,12 @@ def _median_time(fn, repeats: int) -> float:
 
 def bench_clustering(
     sizes: Sequence[int] = DEFAULT_SIZES,
-    config_grid: Sequence[Tuple[int, int]] = ((10, 10),),
+    config: MeanShiftConfig = MeanShiftConfig(),
     repeats: int = 3,
     vanilla_iters: int = 1,
     rng_seed: int = 0,
 ) -> List[BenchResult]:
-    """Time both variants over problem sizes and (k, T) settings.
+    """Time both variants over problem sizes at one ``config``.
 
     ``iter_ms`` times a single exact, unweighted shift pass over all N
     points (anchors for the fast variant, every point for the baseline),
@@ -117,56 +112,50 @@ def bench_clustering(
         raise ValueError(f"vanilla_iters must be >= 1, got {vanilla_iters}")
     results: List[BenchResult] = []
     for n in sizes:
-        for k, t_iters in config_grid:
-            emb, mask = _mixture_input(n, 2, rng_seed)
-            config = MeanShiftConfig(
-                anchors_per_dim=k, bandwidth=0.5, iterations=t_iters
-            )
-            anchor_pos = _seed_anchors(emb, mask, config)[0]
-            values = emb.values
+        emb, mask = _mixture_input(n, 2, rng_seed)
+        anchor_pos = _seed_anchors(emb, mask, config)[0]
+        values = emb.values
 
-            iter_fast = _median_time(
-                lambda: _gaussian_shift(anchor_pos, values, config.bandwidth),
-                repeats,
+        iter_fast = _median_time(
+            lambda: _gaussian_shift(anchor_pos, values, config.bandwidth), repeats
+        )
+        total_fast = _median_time(lambda: cluster(emb, mask, config), repeats)
+        results.append(
+            BenchResult(
+                variant="fast",
+                n=n,
+                k=config.anchors_per_dim,
+                d=2,
+                iterations=config.iterations,
+                iter_ms=iter_fast * 1000.0,
+                total_ms=total_fast * 1000.0,
             )
-            total_fast = _median_time(lambda: cluster(emb, mask, config), repeats)
-            results.append(
-                BenchResult(
-                    variant="fast",
-                    n=n,
-                    k=k,
-                    d=2,
-                    iterations=t_iters,
-                    iter_ms=iter_fast * 1000.0,
-                    total_ms=total_fast * 1000.0,
-                )
-            )
+        )
 
-            iter_vanilla = _median_time(
-                lambda: _gaussian_shift(values, values, config.bandwidth),
-                repeats,
+        iter_vanilla = _median_time(
+            lambda: _gaussian_shift(values, values, config.bandwidth), repeats
+        )
+        total_vanilla = _median_time(
+            lambda: vanilla_mean_shift(
+                emb,
+                mask,
+                bandwidth=config.bandwidth,
+                max_iters=vanilla_iters,
+                tol=0.0,
+            ),
+            repeats,
+        )
+        results.append(
+            BenchResult(
+                variant="vanilla",
+                n=n,
+                k=config.anchors_per_dim,
+                d=2,
+                iterations=vanilla_iters,
+                iter_ms=iter_vanilla * 1000.0,
+                total_ms=total_vanilla * 1000.0,
             )
-            total_vanilla = _median_time(
-                lambda: vanilla_mean_shift(
-                    emb,
-                    mask,
-                    bandwidth=config.bandwidth,
-                    max_iters=vanilla_iters,
-                    tol=0.0,
-                ),
-                repeats,
-            )
-            results.append(
-                BenchResult(
-                    variant="vanilla",
-                    n=n,
-                    k=k,
-                    d=2,
-                    iterations=vanilla_iters,
-                    iter_ms=iter_vanilla * 1000.0,
-                    total_ms=total_vanilla * 1000.0,
-                )
-            )
+        )
     return results
 
 

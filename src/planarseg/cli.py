@@ -69,15 +69,26 @@ class UsageError(Exception):
     """Input or I/O problem: bad paths, malformed files, shape mismatch."""
 
 
-def _load_tensor(path: str) -> np.ndarray:
+def _load_tensor(path: str, name: str, form: Sequence) -> np.ndarray:
+    """The tensor at ``path``, of the ``form`` that names each axis, such as
+    ``("H", "W", "d")``: it must have one axis per entry, and an axis
+    whose entry is an int must have that size."""
     try:
-        return read_tensor(path)
+        raw = read_tensor(path)
     except FileNotFoundError as exc:
         raise UsageError(f"missing file: {path}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except TensorFormatError as exc:
         raise UsageError(str(exc)) from exc
+    if raw.ndim != len(form) or any(
+        isinstance(size, int) and size != got for size, got in zip(form, raw.shape)
+    ):
+        raise UsageError(
+            f"{name} must be a ({', '.join(map(str, form))}) tensor, "
+            f"got shape {raw.shape}"
+        )
+    return raw
 
 
 def _intrinsics_from_args(args: argparse.Namespace) -> CameraIntrinsics:
@@ -139,16 +150,8 @@ def _check_out_dir(path: str) -> None:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    emb_raw = _load_tensor(args.embeddings)
-    prob_raw = _load_tensor(args.probs)
-    if emb_raw.ndim != 3:
-        raise UsageError(
-            f"embeddings must be a (H, W, d) tensor, got shape {emb_raw.shape}"
-        )
-    if prob_raw.ndim != 2:
-        raise UsageError(
-            f"probabilities must be a (H, W) tensor, got shape {prob_raw.shape}"
-        )
+    emb_raw = _load_tensor(args.embeddings, "embeddings", ("H", "W", "d"))
+    prob_raw = _load_tensor(args.probs, "probabilities", ("H", "W"))
     if emb_raw.shape[:2] != prob_raw.shape:
         raise UsageError(
             f"grid mismatch: embeddings {emb_raw.shape[:2]} vs "
@@ -190,9 +193,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _read_segmentation(path: str) -> InstanceSegmentation:
-    raw = _load_tensor(path)
-    if raw.ndim != 2:
-        raise UsageError(f"labels must be a (H, W) tensor, got shape {raw.shape}")
+    raw = _load_tensor(path, "labels", ("H", "W"))
     if raw.dtype.kind == "f":
         if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
             raise UsageError(f"labels in {path} must be finite integers")
@@ -205,11 +206,7 @@ def _read_segmentation(path: str) -> InstanceSegmentation:
 def _cmd_eval(args: argparse.Namespace) -> int:
     pred_seg = _read_segmentation(args.pred_labels)
     gt_seg = _read_segmentation(args.gt_labels)
-    depth_raw = _load_tensor(args.gt_depth)
-    if depth_raw.ndim != 2:
-        raise UsageError(
-            f"depth must be a (H, W) tensor, got shape {depth_raw.shape}"
-        )
+    depth_raw = _load_tensor(args.gt_depth, "depth", ("H", "W"))
     if pred_seg.grid != gt_seg.grid or depth_raw.shape != (
         gt_seg.grid.height,
         gt_seg.grid.width,
@@ -218,11 +215,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     grid = gt_seg.grid
     gt_depth = DepthMap(grid, depth_raw.reshape(-1), depth_raw.reshape(-1) > 0)
     intr = _intrinsics_from_args(args)
-    params_raw = _load_tensor(args.pred_params)
-    if params_raw.ndim != 2 or params_raw.shape[1] != 3:
-        raise UsageError(
-            f"instance params must be a (C, 3) tensor, got shape {params_raw.shape}"
-        )
+    params_raw = _load_tensor(args.pred_params, "instance params", ("C", 3))
     if params_raw.shape[0] != pred_seg.n_instances:
         raise UsageError(
             f"instance params rows ({params_raw.shape[0]}) must match predicted "
@@ -340,7 +333,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError("--sizes must name at least one size")
     results = bench_clustering(
         sizes=sizes,
-        config_grid=[(args.k, args.iters)],
+        config=MeanShiftConfig(anchors_per_dim=args.k, iterations=args.iters),
         repeats=args.repeats,
         vanilla_iters=args.vanilla_iters,
         rng_seed=args.seed,

@@ -991,17 +991,6 @@ def _shift_anchors(
     return origin + scale * seeds, densities / scale
 
 
-def _anchor_modes(
-    embeddings: EmbeddingMap, mask: PlanarMask, config: MeanShiftConfig
-) -> Tuple[np.ndarray, tuple]:
-    """Seed the anchors, then shift them T times against the moment cells
-    of the bins (:func:`_shift_anchors`): (modes, bins), with the bins of
-    :func:`_seed_anchors`, which label the pixels later."""
-    anchors, bins = _seed_anchors(embeddings, mask, config)
-    modes, _ = _shift_anchors(anchors, bins, config, config.iterations)
-    return modes, bins
-
-
 def cluster(
     embeddings: EmbeddingMap,
     mask: PlanarMask,
@@ -1018,7 +1007,8 @@ def cluster(
     must lie within the bound of :func:`_masked_columns` (about 4.7e153
     at d = 2), which is checked before any kernel runs.
     """
-    modes, bins = _anchor_modes(embeddings, mask, config)
+    anchors, bins = _seed_anchors(embeddings, mask, config)
+    modes, _ = _shift_anchors(anchors, bins, config, config.iterations)
     clusters = _merge_points(modes, config.bandwidth)
     labels = partial(_binned_labels, bins, BIN_SIDE * config.bandwidth)
     assignment = _assignment(embeddings, mask, clusters, labels)

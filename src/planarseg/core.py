@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-9
 REPORT_TOL = 1e-12
+EPS_PLANE = 1e-6
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -42,6 +43,28 @@ def _frozen(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
+
+
+def _check_plane_rows(rows: np.ndarray) -> None:
+    """The one rule for plane vectors n (n . Q = 1), over the last axis of
+    one row or a (C, 3) table: finite entries, a finite norm, and a norm
+    of at least ``EPS_PLANE``. A norm that overflows is rejected, since
+    its unit normal would be all zeros, at angle 0 to every plane.
+
+    Accepted rows cost one norm pass and one test: a norm in
+    [EPS_PLANE, inf) implies finite entries, and a NaN fails both bounds.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(rows, rows))
+    ok = norms >= EPS_PLANE
+    ok &= norms < np.inf
+    if ok.all():
+        return
+    if not np.isfinite(rows).all():
+        raise ValueError("plane vector must be finite")
+    if (norms == np.inf).any():
+        raise ValueError("plane vector norm must be finite")
+    raise ValueError(f"plane vector norm below {EPS_PLANE}")
 
 
 def _frozen_fields(cls, **fields):
@@ -144,10 +167,6 @@ class PlanarMask:
     @property
     def foreground_count(self) -> int:
         return int(self.mask.sum())
-
-    @property
-    def background_count(self) -> int:
-        return self.grid.n_pixels - self.foreground_count
 
 
 @dataclass(frozen=True)
@@ -350,16 +369,40 @@ class PlaneInstanceParams:
         params = _frozen(self.params, np.float64)
         if params.ndim != 2 or params.shape[1] != 3:
             raise ValueError(f"params must have shape (C, 3), got {params.shape}")
-        if not np.all(np.isfinite(params)):
-            raise ValueError("instance params must be finite")
-        norms = np.linalg.norm(params, axis=1)
-        if params.shape[0] and norms.min() <= 1e-6:
-            raise ValueError("instance param norm must exceed 1e-6")
+        _check_plane_rows(params)
         object.__setattr__(self, "params", params)
 
     @property
     def clusters(self) -> int:
         return self.params.shape[0]
+
+
+def _init_masked_map(
+    owner, field: str, shape: Tuple[int, ...], message: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The shared constructor body of :class:`DepthMap` and
+    :class:`PointMap`: copy ``owner.<field>`` to float64 and its
+    validity (all-valid by default) to bool, check both shapes, zero the
+    invalid entries, raise ``message`` unless every value is then
+    finite, and set both on ``owner``, frozen. Returns them, for the
+    caller's own checks."""
+    values = np.array(getattr(owner, field), dtype=np.float64, copy=True)
+    if values.shape != shape:
+        raise ValueError(f"{field} must have shape {shape}, got {values.shape}")
+    if owner.validity is None:
+        validity = np.ones(shape[0], dtype=bool)
+    else:
+        validity = np.array(owner.validity, dtype=bool, copy=True)
+    if validity.shape != shape[:1]:
+        raise ValueError("validity shape must match pixel count")
+    values[~validity] = 0.0  # only valid entries can fail the checks now
+    if not np.isfinite(values).all():
+        raise ValueError(message)
+    values.flags.writeable = False
+    validity.flags.writeable = False
+    object.__setattr__(owner, field, values)
+    object.__setattr__(owner, "validity", validity)
+    return values, validity
 
 
 @dataclass(frozen=True)
@@ -375,24 +418,11 @@ class DepthMap:
     validity: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        depth = np.array(self.depth, dtype=np.float64, copy=True)
-        if depth.shape != (self.grid.n_pixels,):
-            raise ValueError(
-                f"depth must have shape ({self.grid.n_pixels},), got {depth.shape}"
-            )
-        if self.validity is None:
-            validity = np.ones(self.grid.n_pixels, dtype=bool)
-        else:
-            validity = np.array(self.validity, dtype=bool, copy=True)
-        if validity.shape != depth.shape:
-            raise ValueError("validity shape must match depth shape")
-        depth[~validity] = 0.0  # only valid entries can fail the checks now
-        if not np.isfinite(depth).all() or np.any((depth <= 0.0) & validity):
-            raise ValueError("valid depths must be finite and > 0")
-        depth.flags.writeable = False
-        validity.flags.writeable = False
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "validity", validity)
+        message = "valid depths must be finite and > 0"
+        shape = (self.grid.n_pixels,)
+        depth, validity = _init_masked_map(self, "depth", shape, message)
+        if np.any((depth <= 0.0) & validity):
+            raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -424,24 +454,8 @@ class PointMap:
     validity: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        points = np.array(self.points, dtype=np.float64, copy=True)
-        if points.shape != (self.grid.n_pixels, 3):
-            raise ValueError(
-                f"points must have shape ({self.grid.n_pixels}, 3), got {points.shape}"
-            )
-        if self.validity is None:
-            validity = np.ones(self.grid.n_pixels, dtype=bool)
-        else:
-            validity = np.array(self.validity, dtype=bool, copy=True)
-        if validity.shape != (self.grid.n_pixels,):
-            raise ValueError("validity shape must match pixel count")
-        points[~validity] = 0.0
-        if not np.isfinite(points).all():  # only valid rows can be non-finite now
-            raise ValueError("valid points must be finite")
-        points.flags.writeable = False
-        validity.flags.writeable = False
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "validity", validity)
+        shape = (self.grid.n_pixels, 3)
+        _init_masked_map(self, "points", shape, "valid points must be finite")
 
 
 @dataclass(frozen=True)

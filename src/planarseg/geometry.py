@@ -15,6 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .core import (
+    EPS_PLANE,
     CameraIntrinsics,
     DepthMap,
     ImageGrid,
@@ -23,6 +24,7 @@ from .core import (
     PlaneInstanceParams,
     PointMap,
     SoftAssignment,
+    _check_plane_rows,
     _frozen,
     _frozen_fields,
 )
@@ -39,7 +41,6 @@ __all__ = [
     "normal_angle",
 ]
 
-EPS_PLANE = 1e-6
 EPS_RAY = 1e-8
 
 
@@ -51,14 +52,7 @@ class Plane:
 
     def __post_init__(self) -> None:
         n = _frozen(self.n, np.float64).reshape(3)
-        if not np.all(np.isfinite(n)):
-            raise ValueError("plane vector must be finite")
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(n)
-        if norm == np.inf:  # its unit normal would be all zeros
-            raise ValueError("plane vector norm must be finite")
-        if norm < EPS_PLANE:
-            raise ValueError(f"plane vector norm below {EPS_PLANE}")
+        _check_plane_rows(n)
         object.__setattr__(self, "n", n)
 
     @property

@@ -62,6 +62,15 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - numeric)) / scale
 
 
+def _off_kink_draw(draw: Callable, off_kink: Callable, what: str):
+    """The first of up to 1000 calls of ``draw`` that ``off_kink`` accepts."""
+    for _ in range(1000):
+        sample = draw()
+        if off_kink(sample):
+            return sample
+    raise RuntimeError(f"could not sample an off-kink {what} configuration")
+
+
 def _random_segmentation(
     rng: np.random.Generator, grid: ImageGrid, n_instances: int
 ) -> InstanceSegmentation:
@@ -89,19 +98,17 @@ def _check_pull(rng: np.random.Generator, h: float) -> float:
     grid = ImageGrid(3, 4)
     margins = Margins()
     seg = _random_segmentation(rng, grid, 3)
-    for _ in range(1000):
-        x = rng.normal(0.0, 2.0, size=(grid.n_pixels, 2))
-        emb = EmbeddingMap(grid, x)
-        if _pull_off_kink(emb, seg, margins):
-            break
-    else:
-        raise RuntimeError("could not sample an off-kink pull configuration")
+    emb = _off_kink_draw(
+        lambda: EmbeddingMap(grid, rng.normal(0.0, 2.0, size=(grid.n_pixels, 2))),
+        lambda e: _pull_off_kink(e, seg, margins),
+        "pull",
+    )
     _, grad = pull_loss(emb, seg, margins)
 
     def value(v: np.ndarray) -> float:
         return pull_loss(EmbeddingMap(grid, v), seg, margins)[0]
 
-    return _rel_err(grad, central_difference(value, x, h))
+    return _rel_err(grad, central_difference(value, emb.values, h))
 
 
 def _pull_off_kink(
@@ -121,19 +128,17 @@ def _check_push(rng: np.random.Generator, h: float) -> float:
     grid = ImageGrid(3, 4)
     margins = Margins()
     seg = _random_segmentation(rng, grid, 3)
-    for _ in range(1000):
-        x = rng.normal(0.0, 1.0, size=(grid.n_pixels, 2))
-        emb = EmbeddingMap(grid, x)
-        if _push_off_kink(emb, seg, margins):
-            break
-    else:
-        raise RuntimeError("could not sample an off-kink push configuration")
+    emb = _off_kink_draw(
+        lambda: EmbeddingMap(grid, rng.normal(0.0, 1.0, size=(grid.n_pixels, 2))),
+        lambda e: _push_off_kink(e, seg, margins),
+        "push",
+    )
     _, grad = push_loss(emb, seg, margins)
 
     def value(v: np.ndarray) -> float:
         return push_loss(EmbeddingMap(grid, v), seg, margins)[0]
 
-    return _rel_err(grad, central_difference(value, x, h))
+    return _rel_err(grad, central_difference(value, emb.values, h))
 
 
 def _push_off_kink(
@@ -156,13 +161,11 @@ def _check_pixel_param(rng: np.random.Generator, h: float) -> float:
     mask_arr[0] = True
     mask = PlanarMask(grid, mask_arr)
     gt = PixelPlaneParams(grid, rng.normal(size=(grid.n_pixels, 3)))
-    for _ in range(1000):
-        pred_arr = gt.params + rng.normal(0.0, 1.0, size=(grid.n_pixels, 3))
-        gaps = np.linalg.norm(pred_arr - gt.params, axis=1)
-        if gaps[mask_arr].min() > KINK_MARGIN:
-            break
-    else:
-        raise RuntimeError("could not sample an off-kink parameter configuration")
+    pred_arr = _off_kink_draw(
+        lambda: gt.params + rng.normal(0.0, 1.0, size=(grid.n_pixels, 3)),
+        lambda v: np.linalg.norm(v - gt.params, axis=1)[mask_arr].min() > KINK_MARGIN,
+        "parameter",
+    )
     _, grad = pixel_param_loss(PixelPlaneParams(grid, pred_arr), gt, mask)
 
     def value(v: np.ndarray) -> float:
@@ -180,15 +183,12 @@ def _check_instance_param(rng: np.random.Generator, h: float) -> float:
     points = PointMap(
         grid, rng.uniform(0.5, 3.0, size=(grid.n_pixels, 3))
     )
-    for _ in range(1000):
-        params = rng.normal(0.0, 0.7, size=(n_clusters, 3))
-        if np.linalg.norm(params, axis=1).min() <= 1e-2:
-            continue
-        residual = points.points @ params.T - 1.0
-        if np.abs(residual).min() > KINK_MARGIN:
-            break
-    else:
-        raise RuntimeError("could not sample an off-kink residual configuration")
+    params = _off_kink_draw(
+        lambda: rng.normal(0.0, 0.7, size=(n_clusters, 3)),
+        lambda v: np.linalg.norm(v, axis=1).min() > 1e-2
+        and np.abs(points.points @ v.T - 1.0).min() > KINK_MARGIN,
+        "residual",
+    )
     _, grad = instance_param_loss(PlaneInstanceParams(params), assignment, points)
 
     def value(v: np.ndarray) -> float:

@@ -47,7 +47,7 @@ from .core import (
     PointMap,
     _frozen_fields,
 )
-from .geometry import Plane, _ray_directions, backproject
+from .geometry import Plane, _instance_normals, _ray_directions, backproject
 
 __all__ = [
     "SceneSpec",
@@ -184,7 +184,8 @@ def _sample_cell_plane(
         normal[2] = abs(normal[2]) + 1.0
         normal /= np.linalg.norm(normal)
         z0 = rng.uniform(lo + margin, hi - margin)
-        offset = float(normal @ (anchor_ray * z0))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails below
+            offset = float(normal @ (anchor_ray * z0))
         if offset <= 1e-3:
             continue
         n = normal / offset
@@ -288,7 +289,7 @@ def generate_pixel_params(
         )
     rng = np.random.default_rng(seed)
     labels = scene.segmentation.labels
-    truth = np.vstack([np.zeros(3)] + [p.n for p in scene.planes])
+    truth = _instance_normals(scene.segmentation, scene.planes)
     params = truth.take(labels, axis=0)
     if param_noise_sigma > 0.0:
         planar = np.flatnonzero(labels)

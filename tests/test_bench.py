@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from planarseg import MeanShiftConfig
 from planarseg.bench import (
     DEFAULT_SIZES,
     BenchResult,
@@ -15,10 +16,6 @@ from planarseg.bench import (
 
 
 class TestBenchResult:
-    def test_throughput(self):
-        r = BenchResult("fast", 100, 10, 2, 10, 1.0, 200.0)
-        assert r.throughput == pytest.approx(5.0)
-
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError, match="times"):
             BenchResult("fast", 100, 10, 2, 10, 0.0, 1.0)
@@ -48,18 +45,15 @@ class TestBenchClustering:
             assert r.k == 10
             assert r.d == 2
 
-    def test_config_grid_expands(self):
+    def test_config_sets_k_and_iterations(self):
+        config = MeanShiftConfig(anchors_per_dim=5, iterations=3)
         results = bench_clustering(
-            sizes=(256,), config_grid=((5, 3), (8, 2)), repeats=3
+            sizes=(256,), config=config, repeats=3, vanilla_iters=2
         )
-        assert [(r.variant, r.k) for r in results] == [
-            ("fast", 5),
-            ("vanilla", 5),
-            ("fast", 8),
-            ("vanilla", 8),
+        assert [(r.variant, r.k, r.iterations) for r in results] == [
+            ("fast", 5, 3),
+            ("vanilla", 5, 2),
         ]
-        fast = [r for r in results if r.variant == "fast"]
-        assert [r.iterations for r in fast] == [3, 2]
 
     def test_repeats_floor(self):
         with pytest.raises(ValueError, match="repeats"):

@@ -236,6 +236,8 @@ class TestSynthFuzz:
             (["--depth-max=inf"], 1, "error: depth_range must be finite"),
             # Rays so far off axis that their mean overflows.
             (["--cx=1e308"], 1, "error: could not satisfy depth_range"),
+            # Rays whose plane offsets sum to inf - inf, a NaN offset.
+            (["--cx=1e308", "--cy=1e308"], 1, "error: could not satisfy depth_range"),
             # exp overflows on the far side of the logit noise; 1/(1+inf) = 0.
             (["--flip-rate=0.4999999999"], 0, ""),
             # 1 - rate rounds to 1, where the normal quantile is undefined.
@@ -297,6 +299,31 @@ class TestClusterCommand:
         )
         assert code == 2
         assert "(H, W, d)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "which, shape, message",
+        [
+            ("embeddings", (16, 24), "embeddings must be a (H, W, d) tensor"),
+            ("probs", (16, 24, 1), "probabilities must be a (H, W) tensor"),
+        ],
+    )
+    def test_wrong_rank_inputs_name_the_form(
+        self, tmp_path, capsys, which, shape, message
+    ):
+        scene = run_synth(tmp_path)
+        write_tensor(scene / f"{which}.pten", np.full(shape, 0.5))
+        out = tmp_path / "pred"
+        code = main(
+            [
+                "cluster",
+                str(scene / "embeddings.pten"),
+                str(scene / "probs.pten"),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}, got shape {shape}\n"
+        assert not out.exists()
 
     def test_grid_mismatch_exits_two(self, tmp_path, capsys):
         scene = run_synth(tmp_path)
@@ -894,6 +921,29 @@ class TestEvalCommand:
         assert main(self.eval_args(scene, as_float, pred_labels=pred_labels)) == 0
         for name in ("metrics.json", "recall_depth.csv", "recall_normal.csv"):
             assert (as_float / name).read_bytes() == (as_int / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, shape, message",
+        [
+            ("--pred-labels", (16, 24, 1), "labels must be a (H, W) tensor"),
+            ("--gt-labels", (384,), "labels must be a (H, W) tensor"),
+            ("--gt-depth", (16, 24, 1), "depth must be a (H, W) tensor"),
+            ("--pred-params", (3,), "instance params must be a (C, 3) tensor"),
+            ("--pred-params", (3, 4), "instance params must be a (C, 3) tensor"),
+        ],
+    )
+    def test_wrong_rank_inputs_name_the_form(
+        self, tmp_path, capsys, flag, shape, message
+    ):
+        scene = run_synth(tmp_path)
+        bad = tmp_path / "bad.pten"
+        write_tensor(bad, np.ones(shape))
+        out = tmp_path / "eval"
+        args = self.eval_args(scene, out)
+        args[args.index(flag) + 1] = str(bad)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}, got shape {shape}\n"
+        assert not out.exists()
 
     def test_grid_mismatch_exits_two(self, tmp_path, capsys):
         scene = run_synth(tmp_path)

@@ -28,7 +28,6 @@ from planarseg.clustering import (
 )
 from planarseg.clustering import (
     _anchor_grid,
-    _anchor_modes,
     _assign_span,
     _bin_points,
     _binned_labels,
@@ -348,8 +347,8 @@ class TestInitAnchors:
 
 
 class TestShiftAnchors:
-    """One binned shift step (:func:`shift_once`) and the shift loop of
-    :func:`_anchor_modes`."""
+    """One binned shift step (:func:`shift_once`) and the T-step shift loop
+    that :func:`cluster` runs after :func:`_seed_anchors`."""
 
     def test_single_point_fixed_point(self):
         emb, mask = embedding_fixture([[3.0, -2.0]])
@@ -394,8 +393,8 @@ class TestShiftAnchors:
         # merge into the same clusters.
         emb, mask = embedding_fixture(four_blob_mixture())
         config = MeanShiftConfig(bandwidth=0.5)
-        anchors, bins = clustering._seed_anchors(emb, mask, config)
-        modes, _ = _anchor_modes(emb, mask, config)
+        anchors, bins = _seed_anchors(emb, mask, config)
+        modes, _ = _shift_anchors(anchors, bins, config, config.iterations)
         oracle, _ = fine_bin_shifts(anchors, *bins[1:3], 0.5, steps=config.iterations)
         assert np.abs(modes - oracle).max() <= (4 * BIN_SIDE) ** 3 * 0.5 / 50.0
         merged, expected = _merge_points(modes, 0.5), _merge_points(oracle, 0.5)
@@ -412,7 +411,9 @@ class TestShiftAnchors:
         emb, mask = embedding_fixture(values)
         for iterations in (1, 2, 3):
             config = MeanShiftConfig(anchors_per_dim=4, bandwidth=1.0, iterations=iterations)
-            anchors, _ = _anchor_modes(emb, mask, config)
+            anchors, _ = _shift_anchors(
+                *_seed_anchors(emb, mask, config), config, config.iterations
+            )
             assert np.all(anchors >= values.min(axis=0) - 1e-12)
             assert np.all(anchors <= values.max(axis=0) + 1e-12)
 

@@ -66,7 +66,6 @@ class TestProbabilityAndMask:
     def test_mask_counts(self):
         mask = PlanarMask(GRID, np.array([1, 1, 0, 0, 0, 1], dtype=bool))
         assert mask.foreground_count == 3
-        assert mask.background_count == 3
 
 
 class TestInstanceSegmentation:

@@ -1,5 +1,7 @@
 """Plane geometry: backprojection, rendering, pooling, fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,12 @@ from planarseg.core import (
     ImageGrid,
     InstanceSegmentation,
     PixelPlaneParams,
+    PlaneInstanceParams,
     PointMap,
     SoftAssignment,
 )
 from planarseg.geometry import (
+    EPS_PLANE,
     EPS_RAY,
     Plane,
     _ray_directions,
@@ -60,6 +64,34 @@ class TestPlane:
         # Its unit normal would be all zeros, at angle 0 to every plane.
         with pytest.raises(ValueError, match="norm must be finite"):
             Plane(row)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.0, 0.0, 0.5], None),
+            ([EPS_PLANE, 0.0, 0.0], None),
+            ([0.0, -EPS_PLANE, 0.0], None),
+            ([0.0, 0.0, 1e-7], "plane vector norm below 1e-06"),
+            ([0.0, 0.0, 0.0], "plane vector norm below 1e-06"),
+            ([1e300, 0.0, 0.7], "plane vector norm must be finite"),
+            ([1e154, 1e154, 1e154], "plane vector norm must be finite"),
+            ([np.nan, 0.0, 0.5], "plane vector must be finite"),
+            ([0.0, -np.inf, 0.5], "plane vector must be finite"),
+        ],
+    )
+    def test_instance_params_keep_the_plane_row_rule(self, row, message):
+        # One rule for a plane and for each row of a (C, 3) table: the
+        # same rows pass, and each rejection is one ValueError, no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (Plane, lambda r: PlaneInstanceParams([[0.0, 0.0, 1.0], r])):
+                if message is None:
+                    build(row)
+                    continue
+                with pytest.raises(ValueError) as caught:
+                    build(row)
+                assert str(caught.value) == message
+            assert PlaneInstanceParams(np.zeros((0, 3))).clusters == 0
 
 
 class TestBackproject:
