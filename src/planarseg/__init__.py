@@ -54,8 +54,10 @@ from .losses import (
 from .gradcheck import GradCheckResult, run_gradient_checks
 from .metrics import (
     DepthMetrics,
+    Evaluation,
     RecallCurve,
     depth_metrics,
+    evaluate,
     plane_count_histogram,
     rand_index,
     recall_depth,
@@ -117,8 +119,10 @@ __all__ = [
     "GradCheckResult",
     "run_gradient_checks",
     "DepthMetrics",
+    "Evaluation",
     "RecallCurve",
     "depth_metrics",
+    "evaluate",
     "plane_count_histogram",
     "rand_index",
     "recall_depth",

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,23 +32,8 @@ from .core import (
     PlanarProbabilityMap,
 )
 from .gradcheck import run_gradient_checks
-from .geometry import (
-    Plane,
-    backproject,
-    fit_plane_lsq,
-    render_segment_depth,
-)
-from .metrics import (
-    depth_metrics,
-    metrics_to_json,
-    plane_count_histogram,
-    rand_index,
-    recall_curve_to_csv,
-    recall_depth,
-    recall_normal,
-    segmentation_covering,
-    variation_of_information,
-)
+from .geometry import Plane
+from .metrics import evaluate, metrics_to_json, recall_curve_to_csv
 from .synth import (
     EmbeddingNoiseSpec,
     SceneSpec,
@@ -92,6 +77,12 @@ def _load_tensor(path: str, name: str, form: Sequence) -> np.ndarray:
 
 
 def _intrinsics_from_args(args: argparse.Namespace) -> CameraIntrinsics:
+    given = [f"--{f}" for f in ("fx", "fy", "cx", "cy") if getattr(args, f) is not None]
+    if args.intrinsics is not None and given:
+        raise UsageError(
+            f"pass either --intrinsics FILE or --fx --fy --cx --cy, not both "
+            f"(got --intrinsics and {' '.join(given)})"
+        )
     if args.intrinsics is not None:
         try:
             raw = json.loads(Path(args.intrinsics).read_text())
@@ -113,8 +104,7 @@ def _intrinsics_from_args(args: argparse.Namespace) -> CameraIntrinsics:
             raise UsageError(
                 f"intrinsics file must supply numeric fx, fy, cx, cy: {exc}"
             ) from exc
-    missing = [f for f in ("fx", "fy", "cx", "cy") if getattr(args, f) is None]
-    if missing:
+    if len(given) < 4:
         raise UsageError(
             "camera intrinsics required: pass --intrinsics FILE or all of "
             "--fx --fy --cx --cy"
@@ -131,6 +121,18 @@ def _out_dir(path: str) -> Path:
     if not os.access(out, os.W_OK):
         raise UsageError(f"output directory not writable: {path}")
     return out
+
+
+def _write(path: Union[str, Path], content: Union[str, np.ndarray]) -> None:
+    """Write ``content`` to ``path``: a string as text, an array as a
+    ``.pten`` tensor. A failed write is a usage error that names the path."""
+    try:
+        if isinstance(content, str):
+            Path(path).write_text(content)
+        else:
+            write_tensor(path, content)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _check_out_dir(path: str) -> None:
@@ -174,11 +176,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     labels = hard_labels(assignment)
     weights = assignment.weights
     out = _out_dir(args.out)
-    write_tensor(
+    _write(
         out / "labels.pten",
         labels.labels.reshape(grid.height, grid.width).astype(np.int32),
     )
-    write_tensor(out / "assignment.pten", weights.reshape(grid.height, grid.width, -1))
+    _write(out / "assignment.pten", weights.reshape(grid.height, grid.width, -1))
     summary = {
         "cluster_count": len(clusters),
         "iterations": config.iterations,
@@ -187,7 +189,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         "bandwidth": config.bandwidth,
         "tau": config.density_fraction,
     }
-    (out / "summary.json").write_text(metrics_to_json(summary) + "\n")
+    _write(out / "summary.json", metrics_to_json(summary) + "\n")
     print(f"clusters: {len(clusters)}  outputs: {out}")
     return 0
 
@@ -222,32 +224,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"instance count ({pred_seg.n_instances})"
         )
     pred_planes = [Plane(row) for row in params_raw]
-    gt_points = backproject(gt_depth, intr)
-    gt_planes = []
-    for idx in range(1, gt_seg.n_instances + 1):
-        members = np.nonzero(gt_seg.labels == idx)[0]  # the fit drops invalid ones
-        try:
-            plane, _ = fit_plane_lsq(gt_points, members)
-        except ValueError as exc:
-            raise ValueError(f"reference segment {idx}: {exc}") from exc
-        gt_planes.append(plane)
-
-    depth_curve = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, intr)
-    normal_curve = recall_normal(pred_seg, pred_planes, gt_seg, gt_planes)
-    pred_depth = render_segment_depth(pred_seg, pred_planes, intr)
+    _check_out_dir(args.out)  # before the evaluation; created once it succeeds
+    result = evaluate(pred_seg, pred_planes, gt_seg, gt_depth, intr)
     record = {
-        "rand_index": rand_index(pred_seg, gt_seg),
-        "variation_of_information": variation_of_information(pred_seg, gt_seg),
-        "segmentation_covering": segmentation_covering(gt_seg, pred_seg),
-        "depth_metrics": depth_metrics(pred_depth, gt_depth).as_dict(),
-        "plane_count_histogram": {
-            str(k): v for k, v in sorted(plane_count_histogram([pred_seg]).items())
-        },
+        "rand_index": result.rand_index,
+        "variation_of_information": result.variation_of_information,
+        "segmentation_covering": result.segmentation_covering,
+        "depth_metrics": result.depth.as_dict(),
+        "plane_count_histogram": {str(result.plane_count): 1},
     }
     out = _out_dir(args.out)
-    (out / "metrics.json").write_text(metrics_to_json(record) + "\n")
-    (out / "recall_depth.csv").write_text(recall_curve_to_csv(depth_curve))
-    (out / "recall_normal.csv").write_text(recall_curve_to_csv(normal_curve))
+    _write(out / "metrics.json", metrics_to_json(record) + "\n")
+    _write(out / "recall_depth.csv", recall_curve_to_csv(result.recall_depth))
+    _write(out / "recall_normal.csv", recall_curve_to_csv(result.recall_normal))
     print(
         f"RI {record['rand_index']:.4f}  "
         f"VI {record['variation_of_information']:.4f}  "
@@ -272,6 +261,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         depth_range=(args.depth_min, args.depth_max),
         seed=args.seed,
     )
+    _check_out_dir(args.out)  # before the generation; created once it succeeds
     scene = generate_scene(spec)
     noise = EmbeddingNoiseSpec(sigma=args.sigma, seed=args.seed)
     embeddings = generate_embeddings(scene, noise, dim=args.dim)
@@ -279,14 +269,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     probs = corrupt_probability(scene, args.flip_rate, seed=args.seed)
     out = _out_dir(args.out)
     h, w = grid.height, grid.width
-    write_tensor(
+    _write(
         out / "segmentation.pten",
         scene.segmentation.labels.reshape(h, w).astype(np.int32),
     )
-    write_tensor(out / "depth.pten", scene.depth.depth.reshape(h, w))
-    write_tensor(out / "embeddings.pten", embeddings.values.reshape(h, w, -1))
-    write_tensor(out / "params.pten", params.params.reshape(h, w, 3))
-    write_tensor(out / "probs.pten", probs.probs.reshape(h, w))
+    _write(out / "depth.pten", scene.depth.depth.reshape(h, w))
+    _write(out / "embeddings.pten", embeddings.values.reshape(h, w, -1))
+    _write(out / "params.pten", params.params.reshape(h, w, 3))
+    _write(out / "probs.pten", probs.probs.reshape(h, w))
     manifest = {
         "spec": {
             "height": h,
@@ -306,7 +296,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         "flip_rate": args.flip_rate,
         "planes": [list(p.n) for p in scene.planes],
     }
-    (out / "manifest.json").write_text(metrics_to_json(manifest) + "\n")
+    _write(out / "manifest.json", metrics_to_json(manifest) + "\n")
     print(f"scene with {spec.plane_count} planes written to {out}")
     return 0
 
@@ -342,10 +332,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc}") from exc
+        _write(args.out, text)
         print(f"wrote {args.out}")
     return 0
 
@@ -436,6 +423,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return COMPUTE_ERROR
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return COMPUTE_ERROR
 
 

@@ -6,6 +6,9 @@ label 0 counting as one more segment. Recall curves match predicted
 instances to reference instances by IOU > 0.5 and then apply a
 per-threshold geometric test (mean depth difference or normal angle).
 Depth metrics follow the standard monocular evaluation set.
+:func:`evaluate` scores one image under the whole protocol in one pass;
+each per-metric function is a thin wrapper over the same table-level
+kernel that it calls.
 """
 
 from __future__ import annotations
@@ -14,16 +17,24 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .core import CameraIntrinsics, DepthMap, InstanceSegmentation, _frozen
-from .geometry import Plane, _instance_normals, _normal_angles, _render_arrays
+from .geometry import (
+    Plane,
+    _instance_normals,
+    _normal_angles,
+    _render_arrays,
+    backproject,
+    fit_plane_lsq,
+)
 
 __all__ = [
     "RecallCurve",
     "DepthMetrics",
+    "Evaluation",
     "DEPTH_THRESHOLDS",
     "NORMAL_THRESHOLDS",
     "recall_depth",
@@ -32,6 +43,7 @@ __all__ = [
     "variation_of_information",
     "segmentation_covering",
     "depth_metrics",
+    "evaluate",
     "plane_count_histogram",
     "recall_curve_to_csv",
     "metrics_to_json",
@@ -86,25 +98,33 @@ class DepthMetrics:
         return asdict(self)
 
 
-def _pair_key(
+@dataclass(frozen=True)
+class Evaluation:
+    """One image's scores from :func:`evaluate`: both recall curves at
+    the default thresholds, the partition metrics of (prediction,
+    reference), the depth errors and the predicted instances present."""
+
+    recall_depth: RecallCurve
+    recall_normal: RecallCurve
+    rand_index: float
+    variation_of_information: float
+    segmentation_covering: float
+    depth: DepthMetrics
+    plane_count: int
+
+
+def _contingency(
     a: InstanceSegmentation, b: InstanceSegmentation
-) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Each pixel's flat label-pair key ``a·cols + b``, built in place,
-    with the (rows, cols) shape of the table it indexes."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) table of pixel counts per label pair, label 0 in
+    row and column 0, and each pixel's flat pair key ``a·cols + b`` that
+    indexes it, built in place."""
     if a.grid != b.grid:
         raise ValueError("segmentation grids must match")
     shape = (a.n_instances + 1, b.n_instances + 1)
     key = np.multiply(a.labels, shape[1])
     key += b.labels
-    return key, shape
-
-
-def _contingency(
-    a: InstanceSegmentation, b: InstanceSegmentation
-) -> np.ndarray:
-    """Pixel counts per label pair, including label 0 in row/column 0."""
-    key, shape = _pair_key(a, b)
-    return np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape)
+    return np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape), key
 
 
 def _iou(table: np.ndarray) -> np.ndarray:
@@ -163,6 +183,40 @@ def _recall_curve(
     return RecallCurve(thresholds, plane, pixel)
 
 
+def _depth_errors(
+    table: np.ndarray,
+    key: np.ndarray,
+    matched: Tuple[np.ndarray, np.ndarray],
+    depth: np.ndarray,
+    validity: np.ndarray,
+    gt: DepthMap,
+) -> np.ndarray:
+    """Mean absolute depth difference of each matched pair over its
+    jointly valid pixels, NaN for a pair with none.
+
+    ``depth`` and ``validity`` are the prediction's rendered arrays,
+    which become ``|depth − gt|·both`` and then its complement in place,
+    where ``both`` marks the jointly valid pixels. One weighted bincount
+    over the pair keys of the full grid gives each pair's error sum; the
+    other pixels add +0.0 terms, which leave every sum as the sum over
+    the jointly valid pixels alone. The jointly valid count per pair is
+    the table less a bincount over the keys of the other pixels, in
+    exact integers. The cost is O(N) whatever the plane count.
+    """
+    both = np.logical_and(validity, gt.validity, out=validity)
+    np.subtract(depth, gt.depth, out=depth)
+    np.abs(depth, out=depth)
+    depth *= both
+    gt_ids, pred_ids = matched
+    sums = np.bincount(key, depth, minlength=table.size).reshape(table.shape)
+    apart = key.take(np.flatnonzero(np.logical_not(both, out=both)))
+    counts = table - np.bincount(apart, minlength=table.size).reshape(table.shape)
+    counts = counts[pred_ids, gt_ids]
+    scores = np.full(gt_ids.size, np.nan)
+    np.divide(sums[pred_ids, gt_ids], counts, out=scores, where=counts > 0)
+    return scores
+
+
 def recall_depth(
     pred_seg: InstanceSegmentation,
     pred_planes: Sequence[Plane],
@@ -180,34 +234,17 @@ def recall_depth(
     pixel gets no score.
 
     The predicted depth is rendered once over all predicted labels, and
-    ``|depth − gt|·both`` is formed in the render's own buffers, where
-    ``both`` marks the jointly valid pixels. The render comes first, so
-    its scratch buffer is freed before the pair key is made. One pair
-    key serves the contingency table and one weighted bincount over the
-    full grid: per pair, the error sum. The other pixels add +0.0 terms,
-    which leave every sum as the sum over the jointly valid pixels alone.
-    The jointly valid count per pair is the table less a bincount over
-    the keys of the other pixels, in exact integers. The cost is O(N)
-    whatever the plane count.
+    :func:`_depth_errors` scores the pairs in the render's own buffers.
+    The render comes first, so its scratch buffer is freed before the
+    pair key is made.
     """
     if pred_seg.grid != gt_seg.grid or gt_seg.grid != gt_depth.grid:
         raise ValueError("prediction, reference, and depth grids must match")
     normals = _instance_normals(pred_seg, pred_planes)
-    error, both = _render_arrays(pred_seg.grid, intr, pred_seg.labels, normals)
-    np.logical_and(both, gt_depth.validity, out=both)
-    np.subtract(error, gt_depth.depth, out=error)
-    np.abs(error, out=error)
-    error *= both
-    key, shape = _pair_key(pred_seg, gt_seg)
-    size = shape[0] * shape[1]
-    table = np.bincount(key, minlength=size).reshape(shape)
-    gt, pred = matched = _match_instances(table)
-    sums = np.bincount(key, error, minlength=size).reshape(shape)[pred, gt]
-    apart = key.take(np.flatnonzero(np.logical_not(both, out=both)))
-    counts = table - np.bincount(apart, minlength=size).reshape(shape)
-    counts = counts[pred, gt]
-    scores = np.full(gt.size, np.nan)
-    np.divide(sums, counts, out=scores, where=counts > 0)
+    depth, validity = _render_arrays(pred_seg.grid, intr, pred_seg.labels, normals)
+    table, key = _contingency(pred_seg, gt_seg)
+    matched = _match_instances(table)
+    scores = _depth_errors(table, key, matched, depth, validity, gt_depth)
     return _recall_curve(table, matched, scores, thresholds)
 
 
@@ -227,18 +264,14 @@ def recall_normal(
         raise ValueError("prediction and reference grids must match")
     pred_n = _instance_normals(pred_seg, pred_planes)
     gt_n = _instance_normals(gt_seg, gt_planes)
-    table = _contingency(pred_seg, gt_seg)
+    table, _ = _contingency(pred_seg, gt_seg)
     gt, pred = matched = _match_instances(table)
     scores = _normal_angles(pred_n[pred], gt_n[gt])
     return _recall_curve(table, matched, scores, thresholds)
 
 
-def rand_index(a: InstanceSegmentation, b: InstanceSegmentation) -> float:
-    """Fraction of pixel pairs on which the two partitions agree.
-
-    Label 0 participates as one extra segment.
-    """
-    table = _contingency(a, b).astype(np.float64)
+def _rand_index(table: np.ndarray) -> float:
+    table = table.astype(np.float64)
     n = table.sum()
     if n < 2:
         return 1.0
@@ -251,11 +284,16 @@ def rand_index(a: InstanceSegmentation, b: InstanceSegmentation) -> float:
     return float((pairs + 2.0 * same_both - same_a - same_b) / pairs)
 
 
-def variation_of_information(
-    a: InstanceSegmentation, b: InstanceSegmentation
-) -> float:
-    """Summed conditional entropies H(a|b) + H(b|a) in nats."""
-    table = _contingency(a, b).astype(np.float64)
+def rand_index(a: InstanceSegmentation, b: InstanceSegmentation) -> float:
+    """Fraction of pixel pairs on which the two partitions agree.
+
+    Label 0 participates as one extra segment.
+    """
+    return _rand_index(_contingency(a, b)[0])
+
+
+def _variation_of_information(table: np.ndarray) -> float:
+    table = table.astype(np.float64)
     p = table / table.sum()
     rows = p.sum(axis=1)
     cols = p.sum(axis=0)
@@ -271,11 +309,16 @@ def variation_of_information(
     return max(h_a + h_b - 2.0 * mutual, 0.0)
 
 
-def segmentation_covering(
-    gt: InstanceSegmentation, pred: InstanceSegmentation
+def variation_of_information(
+    a: InstanceSegmentation, b: InstanceSegmentation
 ) -> float:
-    """Size-weighted best-IOU cover of reference segments by prediction."""
-    table = _contingency(gt, pred)
+    """Summed conditional entropies H(a|b) + H(b|a) in nats."""
+    return _variation_of_information(_contingency(a, b)[0])
+
+
+def _segmentation_covering(table: np.ndarray) -> float:
+    """Covering from the (gt, pred) table. Every count and union is an
+    exact integer, so a transposed view gives the same bits."""
     gt_sizes = table.sum(axis=1, dtype=np.float64)
     best = _iou(table).max(axis=1, initial=0.0)
     # summed in row order, as a running float, over the non-empty rows
@@ -283,25 +326,22 @@ def segmentation_covering(
     return float(total / gt_sizes.sum())
 
 
-def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:
-    """Error statistics over jointly valid pixels.
+def segmentation_covering(
+    gt: InstanceSegmentation, pred: InstanceSegmentation
+) -> float:
+    """Size-weighted best-IOU cover of reference segments by prediction."""
+    return _segmentation_covering(_contingency(gt, pred)[0])
 
-    The jointly valid depths p and g are taken once through their
-    indices (one ``flatnonzero``, two ``take``s, no boolean gather), and
-    every later term is computed in place in four buffers of that
-    length. Both log errors come from one natural log of p / g
-    (``log10`` divides its mean by ln 10). ``acc_k`` is the share with max(p / g, g / p) <
-    1.25^k, so a ratio of exactly 1.25^k fails it. Depths far apart in
-    scale (say 1e-300 against 1) can overflow a term, or underflow p / g
-    to 0; such a term and the errors built on it read inf, with no
-    warning, and the pixel fails every accuracy threshold.
-    """
-    if pred.grid != gt.grid:
-        raise ValueError("depth grids must match")
-    joint = np.flatnonzero(pred.validity & gt.validity)
+
+def _depth_metrics(
+    depth: np.ndarray, validity: np.ndarray, gt: DepthMap
+) -> DepthMetrics:
+    """:func:`depth_metrics` of the predicted ``depth`` and ``validity``
+    arrays, which it only reads."""
+    joint = np.flatnonzero(validity & gt.validity)
     if not joint.size:
         raise ValueError("no jointly valid pixels")
-    p = pred.depth.take(joint)
+    p = depth.take(joint)
     g = gt.depth.take(joint)
     del joint  # freed before the two work buffers are made
     with np.errstate(over="ignore", divide="ignore"):  # inf is the limit here
@@ -320,15 +360,116 @@ def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:
     return DepthMetrics(rel, rel_sqr, log10, rmse, rmse_log, *acc)
 
 
+def depth_metrics(pred: DepthMap, gt: DepthMap) -> DepthMetrics:
+    """Error statistics over jointly valid pixels.
+
+    The jointly valid depths p and g are taken once through their
+    indices (one ``flatnonzero``, two ``take``s, no boolean gather), and
+    every later term is computed in place in four buffers of that
+    length. Both log errors come from one natural log of p / g
+    (``log10`` divides its mean by ln 10). ``acc_k`` is the share with
+    max(p / g, g / p) < 1.25^k, so a ratio of exactly 1.25^k fails it.
+    Depths far apart in scale (say 1e-300 against 1) can overflow a
+    term, or underflow p / g to 0; such a term and the errors built on
+    it read inf, with no warning, and the pixel fails every accuracy
+    threshold.
+    """
+    if pred.grid != gt.grid:
+        raise ValueError("depth grids must match")
+    return _depth_metrics(pred.depth, pred.validity, gt)
+
+
+def _reference_planes(
+    segments: InstanceSegmentation, depth: DepthMap, intr: CameraIntrinsics
+) -> List[Plane]:
+    """The least-squares plane of each reference segment, in ascending ID
+    order, from one stable argsort of the valid pixels' labels.
+
+    Each ID's group holds its valid pixels in ascending index order: the
+    points :func:`fit_plane_lsq` keeps from the segment's full member
+    list, so each plane has the same bits. The labels are sorted in the
+    narrowest unsigned type that holds ``n_instances``; up to 16 bits
+    that sort is a radix sort. An ID with fewer than 3 valid pixels, or
+    none, fails its fit, and the first failure raises with its ID. Every
+    array is sized by the pixel count, never by the largest label, and
+    the loop ends at the first ID that owns no valid pixel.
+    """
+    points = backproject(depth, intr)
+    valid = np.flatnonzero(points.validity)
+    narrow = np.min_scalar_type(segments.n_instances).type
+    labels = segments.labels.take(valid).astype(narrow)
+    order = labels.argsort(kind="stable")
+    members, labels = valid.take(order), labels.take(order)
+    planes = []
+    start = labels.searchsorted(narrow(1))
+    for idx in range(1, segments.n_instances + 1):
+        # a key of the labels' own type, or the search casts the labels
+        stop = labels.searchsorted(narrow(idx), side="right")
+        try:
+            plane, _ = fit_plane_lsq(points, members[start:stop])
+        except ValueError as exc:
+            raise ValueError(f"reference segment {idx}: {exc}") from exc
+        planes.append(plane)
+        start = stop
+    return planes
+
+
+def evaluate(
+    pred_seg: InstanceSegmentation,
+    pred_planes: Sequence[Plane],
+    gt_seg: InstanceSegmentation,
+    gt_depth: DepthMap,
+    intr: CameraIntrinsics,
+) -> Evaluation:
+    """Score a prediction against a reference image, the protocol that
+    ``planarseg eval`` writes.
+
+    The reference planes are fitted to the backprojected reference depth,
+    one per segment, and the recall curves use the default thresholds.
+    Each step runs once: one grouping of the reference pixels, one render
+    of the prediction, whose arrays serve :func:`depth_metrics` and then
+    the depth recall in place, and one pair key and contingency table,
+    which feed the matching, both curves and every partition metric.
+    Every result has the bits of the per-metric functions, and the
+    errors come in their order: a reference segment's fit, the render,
+    then "no jointly valid pixels".
+    """
+    if pred_seg.grid != gt_seg.grid or gt_seg.grid != gt_depth.grid:
+        raise ValueError("prediction, reference, and depth grids must match")
+    gt_n = _instance_normals(gt_seg, _reference_planes(gt_seg, gt_depth, intr))
+    pred_n = _instance_normals(pred_seg, pred_planes)
+    depth, validity = _render_arrays(pred_seg.grid, intr, pred_seg.labels, pred_n)
+    depth_scores = _depth_metrics(depth, validity, gt_depth)
+    table, key = _contingency(pred_seg, gt_seg)
+    gt, pred = matched = _match_instances(table)
+    errors = _depth_errors(table, key, matched, depth, validity, gt_depth)
+    angles = _normal_angles(pred_n[pred], gt_n[gt])
+    return Evaluation(
+        recall_depth=_recall_curve(table, matched, errors, DEPTH_THRESHOLDS),
+        recall_normal=_recall_curve(table, matched, angles, NORMAL_THRESHOLDS),
+        rand_index=_rand_index(table),
+        variation_of_information=_variation_of_information(table),
+        segmentation_covering=_segmentation_covering(table.T),
+        depth=depth_scores,
+        plane_count=_plane_count(pred_seg),
+    )
+
+
+def _plane_count(seg: InstanceSegmentation) -> int:
+    """Distinct instance IDs present in ``seg``, label 0 excluded, from a
+    table of n_instances + 1 flags."""
+    present = np.zeros(seg.n_instances + 1, dtype=bool)
+    present[seg.labels] = True
+    return int(np.count_nonzero(present[1:]))
+
+
 def plane_count_histogram(
     segmentations: Sequence[InstanceSegmentation],
 ) -> Dict[int, int]:
     """Images per distinct-instance count (label 0 excluded)."""
     hist: Dict[int, int] = {}
     for seg in segmentations:
-        present = np.zeros(seg.n_instances + 1, dtype=bool)
-        present[seg.labels] = True
-        count = int(np.count_nonzero(present[1:]))
+        count = _plane_count(seg)
         hist[count] = hist.get(count, 0) + 1
     return hist
 

@@ -446,49 +446,6 @@ class TestClusterCommand:
         assert capsys.readouterr().err.startswith("error: masked embeddings")
         assert not (tmp_path / "new").exists()
 
-    @staticmethod
-    def refuse_clustering(monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("cluster ran before the output directory was checked")
-
-        monkeypatch.setattr(cli, "cluster", fail)
-
-    def test_uncreatable_out_exits_two_before_clustering(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        scene = run_synth(tmp_path)
-        blocker = tmp_path / "file.txt"
-        blocker.write_text("")
-        self.refuse_clustering(monkeypatch)
-        for out in (blocker, blocker / "pred"):
-            args = ["cluster", str(scene / "embeddings.pten"), str(scene / "probs.pten"),
-                    "--out", str(out)]
-            assert main(args) == 2
-            err = capsys.readouterr().err
-            assert err == (
-                f"error: cannot create output directory {out}: "
-                f"{blocker} is not a directory\n"
-            )
-        assert blocker.is_file()
-
-    @pytest.mark.parametrize("exists", [True, False])
-    def test_unwritable_out_exits_two_before_clustering(
-        self, tmp_path, capsys, monkeypatch, exists
-    ):
-        # Checked with os.access, which a root user would pass for any
-        # mode bits, so the denial is injected.
-        scene = run_synth(tmp_path)
-        parent = tmp_path / "locked"
-        parent.mkdir()
-        out = parent if exists else parent / "pred"
-        self.refuse_clustering(monkeypatch)
-        monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != parent)
-        args = ["cluster", str(scene / "embeddings.pten"), str(scene / "probs.pten"),
-                "--out", str(out)]
-        assert main(args) == 2
-        assert capsys.readouterr().err == f"error: output directory not writable: {out}\n"
-        assert list(parent.iterdir()) == []
-
     def test_anchor_grid_beyond_bound_exits_one(self, tmp_path, capsys):
         # 100000^2 anchors would need 74.5 GiB; cluster refuses them, at
         # the embeddings' d = 2, before anything is allocated or written.
@@ -621,7 +578,9 @@ class TestClusterFuzz:
 # Values a spoilt eval input may carry: labels that are not integers, or
 # negative, or beyond int64; depths that are missing, negative, huge or
 # tiny; plane rows that are missing, huge or opposing.
-FUZZ_LABELS = [0.5, -0.5, np.nan, np.inf, -np.inf, -1.0, -3.0, 1e30, 2.0**63, 7.0]
+FUZZ_LABELS = [
+    0.5, -0.5, np.nan, np.inf, -np.inf, -1.0, -3.0, 1e30, 2.0**63, 2.0**62, 7.0,
+]
 FUZZ_DEPTHS = [
     np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-308, 5e-324, 1e300, 1e308, 1.7e308,
 ]
@@ -825,6 +784,19 @@ class TestEvalCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "eval").exists()
 
+    def test_intrinsics_file_with_flags_exits_two(self, tmp_path, capsys):
+        # A file and flags together would leave one of them unread.
+        scene = run_synth(tmp_path)
+        args = self.eval_args(scene, tmp_path / "eval")
+        at = args.index("--fx")
+        args[at:at + 8] = ["--intrinsics", str(scene / "manifest.json"), "--fx", "1e-3"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: pass either --intrinsics FILE or --fx --fy --cx --cy, not both "
+            "(got --intrinsics and --fx)\n"
+        )
+        assert not (tmp_path / "eval").exists()
+
     def test_clustered_prediction_chain(self, tmp_path):
         scene = run_synth(tmp_path)
         pred = run_cluster(tmp_path, scene)
@@ -863,13 +835,20 @@ class TestEvalCommand:
         assert code == 2
         assert "instance params rows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["two_pixels", "label_gap"])
+    @pytest.mark.parametrize("case", ["two_pixels", "label_gap", "huge_label"])
     def test_unfittable_reference_segment_named(self, tmp_path, capsys, case):
+        # The first segment, in ascending ID order, that cannot be fitted
+        # is named. Relabelled 2**62, segment 2 is left empty: the fits
+        # group the pixels by sorting, so nothing is sized by that label.
         scene = run_synth(tmp_path)
         labels = read_tensor(scene / "segmentation.pten")
         segment = np.flatnonzero(labels == 2)
-        spare = segment[2:] if case == "two_pixels" else segment
-        labels.reshape(-1)[spare] = 1
+        if case == "huge_label":
+            labels = labels.astype(np.float64)
+            labels.reshape(-1)[segment] = 2.0**62
+        else:
+            spare = segment[2:] if case == "two_pixels" else segment
+            labels.reshape(-1)[spare] = 1
         gt_labels = tmp_path / "gt_labels.pten"
         write_tensor(gt_labels, labels)
         args = self.eval_args(scene, tmp_path / "eval")
@@ -953,6 +932,107 @@ class TestEvalCommand:
         code = main(self.eval_args(scene, out, pred_labels=small))
         assert code == 2
         assert "grids must match" in capsys.readouterr().err
+
+
+def command_args(command, scene, out):
+    """Arguments that run ``command`` on the scene bundle at ``scene``."""
+    if command == "synth":
+        return SYNTH_ARGS + ["--out", str(out)]
+    if command == "cluster":
+        return ["cluster", str(scene / "embeddings.pten"), str(scene / "probs.pten"),
+                "--out", str(out)]
+    if command == "eval":
+        return TestEvalCommand().eval_args(scene, out)
+    return ["bench", "--sizes", "256", "--repeats", "3", "--out", str(out)]
+
+
+# The call that does each command's work.
+WORK = {"synth": "generate_scene", "cluster": "cluster", "eval": "evaluate"}
+
+
+class TestOutputPaths:
+    @staticmethod
+    def refuse_work(monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{command} ran before its output directory was checked")
+
+        monkeypatch.setattr(cli, WORK[command], fail)
+
+    @pytest.mark.parametrize("command", sorted(WORK))
+    def test_uncreatable_out_exits_two_before_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        scene = run_synth(tmp_path)
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("")
+        self.refuse_work(monkeypatch, command)
+        for out in (blocker, blocker / "pred"):
+            assert main(command_args(command, scene, out)) == 2
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: cannot create output directory {out}: "
+                f"{blocker} is not a directory\n"
+            )
+        assert blocker.is_file()
+
+    @pytest.mark.parametrize("command", sorted(WORK))
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_unwritable_out_exits_two_before_work(
+        self, tmp_path, capsys, monkeypatch, exists, command
+    ):
+        # Checked with os.access, which a root user would pass for any
+        # mode bits, so the denial is injected.
+        scene = run_synth(tmp_path)
+        parent = tmp_path / "locked"
+        parent.mkdir()
+        out = parent if exists else parent / "pred"
+        self.refuse_work(monkeypatch, command)
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != parent)
+        assert main(command_args(command, scene, out)) == 2
+        assert capsys.readouterr().err == f"error: output directory not writable: {out}\n"
+        assert list(parent.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("synth", "manifest.json"),
+            ("cluster", "labels.pten"),
+            ("eval", "metrics.json"),
+            ("bench", None),
+        ],
+    )
+    def test_failed_write_exits_two(self, tmp_path, capsys, command, name):
+        # An output name taken by a directory cannot be written.
+        scene = run_synth(tmp_path)
+        out = tmp_path / "out"
+        target = out if name is None else out / name
+        target.mkdir(parents=True)
+        assert main(command_args(command, scene, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+
+class TestMainErrors:
+    @pytest.mark.parametrize(
+        "raised, message",
+        [
+            (MemoryError("Unable to allocate 7.28 PiB for an array"),
+             "error: out of memory: Unable to allocate 7.28 PiB for an array\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["message", "bare"],
+    )
+    def test_memory_error_exits_one(
+        self, tmp_path, capsys, monkeypatch, raised, message
+    ):
+        def exhausted(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(cli, "generate_scene", exhausted)
+        assert main(SYNTH_ARGS + ["--out", str(tmp_path / "scene")]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "scene").exists()
 
 
 class TestGradcheckCommand:

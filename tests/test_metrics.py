@@ -9,14 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarseg.clustering import MeanShiftConfig, cluster, hard_labels
 from planarseg.core import CameraIntrinsics, DepthMap, ImageGrid, InstanceSegmentation
-from planarseg.geometry import EPS_RAY, Plane, _normal_angles, normal_angle
+from planarseg.geometry import (
+    EPS_RAY,
+    Plane,
+    _normal_angles,
+    backproject,
+    fit_plane_lsq,
+    normal_angle,
+    one_hot_assignment,
+    pool_instance_params,
+    render_segment_depth,
+)
 from planarseg.metrics import (
     DEPTH_THRESHOLDS,
     NORMAL_THRESHOLDS,
     DepthMetrics,
+    Evaluation,
     RecallCurve,
     depth_metrics,
+    evaluate,
     metrics_to_json,
     plane_count_histogram,
     rand_index,
@@ -27,6 +40,13 @@ from planarseg.metrics import (
     variation_of_information,
 )
 from planarseg.metrics import _contingency, _iou
+from planarseg.synth import (
+    EmbeddingNoiseSpec,
+    SceneSpec,
+    generate_embeddings,
+    generate_pixel_params,
+    generate_scene,
+)
 
 
 def seg(labels, n_instances=None, width=None):
@@ -83,7 +103,7 @@ def all_partitions(n):
 
 def iou_matrix(pred, gt):
     """IOU per (pred, gt) instance pair, as the recall matching takes it."""
-    return _iou(_contingency(pred, gt))[1:, 1:]
+    return _iou(_contingency(pred, gt)[0])[1:, 1:]
 
 
 def whole_table_iou(table):
@@ -747,7 +767,7 @@ class TestLoopOracles:
     def test_contingency_tables(self, name):
         pred_seg, _, gt_seg, _, _ = oracle_case(name)
         for a, b in ((pred_seg, gt_seg), (gt_seg, pred_seg)):
-            got = _contingency(a, b)
+            got = _contingency(a, b)[0]
             want = loop_table(a, b)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert same_bytes(got, want)
@@ -1005,6 +1025,124 @@ class TestPlaneCountHistogram:
     def test_total_equals_batch_size(self):
         batch = [seg([1, 1, 2, 2]) for _ in range(5)]
         assert sum(plane_count_histogram(batch).values()) == 5
+
+
+def chain_evaluation(pred_seg, pred_planes, gt_seg, gt_depth, intr):
+    """The per-function chain that ``evaluate`` replaces: one full-grid
+    mask and plane fit per reference segment, then each metric on its
+    own, rendering the prediction twice and building the table five
+    times."""
+    points = backproject(gt_depth, intr)
+    gt_planes = []
+    for idx in range(1, gt_seg.n_instances + 1):
+        try:
+            plane, _ = fit_plane_lsq(points, np.nonzero(gt_seg.labels == idx)[0])
+        except ValueError as exc:
+            raise ValueError(f"reference segment {idx}: {exc}") from exc
+        gt_planes.append(plane)
+    depth_curve = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, intr)
+    normal_curve = recall_normal(pred_seg, pred_planes, gt_seg, gt_planes)
+    pred_depth = render_segment_depth(pred_seg, pred_planes, intr)
+    (count,) = plane_count_histogram([pred_seg])
+    return Evaluation(
+        depth_curve,
+        normal_curve,
+        rand_index(pred_seg, gt_seg),
+        variation_of_information(pred_seg, gt_seg),
+        segmentation_covering(gt_seg, pred_seg),
+        depth_metrics(pred_depth, gt_depth),
+        count,
+    )
+
+
+def clustered_case(seed, planes=4, nonplanar=0.1):
+    """A small synthetic scene with its prediction made the paper's way:
+    mean shift clusters, then one-hot pooled plane rows."""
+    grid = ImageGrid(24, 32)
+    intr = CameraIntrinsics(fx=28.8, fy=28.8, cx=15.5, cy=11.5)
+    scene = generate_scene(
+        SceneSpec(
+            grid, intr, plane_count=planes, nonplanar_fraction=nonplanar, seed=seed
+        )
+    )
+    emb = generate_embeddings(scene, EmbeddingNoiseSpec(sigma=0.15, seed=seed))
+    _, assignment = cluster(emb, scene.mask, MeanShiftConfig(bandwidth=0.5))
+    pred = hard_labels(assignment)
+    params = generate_pixel_params(scene, 0.02, seed=seed)
+    pooled = pool_instance_params(params, one_hot_assignment(pred))
+    planes = [Plane(row) for row in pooled.params]
+    return pred, planes, scene.segmentation, scene.depth, intr
+
+
+def assert_same_evaluation(got, want):
+    for name in ("recall_depth", "recall_normal"):
+        a, b = getattr(got, name), getattr(want, name)
+        for field in ("thresholds", "plane_recall", "pixel_recall"):
+            assert same_bytes(getattr(a, field), getattr(b, field)), (name, field)
+    for name in ("rand_index", "variation_of_information", "segmentation_covering"):
+        assert same_bytes(getattr(got, name), getattr(want, name)), name
+    depths = [list(e.depth.as_dict().values()) for e in (got, want)]
+    assert same_bytes(*depths)
+    assert got.depth == want.depth and got.plane_count == want.plane_count
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_chain_on_clustered_scenes(self, seed):
+        case = clustered_case(seed, planes=2 + seed % 4)
+        assert_same_evaluation(evaluate(*case), chain_evaluation(*case))
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_matches_the_chain_on_oracle_cases(self, name):
+        # Gapped reference IDs and no jointly valid pixel raise the same
+        # error in both; every other case scores the same bits.
+        pred_seg, pred_planes, gt_seg, gt_depth, _ = oracle_case(name)
+        args = (pred_seg, pred_planes, gt_seg, gt_depth, INTR)
+        got, want = outcome(evaluate, *args), outcome(chain_evaluation, *args)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_evaluation(got, want)
+
+    @pytest.mark.parametrize(
+        "relabel, n_instances, message",
+        [
+            ({2: 2**62}, None, "reference segment 2: degenerate point set"),
+            ({3: 7}, None, "reference segment 3: degenerate point set"),
+            ({}, 6, "reference segment 5: degenerate point set"),
+        ],
+        ids=["huge-label", "gap", "trailing-ids"],
+    )
+    def test_first_missing_reference_segment_named(self, relabel, n_instances, message):
+        # The grouping sorts the pixels, so a label of 2**62 costs nothing,
+        # and the first ID without pixels, in ascending order, is named.
+        pred_seg, pred_planes, gt_seg, gt_depth, intr = clustered_case(1)
+        labels = gt_seg.labels.copy()
+        for old, new in relabel.items():
+            labels[gt_seg.labels == old] = new
+        gt = InstanceSegmentation(gt_seg.grid, labels, n_instances)
+        with pytest.raises(ValueError) as raised:
+            evaluate(pred_seg, pred_planes, gt, gt_depth, intr)
+        assert str(raised.value).startswith(message)
+        if relabel != {2: 2**62}:  # the chain loops up to the label
+            assert str(raised.value) == outcome(
+                chain_evaluation, pred_seg, pred_planes, gt, gt_depth, intr
+            )
+
+    def test_rejects_mismatched_inputs(self):
+        pred_seg, pred_planes, gt_seg, gt_depth, intr = clustered_case(3)
+        small = InstanceSegmentation(ImageGrid(2, 2), np.ones(4, dtype=np.int64))
+        with pytest.raises(ValueError, match="grids must match"):
+            evaluate(small, pred_planes, gt_seg, gt_depth, intr)
+        with pytest.raises(ValueError, match="need one plane per instance"):
+            evaluate(pred_seg, pred_planes[:-1], gt_seg, gt_depth, intr)
 
 
 class TestSerialization:
