@@ -33,11 +33,13 @@ compared only where the boxes straddle the radius.
 
 Both produce a :class:`ClusterSet` (centers sorted lexicographically so
 runs and variants are comparable) and a row-stochastic soft assignment
-that is labels first: its hard labels and its dense N x C weights are
-each built on their first read, so inference that reads only labels
-never holds an N x C array. The weights come from an exact span kernel
-over every pixel. :func:`cluster` keeps each pixel's bin, so its labels
-are decided a bin at a time in O(B * C * d + N) (:func:`_binned_labels`):
+that is labels first: its hard labels, its dense N x C weights and its
+cluster-major (C, M) block of assigned weights are each built on their
+first read, so inference that reads only labels never holds an N x C
+array, nor does training that reads only the block. The weights and
+the block come from an exact span kernel over every masked pixel.
+:func:`cluster` keeps each pixel's bin, so its labels are decided a bin
+at a time in O(B * C * d + N) (:func:`_binned_labels`):
 a bin whose nearest center is sure for every member, by a proven bound
 on the members' spread, labels them all at once, and only the pixels of
 the few other bins run the span kernel. The labels equal the span
@@ -89,11 +91,11 @@ _TILE_TARGET = 1 << 17
 # Masked pixels per soft-assignment span: each span's (C, span) block
 # stays a few MiB for the usual cluster counts, and the per-center calls
 # of a span cost little beside its work. The span kernel builds the
-# weights, every label of soft_assign and vanilla_mean_shift, and the
-# fallback pixels of cluster's binned labels. On 480x640 scenes with
-# C = 8 (one core of a 2-core Xeon) a label pass over every pixel took
-# about 23 ms per image at 2^15, 24-26 ms at 2^14 and 2^16 and 25-26 ms
-# at 2^13.
+# weights, the block, every label of soft_assign and vanilla_mean_shift,
+# and the fallback pixels of cluster's binned labels. On 480x640 scenes
+# with C = 8 (one core of a 2-core Xeon) a label pass over every pixel
+# took about 23 ms per image at 2^15, 24-26 ms at 2^14 and 2^16 and
+# 25-26 ms at 2^13.
 _ASSIGN_SPAN = 1 << 15
 
 # Side of a binning cell as a fraction of the bandwidth. Binning at each
@@ -683,14 +685,15 @@ def soft_assign(
     factor cancels in the ratio). Non-planar rows are zero.
 
     Only the inputs are checked here: the assignment keeps the mask as
-    its assigned rows, and its labels and weights come from the same
-    O(N * C * d) span kernel (:func:`_assign_span`) when first read.
-    The labels take each pixel's first largest weight span by span, so
-    reading them builds no N x C array; the weights are written span by
-    span straight into the array the assignment keeps. Given centers
-    come with no binning of the pixels, so every label here runs the
-    span kernel; :func:`cluster` decides most of its labels a bin at a
-    time instead, with the same result.
+    its assigned rows, and its labels, weights and cluster-major block
+    come from the same O(N * C * d) span kernel (:func:`_assign_span`)
+    when first read. The labels take each pixel's first largest weight
+    span by span, so reading them builds no N x C array; the weights
+    and the block are each written span by span straight into the array
+    the assignment keeps. Given centers come with no binning of the
+    pixels, so every label here runs the span kernel; :func:`cluster`
+    decides most of its labels a bin at a time instead, with the same
+    result.
     """
     if embeddings.grid != mask.grid:
         raise ValueError("embedding and mask grids must match")
@@ -704,8 +707,8 @@ def _assignment(
     labels: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> SoftAssignment:
     """The soft assignment whose labels ``labels(values, mask, centers)``
-    builds on first read and whose weights :func:`_span_weights` builds
-    on theirs."""
+    builds on first read, whose weights :func:`_span_weights` builds on
+    theirs and whose block :func:`_span_block` builds on its own."""
     source = (embeddings.values, mask.mask, clusters.centers)
     return SoftAssignment._from_source(
         embeddings.grid,
@@ -713,6 +716,7 @@ def _assignment(
         mask.mask,
         labels=partial(labels, *source),
         weights=partial(_span_weights, *source),
+        block=partial(_span_block, *source),
     )
 
 
@@ -866,10 +870,30 @@ def _span_weights(values: np.ndarray, mask: np.ndarray, centers: np.ndarray) -> 
     return weights
 
 
-def _assign_span(values: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The (C, span) distance-softmax block of the pixels ``rows``: per
-    span it gathers each embedding column once and fills the distance
-    block one center at a time, with no (N, C, d) temporary.
+def _span_block(
+    values: np.ndarray, mask: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """The (C, M) weights of :func:`soft_assign` for the M masked pixels,
+    in pixel order: each span is written straight into its columns.
+    Each column depends only on its own pixel, so the block equals
+    ``_span_weights(...)[mask].T`` bit for bit."""
+    idx = np.flatnonzero(mask)
+    block = np.empty((centers.shape[0], idx.shape[0]))
+    for start, stop in _chunk_spans(idx.shape[0], _ASSIGN_SPAN):
+        _assign_span(values, idx[start:stop], centers, block[:, start:stop])
+    return block
+
+
+def _assign_span(
+    values: np.ndarray,
+    rows: np.ndarray,
+    centers: np.ndarray,
+    block: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The (C, span) distance-softmax block of the pixels ``rows``,
+    written into ``block`` if given: per span it gathers each embedding
+    column once and fills the distance block one center at a time, with
+    no (N, C, d) temporary.
 
     Each column depends only on its own pixel: the row sums add the
     centers in order, as ``block.sum(axis=0)`` does for two or more
@@ -880,7 +904,8 @@ def _assign_span(values: np.ndarray, rows: np.ndarray, centers: np.ndarray) -> n
     gathered = values.take(rows, axis=0)  # whole rows: no strided column copy
     columns = [np.ascontiguousarray(gathered[:, a]) for a in range(values.shape[1])]
     del gathered
-    block = np.empty((centers.shape[0], rows.shape[0]))
+    if block is None:
+        block = np.empty((centers.shape[0], rows.shape[0]))
     term = np.empty(rows.shape[0])
     for dist, center in zip(block, centers):
         np.subtract(columns[0], center[0], out=dist)

@@ -4,8 +4,9 @@ All types are immutable after construction: array fields are copied and
 marked read-only, so instances are safe to share across threads. The
 library's own kernels hand fresh arrays to :func:`_frozen_fields`
 instead, which freezes them without a copy or a check.
-:class:`SoftAssignment` may build its labels and weights on first read;
-each is cached once, read-only, and a race can at worst build it twice.
+:class:`SoftAssignment` may build its labels, weights and weight block on
+first read; each is cached once, read-only, and a race can at worst
+build it twice.
 Pixels are linearized row-major (index = row * width + col) everywhere.
 Internal arithmetic is 64-bit; narrower inputs are widened on entry.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -223,6 +224,26 @@ def _checked_rows(grid: ImageGrid, weights: np.ndarray) -> np.ndarray:
     return assigned
 
 
+def _checked_block(grid: ImageGrid, block: np.ndarray) -> None:
+    """Check a (C, M) block of assigned weight columns by the rules of
+    :func:`_checked_rows`, with its messages and in its order: entries
+    in [0, 1], then every column sum within ``ROW_SUM_TOL`` of 1 (a NaN
+    fails the sums)."""
+    if block.min(initial=0.0) < 0.0 or block.max(initial=1.0) > 1.0:
+        raise ValueError("assignment weights must lie in [0, 1]")
+    sums = np.ones(block.shape[0]) @ block
+    sums -= 1.0
+    np.abs(sums, out=sums)
+    if not sums.max(initial=0.0) <= ROW_SUM_TOL:
+        raise ValueError("assignment rows must sum to 1 or be all-zero")
+
+
+def _gathered_block(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+    """The assigned rows of dense (N, C) weights as a C-ordered (C, M)
+    block, in ascending pixel order."""
+    return np.ascontiguousarray(weights.compress(assigned, axis=0).T)
+
+
 def _argmax_labels(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
     """1 + the column of each row's first largest weight; 0 where unassigned."""
     labels = np.argmax(weights, axis=1)
@@ -241,17 +262,25 @@ class SoftAssignment:
     sums. ``labels`` are the hard labels: 0 on unassigned rows, else
     1 + the column of the row's first largest weight.
 
+    Beside the dense (N, C) ``weights`` an assignment keeps a private
+    cluster-major block (:attr:`_block`): the (C, M) weights of its M
+    assigned pixels in ascending pixel order, so column j equals row
+    ``flatnonzero(assigned_rows)[j]`` of ``weights`` bit for bit. Soft
+    pooling and ``instance_param_loss`` read only the block.
+
     The library's own producers build an assignment from a source
     instead (:meth:`_from_source`): the cluster count, the assigned
-    rows and functions that build the labels and the dense weights. The
-    labels are then built on their first read and the weights on
-    theirs, so a caller that only reads labels never holds an N x C
-    array. Built weights pass the same checks as constructor weights
-    and are frozen in place, without a copy. Each value is cached once
-    and read-only, so the object stays immutable from outside; two
-    threads racing on a first read may both build the value, and both
-    get the one that was cached first. Once a value is cached its
-    builder is dropped, with whatever the builder held.
+    rows and functions that build the labels, the dense weights and the
+    block. Each is then built on its own first read, and neither array
+    of weights is derived from the other, so a caller that only reads
+    labels never holds an N x C or C x M array, and one that reads the
+    block never holds an N x C array. Built weights and blocks pass the
+    same checks as constructor weights and are frozen in place, without
+    a copy. Each value is cached once and read-only, so the object stays
+    immutable from outside; two threads racing on a first read may both
+    build the value, and both get the one that was cached first. Once a
+    value is cached its builder is dropped, with whatever the builder
+    held.
     """
 
     def __init__(self, grid: ImageGrid, weights: np.ndarray) -> None:
@@ -263,6 +292,7 @@ class SoftAssignment:
             _assigned=assigned,
             _build_labels=partial(_argmax_labels, weights, assigned),
             _build_weights=None,
+            _build_block=partial(_gathered_block, weights, assigned),
             _indicator=False,
             _weights=weights,
         )
@@ -275,12 +305,14 @@ class SoftAssignment:
         assigned: np.ndarray,
         labels: Callable[[], np.ndarray],
         weights: Callable[[], np.ndarray],
+        block: Callable[[], np.ndarray],
         indicator: bool = False,
     ) -> "SoftAssignment":
-        """An assignment whose labels and (N, C) weights ``labels()`` and
-        ``weights()`` build on first read. ``assigned`` must be read-only.
-        ``indicator`` says that each assigned row is one-hot on its
-        label, so pooling may sum pixels by label."""
+        """An assignment whose labels, (N, C) weights and (C, M) block
+        ``labels()``, ``weights()`` and ``block()`` build on first read.
+        ``assigned`` must be read-only. ``indicator`` says that each
+        assigned row is one-hot on its label, so pooling may sum pixels
+        by label."""
         out = cls.__new__(cls)
         out.__dict__.update(
             grid=grid,
@@ -288,6 +320,7 @@ class SoftAssignment:
             _assigned=assigned,
             _build_labels=labels,
             _build_weights=weights,
+            _build_block=block,
             _indicator=indicator,
         )
         return out
@@ -339,6 +372,20 @@ class SoftAssignment:
     def weights(self) -> np.ndarray:
         """Read-only (N, C) weights, built and checked once."""
         return self._cached("_weights", "_build_weights", _checked_rows)
+
+    @property
+    def _block(self) -> np.ndarray:
+        """Read-only (C, M) weights of the assigned pixels, cluster-major
+        and in ascending pixel order, built and checked once."""
+        return self._cached("_member_block", "_build_block", _checked_block)
+
+    def _block_spans(self, size: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Per span of at most ``size`` assigned pixels, in pixel order,
+        the pixels' indices and their (C, span) view of :attr:`_block`."""
+        block = self._block
+        idx = np.flatnonzero(self._assigned)
+        for start in range(0, idx.shape[0], size):
+            yield idx[start : start + size], block[:, start : start + size]
 
 
 @dataclass(frozen=True)

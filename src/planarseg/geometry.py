@@ -43,6 +43,12 @@ __all__ = [
 
 EPS_RAY = 1e-8
 
+# Assigned pixels per span of soft pooling. On 192x256 scenes with
+# C = 16 (one core of a 2-core Xeon) spans of 4096 or 8192 pooled the
+# 42k assigned pixels in about 0.55 ms, against 0.85 ms at 16384 and
+# 0.95 ms in one product over all of them.
+_POOL_SPAN = 8192
+
 
 @dataclass(frozen=True)
 class Plane:
@@ -228,8 +234,10 @@ def pool_instance_params(
     An indicator assignment (:func:`one_hot_assignment`) averages each
     instance's pixels from its labels: one ``np.bincount`` for the
     counts and one per axis, with no N x C array. Any other assignment
-    reads its dense N x C weights once, in one BLAS product
-    ``[params | 1]^T @ weights`` whose left operand is contiguous.
+    reads its cluster-major (C, M) block of assigned weights, in BLAS
+    products ``[params[assigned] | 1]^T @ block^T`` over spans of
+    ``_POOL_SPAN`` pixels whose left operand is contiguous; no N x C
+    array is built.
     """
     if pixel_params.grid != assignment.grid:
         raise ValueError("pixel params and assignment grids must match")
@@ -242,35 +250,57 @@ def pool_instance_params(
             axis=1,
         )
     else:
-        lifted = np.empty((params.shape[1] + 1, params.shape[0]))
-        lifted[:-1] = params.T
-        lifted[-1] = 1.0
-        pooled = lifted @ assignment.weights
+        pooled = np.zeros((params.shape[1] + 1, assignment.clusters))
+        for rows, weights in assignment._block_spans(_POOL_SPAN):
+            lifted = np.empty((params.shape[1] + 1, rows.shape[0]))
+            lifted[:-1] = params.take(rows, axis=0).T
+            lifted[-1] = 1.0
+            pooled += lifted @ weights.T
         mass, sums = pooled[-1], pooled[:-1].T
     if np.any(mass <= 0.0):
         raise ValueError("empty instance")
     return PlaneInstanceParams(sums / mass[:, None])
 
 
+def _indicator_columns(labels: np.ndarray, clusters: int) -> np.ndarray:
+    """The float64 (len(labels), C) indicators ``labels == 1..C``, one
+    row per label: all-zero for label 0, else one-hot on its column."""
+    out = np.empty((labels.shape[0], clusters))
+    np.equal(labels[:, None], np.arange(1, clusters + 1), out=out)
+    return out
+
+
+def _indicator_block(
+    labels: np.ndarray, assigned: np.ndarray, clusters: int
+) -> np.ndarray:
+    """The (C, M) block of :func:`one_hot_assignment`: the indicators
+    of the assigned pixels' labels, cluster-major."""
+    out = np.empty((clusters, int(np.count_nonzero(assigned))))
+    np.equal(np.arange(1, clusters + 1)[:, None], labels[assigned], out=out)
+    return out
+
+
 def one_hot_assignment(segments: InstanceSegmentation) -> SoftAssignment:
     """Indicator assignment putting each labeled pixel fully on its instance.
 
-    The assignment is defined by the labels. Its weights are built only
-    if read: each pixel takes row ``label`` of a (C + 1, C) table whose
-    row 0 is all-zero and whose row j is the indicator of instance j, in
-    one gather.
+    The assignment is defined by the labels. Its dense weights and its
+    block are each built only if read, straight from the labels: row i
+    is the indicator of instance ``labels[i]``, all-zero for label 0.
+    Nothing of size C x C is built, so a large ID space costs nothing
+    until the weights are read.
     """
     if segments.n_instances < 1:
         raise ValueError("segmentation has no instances")
-    assigned = segments.labels > 0
+    labels, clusters = segments.labels, segments.n_instances
+    assigned = labels > 0
     assigned.flags.writeable = False
-    table = np.eye(segments.n_instances + 1, segments.n_instances, k=-1)
     return SoftAssignment._from_source(
         segments.grid,
-        segments.n_instances,
+        clusters,
         assigned,
-        labels=segments.labels.view,
-        weights=partial(table.take, segments.labels, axis=0),
+        labels=labels.view,
+        weights=partial(_indicator_columns, labels, clusters),
+        block=partial(_indicator_block, labels, assigned, clusters),
         indicator=True,
     )
 

@@ -51,7 +51,7 @@ __all__ = [
 
 PROB_CLAMP = 1e-12
 
-# Assigned pixels per span of instance_param_loss. Each span's (span, C)
+# Assigned pixels per span of instance_param_loss. Each span's (C, span)
 # temporaries stay about 1 MiB at C = 16, small enough to reuse heap
 # memory that earlier calls freed. One span of all ~42k rows of a
 # 192x256 scene made ~5.4 MB temporaries that took about 1100 page
@@ -86,22 +86,22 @@ def balanced_bce(
     """
     if probs.grid != gt.grid:
         raise ValueError("probability and mask grids must match")
-    fg = gt.mask
-    n_fg = int(fg.sum())
-    n_bg = gt.grid.n_pixels - n_fg
+    fg, bg = gt.mask, ~gt.mask
+    fg_idx, bg_idx = np.flatnonzero(fg), np.flatnonzero(bg)
+    n_fg, n_bg = fg_idx.shape[0], bg_idx.shape[0]
     if n_fg == 0 or n_bg == 0:
         raise ValueError("degenerate class balance: need both classes present")
     w = n_fg / (n_fg + n_bg)
     fg_coeff, bg_coeff = 1.0 - w, w
     p = np.clip(probs.probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    value = -fg_coeff * float(np.log(p[fg]).sum())
-    value -= bg_coeff * float(np.log1p(-p[~fg]).sum())
+    value = -fg_coeff * float(np.log(p.take(fg_idx)).sum())
+    value -= bg_coeff * float(np.log1p(-p.take(bg_idx)).sum())
     grad = np.zeros(gt.grid.n_pixels, dtype=np.float64)
     unclamped = (probs.probs > PROB_CLAMP) & (probs.probs < 1.0 - PROB_CLAMP)
-    fg_live = fg & unclamped
-    bg_live = ~fg & unclamped
-    grad[fg_live] = -fg_coeff / p[fg_live]
-    grad[bg_live] = bg_coeff / (1.0 - p[bg_live])
+    fg_live = np.flatnonzero(fg & unclamped)
+    bg_live = np.flatnonzero(bg & unclamped)
+    grad[fg_live] = -fg_coeff / p.take(fg_live)
+    grad[bg_live] = bg_coeff / (1.0 - p.take(bg_live))
     return value, grad
 
 
@@ -314,8 +314,10 @@ def instance_param_loss(
 
     Each pixel charges every cluster |n_j . Q_i - 1| weighted by its
     membership; the sum is averaged over assigned pixels and clusters.
-    Assigned pixels are taken in fixed spans of ``_IPL_SPAN``, so no
-    N x C temporary is built.
+    The memberships come from the assignment's cluster-major (C, M)
+    block of assigned weights, read in fixed spans of ``_IPL_SPAN``
+    columns: per span the residuals form as (C, span) beside the
+    block's own columns, so no N x C array is read or built.
     """
     if assignment.grid != points.grid:
         raise ValueError("assignment and point grids must match")
@@ -328,18 +330,15 @@ def instance_param_loss(
     grad = np.zeros_like(instance_params.params)
     if n_planar == 0:
         return 0.0, grad
-    idx = np.flatnonzero(rows)
     total = 0.0
-    for start in range(0, n_planar, _IPL_SPAN):
-        span = idx[start : start + _IPL_SPAN]
+    for span, s in assignment._block_spans(_IPL_SPAN):
         q = points.points.take(span, axis=0)
-        s = assignment.weights.take(span, axis=0)
-        residual = q @ instance_params.params.T
+        residual = instance_params.params @ q.T
         residual -= 1.0
-        total += float(np.einsum("ij,ij->", s, np.abs(residual)))
-        signed = np.sign(residual, out=residual)
+        signed = np.sign(residual)
         signed *= s
-        grad += signed.T @ q
+        total += float(np.vdot(signed, residual))  # s |r|, term by term exactly
+        grad += signed @ q
     scale = 1.0 / (n_planar * instance_params.clusters)
     grad *= scale
     return scale * total, grad

@@ -2,7 +2,9 @@
 
 Partition metrics (Rand index, variation of information, segmentation
 covering) come from an O(C_a * C_b) contingency table over every pixel,
-label 0 counting as one more segment. Recall curves match predicted
+label 0 counting as one more segment. A segmentation whose ID space is
+at least its pixel count has its present IDs renumbered first, so the
+table stays sized by the pixel count. Recall curves match predicted
 instances to reference instances by IOU > 0.5 and then apply a
 per-threshold geometric test (mean depth difference or normal angle).
 Depth metrics follow the standard monocular evaluation set.
@@ -21,7 +23,13 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .core import CameraIntrinsics, DepthMap, InstanceSegmentation, _frozen
+from .core import (
+    CameraIntrinsics,
+    DepthMap,
+    InstanceSegmentation,
+    _frozen,
+    _frozen_fields,
+)
 from .geometry import (
     Plane,
     _instance_normals,
@@ -125,6 +133,25 @@ def _contingency(
     key = np.multiply(a.labels, shape[1])
     key += b.labels
     return np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape), key
+
+
+def _compact(seg: InstanceSegmentation) -> InstanceSegmentation:
+    """``seg`` itself, or, when its ID space is at least its pixel count,
+    the same partition with the present IDs renumbered 1..K in
+    ascending order and label 0 kept. Tables indexed by ID then stay
+    sized by the pixel count, however large the IDs."""
+    if seg.n_instances < seg.grid.n_pixels:
+        return seg
+    ids, inverse = np.unique(seg.labels, return_inverse=True)
+    shift = int(ids[0] > 0)  # label 0 absent: the first present ID becomes 1
+    labels = inverse.astype(np.int64, copy=False)
+    labels += shift
+    return _frozen_fields(
+        InstanceSegmentation,
+        grid=seg.grid,
+        labels=labels,
+        n_instances=ids.shape[0] - 1 + shift,
+    )
 
 
 def _iou(table: np.ndarray) -> np.ndarray:
@@ -289,7 +316,7 @@ def rand_index(a: InstanceSegmentation, b: InstanceSegmentation) -> float:
 
     Label 0 participates as one extra segment.
     """
-    return _rand_index(_contingency(a, b)[0])
+    return _rand_index(_contingency(_compact(a), _compact(b))[0])
 
 
 def _variation_of_information(table: np.ndarray) -> float:
@@ -313,7 +340,7 @@ def variation_of_information(
     a: InstanceSegmentation, b: InstanceSegmentation
 ) -> float:
     """Summed conditional entropies H(a|b) + H(b|a) in nats."""
-    return _variation_of_information(_contingency(a, b)[0])
+    return _variation_of_information(_contingency(_compact(a), _compact(b))[0])
 
 
 def _segmentation_covering(table: np.ndarray) -> float:
@@ -330,7 +357,7 @@ def segmentation_covering(
     gt: InstanceSegmentation, pred: InstanceSegmentation
 ) -> float:
     """Size-weighted best-IOU cover of reference segments by prediction."""
-    return _segmentation_covering(_contingency(gt, pred)[0])
+    return _segmentation_covering(_contingency(_compact(gt), _compact(pred))[0])
 
 
 def _depth_metrics(
@@ -469,7 +496,7 @@ def plane_count_histogram(
     """Images per distinct-instance count (label 0 excluded)."""
     hist: Dict[int, int] = {}
     for seg in segmentations:
-        count = _plane_count(seg)
+        count = _plane_count(_compact(seg))
         hist[count] = hist.get(count, 0) + 1
     return hist
 

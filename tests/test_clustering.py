@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarseg import clustering
+from planarseg import clustering, losses
 from planarseg.clustering import (
     BIN_SIDE,
     MAX_ANCHORS,
@@ -52,9 +52,11 @@ from planarseg.core import (
     ImageGrid,
     PixelPlaneParams,
     PlanarMask,
+    PointMap,
     SoftAssignment,
 )
 from planarseg.geometry import one_hot_assignment, pool_instance_params
+from planarseg.losses import instance_param_loss
 from planarseg.synth import (
     EmbeddingNoiseSpec,
     SceneSpec,
@@ -1055,6 +1057,83 @@ class TestSoftAssign:
         finally:
             tracemalloc.stop()
         assert weights < peak <= weights + scratch
+
+
+class TestWeightBlock:
+    """The cluster-major (C, M) block that soft pooling and
+    ``instance_param_loss`` read instead of the dense weights."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("c", [1, 2, 9])
+    def test_soft_assign_block_is_assigned_weights_transposed(self, d, c, monkeypatch):
+        # Spans of 1000 write 3 strided column ranges of the block.
+        emb, mask, clusters = TestSoftAssign.multi_chunk_input(d, c, monkeypatch)
+        sa = soft_assign(emb, mask, clusters)
+        block = sa._block
+        assert block.flags.c_contiguous and not block.flags.writeable
+        np.testing.assert_array_equal(block, sa.weights[mask.mask].T)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_cluster_block_is_assigned_weights_transposed(self, seed):
+        grid = ImageGrid(48, 64)
+        intr = CameraIntrinsics(fx=57.6, fy=57.6, cx=31.5, cy=23.5)
+        scene = generate_scene(SceneSpec(grid=grid, intr=intr, plane_count=6, seed=seed))
+        emb = generate_embeddings(
+            scene, EmbeddingNoiseSpec(center_min_gap=1.5, sigma=0.2, seed=seed)
+        )
+        mask = PlanarMask(grid, corrupt_probability(scene, 0.05, seed=seed).probs >= 0.5)
+        _, assignment = cluster(emb, mask)
+        block = assignment._block
+        np.testing.assert_array_equal(block, assignment.weights[mask.mask].T)
+        onehot = one_hot_assignment(hard_labels(assignment))
+        np.testing.assert_array_equal(onehot._block, onehot.weights[mask.mask].T)
+        dense = SoftAssignment(grid, assignment.weights)
+        np.testing.assert_array_equal(dense._block, block)
+
+    def test_block_and_weights_are_built_apart(self):
+        # Reading the block builds no dense weights, and the reverse.
+        emb, mask, _ = three_blob_input(n_per=20)
+        clusters = ClusterSet(np.array([[1.0, 1.0], [4.0, 1.5]]), np.ones(2, dtype=np.int64))
+        first = soft_assign(emb, mask, clusters)
+        block = first._block
+        assert first._build_weights is not None and "_weights" not in vars(first)
+        assert first._build_block is None
+        second = soft_assign(emb, mask, clusters)
+        weights = second.weights
+        assert second._build_block is not None and "_member_block" not in vars(second)
+        np.testing.assert_array_equal(block, weights[mask.mask].T)
+
+    def test_training_path_peak_is_one_block_and_spans(self):
+        # soft_assign -> soft pooling -> instance_param_loss on 250k
+        # pixels, about half masked, C = 8, d = 2. The block is the one
+        # array that lives through the path. Beyond it only the masked-pixel
+        # index and span temporaries may be live: at most two spans of
+        # instance_param_loss (one span's (C, span) residuals, signed
+        # weights and gathered points, and the previous span's, which the
+        # loop drops as it rebinds), more than one span of the span
+        # kernel or of pooling takes. The dense weights alone are 16 MB.
+        grid = ImageGrid(500, 500)
+        n, c, d = grid.n_pixels, 8, 2
+        rng = np.random.default_rng(0)
+        emb = EmbeddingMap(grid, rng.normal(size=(n, d)))
+        mask = PlanarMask(grid, rng.random(n) < 0.5)
+        m = mask.foreground_count
+        clusters = ClusterSet(rng.normal(size=(c, d)), np.ones(c, dtype=np.int64))
+        params = PixelPlaneParams(grid, rng.normal(size=(n, 3)) + [0.0, 0.0, 2.0])
+        points = PointMap(grid, rng.normal(size=(n, 3)) + [0.0, 0.0, 3.0])
+        block = c * m * 8
+        assert (2 * d + 2) * clustering._ASSIGN_SPAN <= 2 * (2 * c + 3) * losses._IPL_SPAN
+        scratch = m * 8 + 2 * (2 * c + 3) * losses._IPL_SPAN * 8
+        tracemalloc.start()
+        try:
+            assignment = soft_assign(emb, mask, clusters)
+            pooled = pool_instance_params(params, assignment)
+            instance_param_loss(pooled, assignment, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block < peak <= block + scratch < n * c * 8
+        assert "_weights" not in vars(assignment)
 
 
 class TestCluster:

@@ -140,6 +140,56 @@ class TestSoftAssignment:
         with pytest.raises(ValueError, match=message):
             SoftAssignment(GRID, weights)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([np.nan, 0.5], "sum to 1"),
+            ([-5e-10, 1.0], r"\[0, 1\]"),
+            ([1.0 + 5e-10, 0.0], r"\[0, 1\]"),
+            ([0.5, 0.5 + 2e-9], "sum to 1"),
+            ([0.5, 0.5 - 2e-9], "sum to 1"),
+            ([0.0, 0.0], "sum to 1"),  # an assigned column must not be empty
+        ],
+    )
+    def test_built_block_is_checked_like_rows(self, row, message):
+        # A producer's block passes the rules of constructor weights, with
+        # the same messages and the range checked first.
+        block = np.array([[0.25, 0.0, 0.25], [0.75, 0.0, 0.75]])
+        block[:, 1] = row
+        assigned = np.array([True, False, True, False, True, False])
+        assigned.flags.writeable = False
+        sa = SoftAssignment._from_source(
+            GRID, 2, assigned, labels=None, weights=None, block=block.copy
+        )
+        with pytest.raises(ValueError, match=message):
+            sa._block
+
+    def test_block_is_the_assigned_rows_transposed(self):
+        # Column j of the (C, M) block is row flatnonzero(assigned)[j] of
+        # the weights, bit for bit; it is C-ordered, read-only and cached.
+        rng = np.random.default_rng(3)
+        grid = ImageGrid(20, 25)
+        for c in (1, 3, 8):
+            weights = rng.random((500, c))
+            weights /= weights.sum(axis=1, keepdims=True)
+            weights[rng.random(500) < 0.3] = 0.0
+            sa = SoftAssignment(grid, weights)
+            block = sa._block
+            assert block is sa._block
+            assert block.flags.c_contiguous and not block.flags.writeable
+            assert block.dtype == np.float64 and block.shape == (c, sa.assigned_rows.sum())
+            np.testing.assert_array_equal(block, sa.weights[sa.assigned_rows].T)
+
+    def test_block_spans_cover_the_block_in_pixel_order(self):
+        weights = np.zeros((6, 2))
+        weights[[0, 2, 3, 5]] = [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.25, 0.75]]
+        sa = SoftAssignment(GRID, weights)
+        spans = list(sa._block_spans(3))
+        assert [rows.tolist() for rows, _ in spans] == [[0, 2, 3], [5]]
+        np.testing.assert_array_equal(
+            np.concatenate([block for _, block in spans], axis=1), weights[[0, 2, 3, 5]].T
+        )
+
 
 class TestParams:
     def test_pixel_params_shape(self):

@@ -1,5 +1,6 @@
 """Plane geometry: backprojection, rendering, pooling, fitting."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -541,6 +542,41 @@ class TestOneHotAssignment:
         seg = InstanceSegmentation(grid, np.zeros(3, dtype=int))
         with pytest.raises(ValueError, match="no instances"):
             one_hot_assignment(seg)
+
+    def test_weights_and_block_match_the_indicator_table(self):
+        # Weights equal the (C + 1, C) indicator table gathered by label,
+        # and the block equals their assigned rows transposed, bit for bit.
+        rng = np.random.default_rng(8)
+        grid = ImageGrid(9, 11)
+        for c in (1, 4, 12):
+            seg = InstanceSegmentation(grid, rng.integers(0, c + 1, grid.n_pixels), c)
+            sa = one_hot_assignment(seg)
+            table = np.eye(c + 1, c, k=-1)
+            np.testing.assert_array_equal(sa.weights, table[seg.labels])
+            np.testing.assert_array_equal(sa._block, sa.weights[sa.assigned_rows].T)
+            assert sa.weights.dtype == sa._block.dtype == np.float64
+
+    def test_huge_instance_count_builds_nothing_until_read(self):
+        # 10**6 IDs on 16 pixels: a (C + 1, C) table would need 7.3 TiB.
+        # The assignment is built from the labels alone; pooling sums by
+        # label and finds the IDs that own no pixel empty, as for any
+        # unused ID.
+        grid = ImageGrid(4, 4)
+        labels = np.arange(16) % 5
+        labels[-1] = 10**6
+        seg = InstanceSegmentation(grid, labels, 10**6)
+        tracemalloc.start()
+        try:
+            sa = one_hot_assignment(seg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+        assert sa.clusters == 10**6
+        np.testing.assert_array_equal(hard_labels(sa).labels, labels)
+        params = PixelPlaneParams(grid, np.tile([0.0, 0.0, 0.5], (16, 1)))
+        with pytest.raises(ValueError, match="empty instance"):
+            pool_instance_params(params, sa)
 
 
 def plane_points(plane, grid=GRID, intr=INTR):

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarseg import losses
+from planarseg.clustering import cluster
 from planarseg.core import (
+    CameraIntrinsics,
     EmbeddingMap,
     ImageGrid,
     InstanceSegmentation,
@@ -31,6 +33,15 @@ from planarseg.losses import (
     pull_loss,
     push_loss,
     total_loss,
+)
+from planarseg.geometry import pool_instance_params
+from planarseg.synth import (
+    EmbeddingNoiseSpec,
+    SceneSpec,
+    corrupt_probability,
+    generate_embeddings,
+    generate_pixel_params,
+    generate_scene,
 )
 
 GRID = ImageGrid(3, 4)
@@ -210,6 +221,29 @@ class TestBalancedBce:
             lambda arr: balanced_bce(PlanarProbabilityMap(GRID, arr), gt)[0], p
         )
         assert rel_err(grad, fd) < FD_TOL
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_boolean_mask_formula_bit_for_bit(self, seed):
+        # The index gathers take the same pixels in the same order as the
+        # boolean masks they replaced, so every sum is the same.
+        rng = np.random.default_rng(seed)
+        grid = ImageGrid(30, 40)
+        fg = rng.random(grid.n_pixels) < 0.6
+        raw = rng.random(grid.n_pixels)
+        edges = [0.0, 1.0, 1e-12, 1.0 - 1e-12, 5e-13, 1.0 - 5e-13]
+        raw[rng.choice(grid.n_pixels, 60, replace=False)] = np.repeat(edges, 10)
+        value, grad = balanced_bce(PlanarProbabilityMap(grid, raw), PlanarMask(grid, fg))
+        w = fg.sum() / grid.n_pixels
+        p = np.clip(raw, 1e-12, 1.0 - 1e-12)
+        expected = -(1.0 - w) * float(np.log(p[fg]).sum())
+        expected -= w * float(np.log1p(-p[~fg]).sum())
+        live = (raw > 1e-12) & (raw < 1.0 - 1e-12)
+        want = np.zeros(grid.n_pixels)
+        want[fg & live] = -(1.0 - w) / p[fg & live]
+        want[~fg & live] = w / (1.0 - p[~fg & live])
+        assert value == expected
+        np.testing.assert_array_equal(grad, want)
 
 
 def two_cluster_labels():
@@ -591,6 +625,39 @@ class TestInstanceParamLoss:
         )
         expected = scale * ((sa.weights[rows] * np.sign(residual)).T @ pts[rows])
         np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [501, 502])
+def test_block_readers_match_dense_formulas_on_training_scenes(seed):
+    # Inputs as the benchmark's training workload makes them (192x256,
+    # 16 planes), clustered by mean shift. Soft pooling and
+    # instance_param_loss read the (C, M) block; BLAS sums in another
+    # order than the dense (N, C) formulas, so they agree to rounding.
+    grid = ImageGrid(192, 256)
+    intr = CameraIntrinsics(fx=230.4, fy=230.4, cx=127.5, cy=95.5)
+    scene = generate_scene(SceneSpec(grid=grid, intr=intr, plane_count=16, seed=seed))
+    emb = generate_embeddings(
+        scene, EmbeddingNoiseSpec(center_min_gap=1.5, sigma=0.2, seed=seed)
+    )
+    mask = PlanarMask(grid, corrupt_probability(scene, 0.05, seed=seed).probs >= 0.5)
+    params = generate_pixel_params(scene, 0.02, seed=seed)
+    _, assignment = cluster(emb, mask)
+    pooled = pool_instance_params(params, assignment)
+    value, grad = instance_param_loss(pooled, assignment, scene.points)
+    weights = assignment.weights
+    expected = (weights.T @ params.params) / (np.ones(grid.n_pixels) @ weights)[:, None]
+    q, s = scene.points.points[mask.mask], weights[mask.mask]
+    residual = q @ pooled.params.T - 1.0
+    scale = 1.0 / (mask.foreground_count * pooled.clusters)
+    want_value = scale * float((s * np.abs(residual)).sum())
+    want_grad = scale * ((s * np.sign(residual)).T @ q)
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    assert rel(pooled.params, expected) <= 1e-12
+    assert abs(value - want_value) <= 1e-12 * want_value
+    assert rel(grad, want_grad) <= 1e-12
 
 
 def total_loss_inputs(seed=0):

@@ -1027,6 +1027,36 @@ class TestPlaneCountHistogram:
         assert sum(plane_count_histogram(batch).values()) == 5
 
 
+class TestHugeIds:
+    """The partition metrics depend only on the partition: a map holding
+    IDs up to 2**62 scores as the same map with compact IDs."""
+
+    CASES = [
+        # (huge labels, n_instances, the same partition with compact IDs)
+        ([2**62, 2**62, 0, 7], None, [2, 2, 0, 1]),
+        ([2**62, 5, 2**61, 5], None, [3, 1, 2, 1]),  # no label 0
+        ([1, 2, 3, 4], 10**6, [1, 2, 3, 4]),  # a large ID space, small IDs
+        ([0, 0, 0, 0], 2**62, [0, 0, 0, 0]),
+    ]
+    OTHERS = [[1, 1, 2, 2], [0, 1, 1, 0], [3, 1, 2, 0]]
+
+    @pytest.mark.parametrize("huge, n_instances, compact", CASES)
+    @pytest.mark.parametrize("other", OTHERS)
+    def test_pair_metrics_match_compact_ids(self, huge, n_instances, compact, other):
+        big, small, ref = seg(huge, n_instances), seg(compact), seg(other)
+        for fn in (rand_index, variation_of_information, segmentation_covering):
+            assert same_bytes(fn(big, ref), fn(small, ref)), fn.__name__
+            assert same_bytes(fn(ref, big), fn(ref, small)), fn.__name__
+            assert same_bytes(fn(big, big), fn(small, small)), fn.__name__
+
+    def test_plane_count_matches_compact_ids(self):
+        batch = [seg(huge, n) for huge, n, _ in self.CASES]
+        assert plane_count_histogram(batch) == plane_count_histogram(
+            [seg(compact) for _, _, compact in self.CASES]
+        )
+        assert plane_count_histogram(batch) == {2: 1, 3: 1, 4: 1, 0: 1}
+
+
 def chain_evaluation(pred_seg, pred_planes, gt_seg, gt_depth, intr):
     """The per-function chain that ``evaluate`` replaces: one full-grid
     mask and plane fit per reference segment, then each metric on its
