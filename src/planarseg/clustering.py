@@ -33,25 +33,27 @@ compared only where the boxes straddle the radius.
 
 Both produce a :class:`ClusterSet` (centers sorted lexicographically so
 runs and variants are comparable) and a row-stochastic soft assignment
-that is labels first: its hard labels, its dense N x C weights and its
-cluster-major (C, M) block of assigned weights are each built on their
-first read, so inference that reads only labels never holds an N x C
-array, nor does training that reads only the block. The weights and
-the block come from an exact span kernel over every masked pixel.
-:func:`cluster` keeps each pixel's bin, so its labels are decided a bin
-at a time in O(B * C * d + N) (:func:`_binned_labels`):
-a bin whose nearest center is sure for every member, by a proven bound
-on the members' spread, labels them all at once, and only the pixels of
-the few other bins run the span kernel. The labels equal the span
-kernel's first-maximum labels bit for bit.
+that is labels first. The assignment holds one column kernel, the exact
+span kernel :func:`_assign_span`, from which it builds its hard labels,
+its dense N x C weights and its cluster-major (C, M) block of assigned
+weights, each on its first read: inference that reads only labels never
+holds an N x C array, nor does training that reads only the block.
+:func:`cluster` also hands the assignment a labels builder that keeps
+each pixel's bin, so its labels are decided a bin at a time in
+O(B * C * d + N) (:func:`_binned_labels`): a bin whose nearest center is
+sure for every member, by a proven bound on the members' spread, labels
+them all at once, and only the pixels of the few other bins run the
+span kernel. The labels equal the span kernel's first-maximum labels
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +62,10 @@ from .core import (
     InstanceSegmentation,
     PlanarMask,
     SoftAssignment,
+    _Columns,
     _frozen,
+    _label_rows,
+    _spans,
 )
 
 __all__ = [
@@ -87,16 +92,6 @@ _CHUNK_TARGET = 1 << 21
 # 1.5-2x slower per element), and the per-element cost, hence the
 # per-iteration scaling, does not depend on the point count.
 _TILE_TARGET = 1 << 17
-
-# Masked pixels per soft-assignment span: each span's (C, span) block
-# stays a few MiB for the usual cluster counts, and the per-center calls
-# of a span cost little beside its work. The span kernel builds the
-# weights, the block, every label of soft_assign and vanilla_mean_shift,
-# and the fallback pixels of cluster's binned labels. On 480x640 scenes
-# with C = 8 (one core of a 2-core Xeon) a label pass over every pixel
-# took about 23 ms per image at 2^15, 24-26 ms at 2^14 and 2^16 and
-# 25-26 ms at 2^13.
-_ASSIGN_SPAN = 1 << 15
 
 # Side of a binning cell as a fraction of the bandwidth. Binning at each
 # cell's centroid cancels the first-order error term, so anchor positions
@@ -174,6 +169,10 @@ class MeanShiftConfig:
     density_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("anchors_per_dim", "iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.anchors_per_dim < 2:
             raise ValueError("anchors_per_dim must be >= 2")
         _check_bandwidth(self.bandwidth)
@@ -220,10 +219,6 @@ def _check_bandwidth(bandwidth: float) -> None:
             "bandwidth must be > 0, finite and large enough that 1/(2*b*b) "
             f"is finite, got {bandwidth!r}"
         )
-
-
-def _chunk_spans(n_items: int, chunk: int) -> List[Tuple[int, int]]:
-    return [(s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
 
 
 def _point_table(
@@ -298,9 +293,9 @@ def _gaussian_shift(
     inv = -1.0 / (2.0 * bandwidth * bandwidth)
     prefactor = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth)
     buf = np.empty(rows * tile)
-    for start, stop in _chunk_spans(m, rows):
+    for start, stop in _spans(m, rows):
         sums = np.zeros((stop - start, table.shape[1]))
-        for first, last in _chunk_spans(n, tile):
+        for first, last in _spans(n, tile):
             kern = buf[: (stop - start) * (last - first)].reshape(stop - start, -1)
             np.matmul(lifted[start:stop], ends[first:last].T, out=kern)
             np.maximum(kern, 0.0, out=kern)
@@ -464,7 +459,7 @@ def _grid_densities(
     span = max(1, min(n, _CHUNK_TARGET // (2 * rows + d * k)))
     inv = -1.0 / (2.0 * bandwidth * bandwidth)
     sums = np.zeros((rows, k))
-    for start, stop in _chunk_spans(n, span):
+    for start, stop in _spans(n, span):
         tables = []
         for a, axis in enumerate(axes):
             table = np.subtract.outer(axis, points[start:stop, a])
@@ -568,7 +563,7 @@ def _ragged(counts: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     block of pairs holds about a dozen arrays this long."""
     bounds = np.cumsum(counts)
     total = int(bounds[-1]) if bounds.size else 0
-    for start, stop in _chunk_spans(total, _CHUNK_TARGET // 16):
+    for start, stop in _spans(total, _CHUNK_TARGET // 16):
         flat = np.arange(start, stop)
         row = np.searchsorted(bounds, flat, side="right")
         yield row, flat - bounds[row] + counts[row]
@@ -684,69 +679,24 @@ def soft_assign(
     minimum subtracted inside the exponent for stability (the shared
     factor cancels in the ratio). Non-planar rows are zero.
 
-    Only the inputs are checked here: the assignment keeps the mask as
-    its assigned rows, and its labels, weights and cluster-major block
-    come from the same O(N * C * d) span kernel (:func:`_assign_span`)
-    when first read. The labels take each pixel's first largest weight
-    span by span, so reading them builds no N x C array; the weights
-    and the block are each written span by span straight into the array
-    the assignment keeps. Given centers come with no binning of the
-    pixels, so every label here runs the span kernel; :func:`cluster`
-    decides most of its labels a bin at a time instead, with the same
-    result.
+    Only the inputs are checked here, the centers' dimension against
+    the embeddings' among them: the assignment keeps the mask as its
+    assigned rows and the O(N * C * d) span kernel (:func:`_assign_span`)
+    as its column kernel, from which it builds its labels, weights and
+    cluster-major block when first read. Given centers come with no
+    binning of the pixels, so every label here runs the span kernel;
+    :func:`cluster` decides most of its labels a bin at a time instead,
+    with the same result.
     """
     if embeddings.grid != mask.grid:
         raise ValueError("embedding and mask grids must match")
-    return _assignment(embeddings, mask, clusters, _span_labels)
-
-
-def _assignment(
-    embeddings: EmbeddingMap,
-    mask: PlanarMask,
-    clusters: ClusterSet,
-    labels: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-) -> SoftAssignment:
-    """The soft assignment whose labels ``labels(values, mask, centers)``
-    builds on first read, whose weights :func:`_span_weights` builds on
-    theirs and whose block :func:`_span_block` builds on its own."""
-    source = (embeddings.values, mask.mask, clusters.centers)
-    return SoftAssignment._from_source(
-        embeddings.grid,
-        len(clusters),
-        mask.mask,
-        labels=partial(labels, *source),
-        weights=partial(_span_weights, *source),
-        block=partial(_span_block, *source),
-    )
-
-
-def _span_labels(values: np.ndarray, mask: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Hard labels of :func:`soft_assign`: per pixel, 1 + the first
-    largest weight of its block column. Each column of a block depends
-    only on its own pixel, so this equals the argmax of the dense
-    weights, ties included."""
-    labels = np.zeros(mask.shape[0], dtype=np.int64)
-    _label_rows(labels, values, np.flatnonzero(mask), centers)
-    return labels
-
-
-def _label_rows(
-    labels: np.ndarray, values: np.ndarray, rows: np.ndarray, centers: np.ndarray
-) -> None:
-    """Write 1 + the first largest weight of each pixel's block column
-    into ``labels[rows]``, span by span."""
-    for start, stop in _chunk_spans(rows.shape[0], _ASSIGN_SPAN):
-        block = _assign_span(values, rows[start:stop], centers)
-        best = block[0].copy()
-        top = np.ones(block.shape[1], dtype=np.int64)
-        higher = np.empty(block.shape[1], dtype=bool)
-        for label, row in enumerate(block[1:], start=2):
-            np.greater(row, best, out=higher)  # strictly: the first maximum stays
-            np.maximum(best, row, out=best)
-            np.copyto(top, label, where=higher)
-        if np.isnan(best).any():  # every distance overflowed to inf
-            raise ValueError("assignment rows must sum to 1 or be all-zero")
-        labels[rows[start:stop]] = top
+    if embeddings.dim != clusters.centers.shape[1]:
+        raise ValueError(
+            f"centers have dimension {clusters.centers.shape[1]} but the "
+            f"embeddings have dimension {embeddings.dim}"
+        )
+    columns = partial(_assign_span, embeddings.values, clusters.centers)
+    return SoftAssignment._from_source(embeddings.grid, len(clusters), mask.mask, columns)
 
 
 # A bin takes its nearest center's label only if, for every point the
@@ -759,12 +709,12 @@ _LABEL_FLOOR = 1e-12
 def _binned_labels(
     bins: tuple,
     side: float,
-    values: np.ndarray,
+    columns: _Columns,
     mask: np.ndarray,
     centers: np.ndarray,
 ) -> np.ndarray:
-    """The labels of :func:`_span_labels`, bit for bit, decided a bin at
-    a time in O(B * C * d + N) for B bins.
+    """The first-maximum labels of the span kernel ``columns``, bit for
+    bit, decided a bin at a time in O(B * C * d + N) for B bins.
 
     ``bins`` and ``side`` are the binning that :func:`cluster` ran: the
     (box, centroids, counts, inverse) of :func:`_seed_anchors`, with
@@ -779,7 +729,7 @@ def _binned_labels(
     idx = np.flatnonzero(mask)
     labels = np.zeros(mask.shape[0], dtype=np.int64)
     labels[idx] = taken
-    _label_rows(labels, values, idx[taken == 0], centers)
+    _label_rows(columns, centers.shape[0], labels, idx[taken == 0])
     return labels
 
 
@@ -821,7 +771,7 @@ def _decided_bins(
     """
     radius = _norm(_member_reach(box, counts, side))
     decided = np.empty(counts.shape[0], dtype=np.int64)
-    for start, stop in _chunk_spans(counts.shape[0], _ASSIGN_SPAN):
+    for start, stop in _spans(counts.shape[0]):
         columns = [np.ascontiguousarray(column) for column in centroids[start:stop].T]
         near = np.full(stop - start, np.inf)
         second = near.copy()
@@ -860,40 +810,14 @@ def _member_reach(
     return [side + slack * spread for spread in np.abs(low) + np.abs(high)]
 
 
-def _span_weights(values: np.ndarray, mask: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Dense (N, C) weights of :func:`soft_assign`, span by span."""
-    weights = np.zeros((mask.shape[0], centers.shape[0]), dtype=np.float64)
-    idx = np.flatnonzero(mask)
-    for start, stop in _chunk_spans(idx.shape[0], _ASSIGN_SPAN):
-        rows = idx[start:stop]
-        weights[rows] = _assign_span(values, rows, centers).T
-    return weights
-
-
-def _span_block(
-    values: np.ndarray, mask: np.ndarray, centers: np.ndarray
-) -> np.ndarray:
-    """The (C, M) weights of :func:`soft_assign` for the M masked pixels,
-    in pixel order: each span is written straight into its columns.
-    Each column depends only on its own pixel, so the block equals
-    ``_span_weights(...)[mask].T`` bit for bit."""
-    idx = np.flatnonzero(mask)
-    block = np.empty((centers.shape[0], idx.shape[0]))
-    for start, stop in _chunk_spans(idx.shape[0], _ASSIGN_SPAN):
-        _assign_span(values, idx[start:stop], centers, block[:, start:stop])
-    return block
-
-
 def _assign_span(
-    values: np.ndarray,
-    rows: np.ndarray,
-    centers: np.ndarray,
-    block: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The (C, span) distance-softmax block of the pixels ``rows``,
-    written into ``block`` if given: per span it gathers each embedding
-    column once and fills the distance block one center at a time, with
-    no (N, C, d) temporary.
+    values: np.ndarray, centers: np.ndarray, rows: np.ndarray, block: np.ndarray
+) -> None:
+    """The column kernel of :func:`soft_assign` and :func:`cluster`:
+    write the (C, span) distance-softmax weights of the pixels ``rows``
+    into ``block``. Per span it gathers each embedding column once and
+    fills the distance block one center at a time, with no (N, C, d)
+    temporary.
 
     Each column depends only on its own pixel: the row sums add the
     centers in order, as ``block.sum(axis=0)`` does for two or more
@@ -904,8 +828,6 @@ def _assign_span(
     gathered = values.take(rows, axis=0)  # whole rows: no strided column copy
     columns = [np.ascontiguousarray(gathered[:, a]) for a in range(values.shape[1])]
     del gathered
-    if block is None:
-        block = np.empty((centers.shape[0], rows.shape[0]))
     term = np.empty(rows.shape[0])
     for dist, center in zip(block, centers):
         np.subtract(columns[0], center[0], out=dist)
@@ -921,7 +843,6 @@ def _assign_span(
     for row in block[1:]:
         term += row
     block /= term
-    return block
 
 
 def _moment_table(
@@ -1035,8 +956,12 @@ def cluster(
     anchors, bins = _seed_anchors(embeddings, mask, config)
     modes, _ = _shift_anchors(anchors, bins, config, config.iterations)
     clusters = _merge_points(modes, config.bandwidth)
-    labels = partial(_binned_labels, bins, BIN_SIDE * config.bandwidth)
-    assignment = _assignment(embeddings, mask, clusters, labels)
+    columns = partial(_assign_span, embeddings.values, clusters.centers)
+    side = BIN_SIDE * config.bandwidth
+    labels = partial(_binned_labels, bins, side, columns, mask.mask, clusters.centers)
+    assignment = SoftAssignment._from_source(
+        embeddings.grid, len(clusters), mask.mask, columns, labels
+    )
     return clusters, assignment
 
 

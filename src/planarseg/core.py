@@ -5,8 +5,10 @@ marked read-only, so instances are safe to share across threads. The
 library's own kernels hand fresh arrays to :func:`_frozen_fields`
 instead, which freezes them without a copy or a check.
 :class:`SoftAssignment` may build its labels, weights and weight block on
-first read; each is cached once, read-only, and a race can at worst
-build it twice.
+first read: the weights and the block from the one column kernel its
+producer hands it, the labels from the producer's labels builder if it
+gave one and from that kernel otherwise; each is cached once,
+read-only, and a race can at worst build it twice.
 Pixels are linearized row-major (index = row * width + col) everywhere.
 Internal arithmetic is 64-bit; narrower inputs are widened on entry.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -238,18 +240,67 @@ def _checked_block(grid: ImageGrid, block: np.ndarray) -> None:
         raise ValueError("assignment rows must sum to 1 or be all-zero")
 
 
-def _gathered_block(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
-    """The assigned rows of dense (N, C) weights as a C-ordered (C, M)
-    block, in ascending pixel order."""
-    return np.ascontiguousarray(weights.compress(assigned, axis=0).T)
+# Assigned pixels per span of a column kernel: each span's (C, span)
+# block stays a few MiB for the usual cluster counts, and the per-center
+# calls of a span cost little beside its work. The spans build the dense
+# weights, the block, the default labels and cluster's binned labels
+# (both its bins and its fallback pixels). On 480x640 scenes with C = 8
+# (one core of a 2-core Xeon) a label pass over every pixel took about
+# 23 ms per image at 2^15, 24-26 ms at 2^14 and 2^16 and 25-26 ms at
+# 2^13.
+_ASSIGN_SPAN = 1 << 15
+
+# A column kernel ``columns(rows, out)`` writes the (C, len(rows))
+# weights of the assigned pixels ``rows`` into ``out``, whose rows may be
+# strided; column j depends only on pixel ``rows[j]``.
+_Columns = Callable[[np.ndarray, np.ndarray], None]
 
 
-def _argmax_labels(weights: np.ndarray, assigned: np.ndarray) -> np.ndarray:
-    """1 + the column of each row's first largest weight; 0 where unassigned."""
-    labels = np.argmax(weights, axis=1)
-    labels += 1
-    labels *= assigned
-    return labels
+def _spans(n_items: int, size: Optional[int] = None) -> List[Tuple[int, int]]:
+    """The (start, stop) of consecutive spans of at most ``size`` items,
+    by default ``_ASSIGN_SPAN`` as it stands at the call, that cover
+    ``range(n_items)`` in order."""
+    size = _ASSIGN_SPAN if size is None else size
+    return [(s, min(s + size, n_items)) for s in range(0, n_items, size)]
+
+
+def _kernel_spans(
+    columns: _Columns, clusters: int, rows: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Per span of at most ``_ASSIGN_SPAN`` of the pixels ``rows``, the
+    span and the (C, span) weights that ``columns`` writes for it, into
+    one buffer that every span reuses."""
+    buf = np.empty((clusters, min(_ASSIGN_SPAN, rows.shape[0])))
+    for start, stop in _spans(rows.shape[0]):
+        span = rows[start:stop]
+        out = buf[:, : span.shape[0]]
+        columns(span, out)
+        yield span, out
+
+
+def _label_rows(
+    columns: _Columns, clusters: int, labels: np.ndarray, rows: np.ndarray
+) -> None:
+    """Write 1 + the column of each pixel's first largest weight, from
+    the column kernel, into ``labels[rows]``, span by span. A NaN weight
+    (every distance of a pixel overflowed to inf) is rejected."""
+    for span, block in _kernel_spans(columns, clusters, rows):
+        best = block[0].copy()
+        top = np.ones(span.shape[0], dtype=np.int64)
+        higher = np.empty(span.shape[0], dtype=bool)
+        for label, row in enumerate(block[1:], start=2):
+            np.greater(row, best, out=higher)  # strictly: the first maximum stays
+            np.maximum(best, row, out=best)
+            np.copyto(top, label, where=higher)
+        if np.isnan(best).any():
+            raise ValueError("assignment rows must sum to 1 or be all-zero")
+        labels[span] = top
+
+
+def _weight_columns(weights: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """The column kernel of constructor weights: the (N, C) rows
+    ``rows``, transposed into ``out``."""
+    out[...] = weights.take(rows, axis=0).T
 
 
 class SoftAssignment:
@@ -268,34 +319,38 @@ class SoftAssignment:
     ``flatnonzero(assigned_rows)[j]`` of ``weights`` bit for bit. Soft
     pooling and ``instance_param_loss`` read only the block.
 
+    Every assignment holds one column kernel, ``columns(rows, out)``,
+    which writes the (C, len(rows)) weights of the given assigned pixels
+    into ``out``; for constructor weights it copies their rows. The
+    assignment alone runs it, span by span over ``_ASSIGN_SPAN``
+    assigned pixels, to build the dense weights, the block and the
+    default first-maximum labels, each on its own first read and none
+    from another (constructor labels are ``np.argmax`` of the weights
+    the constructor already holds):
+    a caller that only reads labels never holds an N x C or C x M
+    array, and one that reads the block never holds an N x C array.
     The library's own producers build an assignment from a source
-    instead (:meth:`_from_source`): the cluster count, the assigned
-    rows and functions that build the labels, the dense weights and the
-    block. Each is then built on its own first read, and neither array
-    of weights is derived from the other, so a caller that only reads
-    labels never holds an N x C or C x M array, and one that reads the
-    block never holds an N x C array. Built weights and blocks pass the
-    same checks as constructor weights and are frozen in place, without
-    a copy. Each value is cached once and read-only, so the object stays
+    (:meth:`_from_source`): the cluster count, the assigned rows, their
+    kernel and, where they know the labels more cheaply than the kernel
+    does, a labels builder. Built weights and blocks pass the same
+    checks as constructor weights and are frozen in place, without a
+    copy. Each value is cached once and read-only, so the object stays
     immutable from outside; two threads racing on a first read may both
-    build the value, and both get the one that was cached first. Once a
-    value is cached its builder is dropped, with whatever the builder
+    build the value, and both get the one that was cached first. Once
+    the labels are cached their builder is dropped, with whatever it
     held.
     """
 
     def __init__(self, grid: ImageGrid, weights: np.ndarray) -> None:
         weights = _frozen(weights, np.float64)
         assigned = _checked_rows(grid, weights)
-        self.__dict__.update(
-            grid=grid,
-            _clusters=weights.shape[1],
-            _assigned=assigned,
-            _build_labels=partial(_argmax_labels, weights, assigned),
-            _build_weights=None,
-            _build_block=partial(_gathered_block, weights, assigned),
-            _indicator=False,
-            _weights=weights,
-        )
+        columns = partial(_weight_columns, weights)
+
+        def labels() -> np.ndarray:
+            return (np.argmax(weights, axis=1) + 1) * assigned
+
+        source = self._from_source(grid, weights.shape[1], assigned, columns, labels)
+        self.__dict__.update(vars(source), _weights=weights)
 
     @classmethod
     def _from_source(
@@ -303,24 +358,22 @@ class SoftAssignment:
         grid: ImageGrid,
         clusters: int,
         assigned: np.ndarray,
-        labels: Callable[[], np.ndarray],
-        weights: Callable[[], np.ndarray],
-        block: Callable[[], np.ndarray],
+        columns: _Columns,
+        labels: Optional[Callable[[], np.ndarray]] = None,
         indicator: bool = False,
     ) -> "SoftAssignment":
-        """An assignment whose labels, (N, C) weights and (C, M) block
-        ``labels()``, ``weights()`` and ``block()`` build on first read.
-        ``assigned`` must be read-only. ``indicator`` says that each
-        assigned row is one-hot on its label, so pooling may sum pixels
-        by label."""
+        """An assignment whose weights the column kernel ``columns``
+        writes, and whose labels ``labels()`` builds on first read (by
+        default the first maximum of the kernel's columns). ``assigned``
+        must be read-only. ``indicator`` says that each assigned row is
+        one-hot on its label, so pooling may sum pixels by label."""
         out = cls.__new__(cls)
         out.__dict__.update(
             grid=grid,
             _clusters=clusters,
             _assigned=assigned,
+            _columns=columns,
             _build_labels=labels,
-            _build_weights=weights,
-            _build_block=block,
             _indicator=indicator,
         )
         return out
@@ -334,25 +387,38 @@ class SoftAssignment:
     def __repr__(self) -> str:
         return f"SoftAssignment(grid={self.grid!r}, clusters={self._clusters})"
 
-    def _cached(self, name: str, builder: str, check=None):
-        """The value cached under ``name``, built by the function stored
-        under ``builder``, checked and frozen on first read.
-        ``setdefault`` keeps the first of two racing builds. The builder
-        is dropped only after that, so what it holds (for a clustering,
-        the binning) is freed, and a reader that finds no builder finds
-        the value."""
+    def _cached(self, name: str, build: Callable[[], np.ndarray], check=None):
+        """The value cached under ``name``: built by ``build()``, checked
+        and frozen on first read. ``setdefault`` keeps the first of two
+        racing builds."""
         value = self.__dict__.get(name)
         if value is None:
-            build = self.__dict__[builder]
-            if build is None:
-                return self.__dict__[name]
             value = build()
             if check is not None:
                 check(self.grid, value)
             value.flags.writeable = False
             value = self.__dict__.setdefault(name, value)
-            self.__dict__[builder] = None
         return value
+
+    def _first_max_labels(self) -> np.ndarray:
+        labels = np.zeros(self.grid.n_pixels, dtype=np.int64)
+        rows = np.flatnonzero(self._assigned)
+        _label_rows(self._columns, self._clusters, labels, rows)
+        return labels
+
+    def _dense_weights(self) -> np.ndarray:
+        weights = np.zeros((self.grid.n_pixels, self._clusters))
+        rows = np.flatnonzero(self._assigned)
+        for span, block in _kernel_spans(self._columns, self._clusters, rows):
+            weights[span] = block.T
+        return weights
+
+    def _column_block(self) -> np.ndarray:
+        rows = np.flatnonzero(self._assigned)
+        block = np.empty((self._clusters, rows.shape[0]))
+        for start, stop in _spans(rows.shape[0]):
+            self._columns(rows[start:stop], block[:, start:stop])
+        return block
 
     @property
     def clusters(self) -> int:
@@ -365,27 +431,33 @@ class SoftAssignment:
 
     @property
     def labels(self) -> np.ndarray:
-        """Read-only hard labels in 0..C, built once."""
-        return self._cached("_labels", "_build_labels")
+        """Read-only hard labels in 0..C, built once. A producer's label
+        builder is dropped once they are cached; a reader that finds it
+        dropped finds the labels, or at worst builds the same ones from
+        the kernel."""
+        build = self.__dict__["_build_labels"] or self._first_max_labels
+        labels = self._cached("_labels", build)
+        self.__dict__["_build_labels"] = None
+        return labels
 
     @property
     def weights(self) -> np.ndarray:
         """Read-only (N, C) weights, built and checked once."""
-        return self._cached("_weights", "_build_weights", _checked_rows)
+        return self._cached("_weights", self._dense_weights, _checked_rows)
 
     @property
     def _block(self) -> np.ndarray:
         """Read-only (C, M) weights of the assigned pixels, cluster-major
         and in ascending pixel order, built and checked once."""
-        return self._cached("_member_block", "_build_block", _checked_block)
+        return self._cached("_member_block", self._column_block, _checked_block)
 
     def _block_spans(self, size: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Per span of at most ``size`` assigned pixels, in pixel order,
         the pixels' indices and their (C, span) view of :attr:`_block`."""
         block = self._block
         idx = np.flatnonzero(self._assigned)
-        for start in range(0, idx.shape[0], size):
-            yield idx[start : start + size], block[:, start : start + size]
+        for start, stop in _spans(idx.shape[0], size):
+            yield idx[start:stop], block[:, start:stop]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ A plane is stored as a single 3-vector ``n`` such that on-plane points
 satisfy n . Q = 1; the unit normal is n / |n| and the camera-to-plane
 offset is 1 / |n|. This keeps every per-pixel and per-instance parameter
 a plain 3-vector.
+
+:func:`one_hot_assignment` hands its assignment the labels and one
+column kernel, the indicator of each pixel's label, from which the
+assignment builds its dense weights and its block if they are read.
 """
 
 from __future__ import annotations
@@ -262,45 +266,33 @@ def pool_instance_params(
     return PlaneInstanceParams(sums / mass[:, None])
 
 
-def _indicator_columns(labels: np.ndarray, clusters: int) -> np.ndarray:
-    """The float64 (len(labels), C) indicators ``labels == 1..C``, one
-    row per label: all-zero for label 0, else one-hot on its column."""
-    out = np.empty((labels.shape[0], clusters))
-    np.equal(labels[:, None], np.arange(1, clusters + 1), out=out)
-    return out
-
-
-def _indicator_block(
-    labels: np.ndarray, assigned: np.ndarray, clusters: int
-) -> np.ndarray:
-    """The (C, M) block of :func:`one_hot_assignment`: the indicators
-    of the assigned pixels' labels, cluster-major."""
-    out = np.empty((clusters, int(np.count_nonzero(assigned))))
-    np.equal(np.arange(1, clusters + 1)[:, None], labels[assigned], out=out)
-    return out
+def _one_hot_span(labels: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """The column kernel of :func:`one_hot_assignment`: column j of
+    ``out`` is the float64 indicator of instance ``labels[rows[j]]``."""
+    np.equal(np.arange(1, out.shape[0] + 1)[:, None], labels.take(rows), out=out)
 
 
 def one_hot_assignment(segments: InstanceSegmentation) -> SoftAssignment:
     """Indicator assignment putting each labeled pixel fully on its instance.
 
-    The assignment is defined by the labels. Its dense weights and its
-    block are each built only if read, straight from the labels: row i
-    is the indicator of instance ``labels[i]``, all-zero for label 0.
+    The assignment is defined by the labels, which it keeps as its own.
+    Its column kernel writes the indicator of each pixel's label, so its
+    dense weights and its block are each built only if read: row i is
+    the indicator of instance ``labels[i]``, all-zero for label 0.
     Nothing of size C x C is built, so a large ID space costs nothing
     until the weights are read.
     """
     if segments.n_instances < 1:
         raise ValueError("segmentation has no instances")
-    labels, clusters = segments.labels, segments.n_instances
+    labels = segments.labels
     assigned = labels > 0
     assigned.flags.writeable = False
     return SoftAssignment._from_source(
         segments.grid,
-        clusters,
+        segments.n_instances,
         assigned,
+        partial(_one_hot_span, labels),
         labels=labels.view,
-        weights=partial(_indicator_columns, labels, clusters),
-        block=partial(_indicator_block, labels, assigned, clusters),
         indicator=True,
     )
 

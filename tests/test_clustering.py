@@ -8,13 +8,14 @@ import tracemalloc
 import types
 import warnings
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarseg import clustering, losses
+from planarseg import clustering, core, losses
 from planarseg.clustering import (
     BIN_SIDE,
     MAX_ANCHORS,
@@ -44,7 +45,6 @@ from planarseg.clustering import (
     _point_table,
     _seed_anchors,
     _shift_anchors,
-    _span_labels,
 )
 from planarseg.core import (
     CameraIntrinsics,
@@ -176,11 +176,24 @@ class TestConfig:
             {"bandwidth": 1e-300},
             {"bandwidth": 1e-160},
             {"bandwidth": math.nan},
+            # counts that are not integers: np.linspace and range would
+            # raise a TypeError inside cluster
+            {"anchors_per_dim": 2.5},
+            {"anchors_per_dim": np.float64(4.0)},
+            {"iterations": 2.5},
+            {"iterations": 3.0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             MeanShiftConfig(**kwargs)
+
+    def test_numpy_integer_counts_work(self):
+        emb, mask, _ = three_blob_input(n_per=20)
+        config = MeanShiftConfig(anchors_per_dim=np.int64(6), iterations=np.int32(4))
+        clusters, _ = cluster(emb, mask, config)
+        reference, _ = cluster(emb, mask, MeanShiftConfig(anchors_per_dim=6, iterations=4))
+        np.testing.assert_array_equal(clusters.centers, reference.centers)
 
     def test_anchor_grid_bound(self):
         # _seed_anchors checks k^d against the embeddings' own dimension
@@ -953,6 +966,18 @@ class TestSoftAssign:
         sa = soft_assign(emb, mask, clusters)
         np.testing.assert_allclose(sa.weights[0], [0.5, 0.5], rtol=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rejects_centers_of_another_dimension(self, dim):
+        # 2-d embeddings on a 2x3 grid: 3-d centers would lose their third
+        # coordinate to the kernel, 1-d ones the embeddings' second axis.
+        grid = ImageGrid(2, 3)
+        emb = EmbeddingMap(grid, np.arange(12.0).reshape(6, 2))
+        mask = PlanarMask(grid, np.ones(6, dtype=bool))
+        clusters = ClusterSet(np.zeros((2, dim)), np.ones(2, dtype=np.int64))
+        message = f"^centers have dimension {dim} but the embeddings have dimension 2$"
+        with pytest.raises(ValueError, match=message):
+            soft_assign(emb, mask, clusters)
+
     def test_nonplanar_rows_zero(self):
         emb, _ = embedding_fixture([[0.0, 0.0], [1.0, 1.0]])
         mask = PlanarMask(emb.grid, np.array([True, False]))
@@ -970,7 +995,7 @@ class TestSoftAssign:
     @staticmethod
     def multi_chunk_input(d, c, monkeypatch):
         # A 1000-pixel span puts the ~2800 masked pixels into 3 chunks.
-        monkeypatch.setattr(clustering, "_ASSIGN_SPAN", 1000)
+        monkeypatch.setattr(core, "_ASSIGN_SPAN", 1000)
         rng = np.random.default_rng(10 * d + c)
         grid = ImageGrid(50, 80)
         emb = EmbeddingMap(grid, rng.normal(0.0, 2.0, size=(grid.n_pixels, d)))
@@ -1047,7 +1072,7 @@ class TestSoftAssign:
         emb = EmbeddingMap(grid, rng.normal(size=(n, d)))
         mask = PlanarMask(grid, np.arange(n) < 200_000)
         clusters = ClusterSet(rng.normal(size=(c, d)), np.ones(c, dtype=np.int64))
-        span = clustering._ASSIGN_SPAN
+        span = core._ASSIGN_SPAN
         weights = n * c * 8
         scratch = span * (c + d + 2) * 8 + 200_000 * 8 + 4 * n * 8
         tracemalloc.start()
@@ -1090,17 +1115,57 @@ class TestWeightBlock:
         dense = SoftAssignment(grid, assignment.weights)
         np.testing.assert_array_equal(dense._block, block)
 
+    @pytest.mark.parametrize(
+        "producer", ["cluster", "soft_assign", "one_hot_assignment", "constructor"]
+    )
+    def test_block_and_labels_follow_the_weights(self, producer, monkeypatch):
+        # One scene of about 2.9k masked pixels in spans of 1000, so every
+        # array is built over 3 spans. Each producer's block is its
+        # assigned weight rows transposed, and its labels the first
+        # maximum of each weight row, bit for bit. The constructor's
+        # weights carry ties: [0.5, 0.5] rows take label 1, and rows
+        # split between clusters 2 and 4 take label 2.
+        monkeypatch.setattr(core, "_ASSIGN_SPAN", 1000)
+        grid = ImageGrid(48, 64)
+        intr = CameraIntrinsics(fx=57.6, fy=57.6, cx=31.5, cy=23.5)
+        scene = generate_scene(SceneSpec(grid=grid, intr=intr, plane_count=6, seed=3))
+        emb = generate_embeddings(
+            scene, EmbeddingNoiseSpec(center_min_gap=1.5, sigma=0.2, seed=3)
+        )
+        mask = PlanarMask(grid, corrupt_probability(scene, 0.05, seed=3).probs >= 0.5)
+        assert mask.foreground_count > 2 * 1000
+        clusters, assignment = cluster(emb, mask)
+        assert len(clusters) >= 4
+        if producer == "soft_assign":
+            assignment = soft_assign(emb, mask, clusters)
+        elif producer == "one_hot_assignment":
+            assignment = one_hot_assignment(hard_labels(assignment))
+        elif producer == "constructor":
+            weights = assignment.weights.copy()
+            rows = np.flatnonzero(mask.mask)
+            weights[rows[::7]] = 0.0
+            weights[rows[::7], :2] = 0.5
+            weights[rows[3::7]] = 0.0
+            weights[rows[3::7, None], [1, 3]] = 0.5
+            assignment = SoftAssignment(grid, weights)
+        weights, assigned = assignment.weights, assignment.assigned_rows
+        first_max = (np.argmax(weights, axis=1) + 1) * assigned
+        np.testing.assert_array_equal(assignment._block, weights[assigned].T)
+        np.testing.assert_array_equal(assignment.labels, first_max)
+        if producer == "constructor":
+            assert (assignment.labels[rows[::7]] == 1).all()
+            assert (assignment.labels[rows[3::7]] == 2).all()
+
     def test_block_and_weights_are_built_apart(self):
         # Reading the block builds no dense weights, and the reverse.
         emb, mask, _ = three_blob_input(n_per=20)
         clusters = ClusterSet(np.array([[1.0, 1.0], [4.0, 1.5]]), np.ones(2, dtype=np.int64))
         first = soft_assign(emb, mask, clusters)
         block = first._block
-        assert first._build_weights is not None and "_weights" not in vars(first)
-        assert first._build_block is None
+        assert "_member_block" in vars(first) and "_weights" not in vars(first)
         second = soft_assign(emb, mask, clusters)
         weights = second.weights
-        assert second._build_block is not None and "_member_block" not in vars(second)
+        assert "_weights" in vars(second) and "_member_block" not in vars(second)
         np.testing.assert_array_equal(block, weights[mask.mask].T)
 
     def test_training_path_peak_is_one_block_and_spans(self):
@@ -1122,7 +1187,7 @@ class TestWeightBlock:
         params = PixelPlaneParams(grid, rng.normal(size=(n, 3)) + [0.0, 0.0, 2.0])
         points = PointMap(grid, rng.normal(size=(n, 3)) + [0.0, 0.0, 3.0])
         block = c * m * 8
-        assert (2 * d + 2) * clustering._ASSIGN_SPAN <= 2 * (2 * c + 3) * losses._IPL_SPAN
+        assert (2 * d + 2) * core._ASSIGN_SPAN <= 2 * (2 * c + 3) * losses._IPL_SPAN
         scratch = m * 8 + 2 * (2 * c + 3) * losses._IPL_SPAN * 8
         tracemalloc.start()
         try:
@@ -1199,7 +1264,8 @@ class TestCluster:
     def test_cached_values_free_their_builders(self):
         # The label builder holds the binning (box, centroids, counts and
         # each pixel's bin); once the labels are cached nothing may keep
-        # it, and the weights builder goes the same way.
+        # it. The weights come from the column kernel, which holds no
+        # binning, and are cached once beside the labels.
         emb, mask, _ = three_blob_input(n_per=20)
         _, assignment = cluster(emb, mask)
         inverse = weakref.ref(assignment._build_labels.args[0][3])
@@ -1212,7 +1278,7 @@ class TestCluster:
         assert assignment.weights is weights
         assert not weights.flags.writeable
         assert assignment._build_labels is None
-        assert assignment._build_weights is None
+        assert vars(assignment)["_weights"] is weights
 
     def test_identical_embeddings_single_cluster(self):
         emb, mask = embedding_fixture([[2.0, 2.0]] * 10)
@@ -1315,30 +1381,35 @@ class TestCluster:
 
 
 def count_fallback(monkeypatch):
-    """Route the span fallback of the binned labels through a counter of
-    the pixels it labels."""
+    """Route the span kernel through a counter of the pixels it sees,
+    span by span: while only labels are read, the binned labels' fallback
+    pixels."""
     seen = []
-    label_rows = clustering._label_rows
+    kernel = clustering._assign_span
 
-    def counted(labels, values, rows, centers):
+    def counted(values, centers, rows, block):
         seen.append(rows.shape[0])
-        label_rows(labels, values, rows, centers)
+        kernel(values, centers, rows, block)
 
-    monkeypatch.setattr(clustering, "_label_rows", counted)
+    monkeypatch.setattr(clustering, "_assign_span", counted)
     return seen
 
 
 def oracle_labels(emb, mask, clusters):
-    return _span_labels(emb.values, mask.mask, clusters.centers)
+    """The first-maximum labels of the span kernel over every pixel."""
+    return soft_assign(emb, mask, clusters).labels
 
 
 def binned_labels(values, centers, bandwidth=0.5):
     """The binned labels of every row of ``values`` against chosen
     centers, binned as :func:`cluster` bins them, and the span oracle's."""
     emb, mask = embedding_fixture(values)
-    bins = _bin_points(values.T, BIN_SIDE * bandwidth)
-    args = (emb.values, mask.mask, np.asarray(centers, dtype=np.float64))
-    return _binned_labels(bins, BIN_SIDE * bandwidth, *args), _span_labels(*args)
+    side = BIN_SIDE * bandwidth
+    centers = np.asarray(centers, dtype=np.float64)
+    columns = partial(clustering._assign_span, emb.values, centers)
+    labels = _binned_labels(_bin_points(values.T, side), side, columns, mask.mask, centers)
+    clusters = ClusterSet(centers, np.ones(centers.shape[0], dtype=np.int64))
+    return labels, oracle_labels(emb, mask, clusters)
 
 
 class TestBinnedLabels:
@@ -1482,11 +1553,12 @@ class TestBinnedLabels:
         values = rng.normal(0.0, 2.0, size=(400, 2))
         centers = rng.normal(0.0, 2.0, size=(9, 2))
         rows = np.arange(400)
-        block = _assign_span(values, rows, centers)
+        block = np.empty((9, 400))
+        _assign_span(values, centers, rows, block)
         for row in rows:
-            np.testing.assert_array_equal(
-                _assign_span(values, rows[row : row + 1], centers)[:, 0], block[:, row]
-            )
+            column = np.empty((9, 1))
+            _assign_span(values, centers, rows[row : row + 1], column)
+            np.testing.assert_array_equal(column[:, 0], block[:, row])
 
     def test_reading_labels_holds_no_span_block(self):
         # 200k masked pixels of 16 blobs: reading the labels of a cluster
@@ -1511,7 +1583,7 @@ class TestBinnedLabels:
         fallback = int((decided[inverse] == 0).sum())
         bins = counts.shape[0]
         allowed = 8 * n + 17 * m + 8 * bins * (c + 12) + 8 * fallback * (c + 8) + (1 << 16)
-        span_block = 8 * c * clustering._ASSIGN_SPAN
+        span_block = 8 * c * core._ASSIGN_SPAN
         tracemalloc.start()
         try:
             assignment.labels

@@ -152,15 +152,19 @@ class TestSoftAssignment:
         ],
     )
     def test_built_block_is_checked_like_rows(self, row, message):
-        # A producer's block passes the rules of constructor weights, with
-        # the same messages and the range checked first.
-        block = np.array([[0.25, 0.0, 0.25], [0.75, 0.0, 0.75]])
-        block[:, 1] = row
+        # A block built from a producer's column kernel passes the rules
+        # of constructor weights, with the same messages and the range
+        # checked first.
+        weights = np.zeros((6, 2))
+        weights[[0, 4]] = [0.25, 0.75]
+        weights[2] = row
         assigned = np.array([True, False, True, False, True, False])
         assigned.flags.writeable = False
-        sa = SoftAssignment._from_source(
-            GRID, 2, assigned, labels=None, weights=None, block=block.copy
-        )
+
+        def columns(rows, out):
+            out[...] = weights[rows].T
+
+        sa = SoftAssignment._from_source(GRID, 2, assigned, columns)
         with pytest.raises(ValueError, match=message):
             sa._block
 
