@@ -64,6 +64,7 @@ from .core import (
     SoftAssignment,
     _Columns,
     _frozen,
+    _frozen_fields,
     _label_rows,
     _spans,
 )
@@ -171,8 +172,12 @@ class MeanShiftConfig:
     def __post_init__(self) -> None:
         for name in ("anchors_per_dim", "iterations"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("bandwidth", "density_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.anchors_per_dim < 2:
             raise ValueError("anchors_per_dim must be >= 2")
         _check_bandwidth(self.bandwidth)
@@ -1004,6 +1009,13 @@ def hard_labels(assignment: SoftAssignment) -> InstanceSegmentation:
     assignment from :func:`cluster` or :func:`soft_assign` builds no
     N x C array for them. One from :func:`cluster` decides them a bin
     at a time and runs the span kernel only for pixels near a tie; they
-    equal the span kernel's labels bit for bit.
+    equal the span kernel's labels bit for bit. They are already
+    read-only int64 in 0..C, so the segmentation takes them as they are,
+    without the copy and range check of its constructor.
     """
-    return InstanceSegmentation(assignment.grid, assignment.labels, assignment.clusters)
+    return _frozen_fields(
+        InstanceSegmentation,
+        grid=assignment.grid,
+        labels=assignment.labels,
+        n_instances=assignment.clusters,
+    )

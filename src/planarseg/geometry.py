@@ -18,6 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from . import core
 from .core import (
     EPS_PLANE,
     CameraIntrinsics,
@@ -31,6 +32,7 @@ from .core import (
     _check_plane_rows,
     _frozen,
     _frozen_fields,
+    _tiles,
 )
 
 __all__ = [
@@ -117,40 +119,58 @@ def _render_arrays(
     Precondition: every label lies in 0..K-1. The gathers clip instead
     of checking bounds; ``InstanceSegmentation`` keeps its labels in
     0..n_instances, and :func:`render_segment_depth` passes one row per
-    label. The denominators are summed as (nx·x + ny·y) + nz in two
-    buffers; the first becomes the depth. An O(K) guard bounds every
-    denominator by the same sum of ``|n|`` times the largest ``|x|`` and
-    ``|y|``: when each row's bound is finite, no denominator overflows.
-    Only when a bound is not finite does one scan look for a +inf
-    denominator, whose depth 1/inf = 0 would be a valid zero and raises
-    the error of :class:`DepthMap`.
+    label. The passes run tile by tile (``core._tiles``): in each tile
+    the denominators are summed as (nx·x + ny·y) + nz in the depth's own
+    slice, then become depth and validity there. The scratch is two
+    tile-sized buffers, the tile's labels as writable indices and one
+    term, so no full-grid buffer is made beside the two outputs, and
+    each element gets the operations, in the order, that one pass over
+    the whole grid would give it. An O(K) guard bounds every denominator
+    by the same sum of ``|n|`` times the largest ``|x|`` and ``|y|``:
+    when each row's bound is finite, no denominator overflows. Only when
+    a bound is not finite does each tile scan for a +inf denominator,
+    whose depth 1/inf = 0 would be a valid zero and raises the error of
+    :class:`DepthMap`.
     """
     x, y = _ray_coords(grid, intr)
-    denom = np.empty(grid.n_pixels, dtype=np.float64)
-    term = np.empty(grid.n_pixels, dtype=np.float64)
-    denom2d = denom.reshape(grid.height, grid.width)
-    term2d = term.reshape(grid.height, grid.width)
+    depth = np.empty(grid.n_pixels, dtype=np.float64)
+    validity = np.empty(grid.n_pixels, dtype=bool)
+    shape = (grid.height, grid.width)
+    depth2d, valid2d = depth.reshape(shape), validity.reshape(shape)
+    labels2d = labels.reshape(shape)
     nx, ny, nz = (np.ascontiguousarray(column) for column in normals.T)
-    # inf - inf is NaN and stays invalid; a +inf is caught below
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         reach = np.abs(normals)
         bound = reach[:, 0] * np.abs(x).max() + reach[:, 1] * np.abs(y).max()
         bound += reach[:, 2]
-        nx.take(labels, mode="clip", out=denom)
-        np.multiply(denom2d, x, out=denom2d)
-        ny.take(labels, mode="clip", out=term)
-        np.multiply(term2d, y[:, None], out=term2d)
-        denom += term
-        nz.take(labels, mode="clip", out=term)
-        denom += term
-    if not np.isfinite(bound).all() and (denom == np.inf).any():
-        raise ValueError("valid depths must be finite and > 0")
-    valid = denom > EPS_RAY
-    # invalid and NaN denominators become EPS_RAY, then 1/EPS_RAY * 0 = +0.0
-    np.fmax(denom, EPS_RAY, out=denom)
-    np.divide(1.0, denom, out=denom)
-    np.multiply(denom, valid, out=denom)
-    return denom, valid
+    bounded = np.isfinite(bound).all()
+    # ``take`` copies read-only indices, so each tile's labels are copied
+    # once into a writable index buffer rather than once per gather.
+    size = min(grid.n_pixels, core._PIXEL_TILE)
+    index_buf, term_buf = np.empty(size, dtype=np.int64), np.empty(size)
+    # inf - inf is NaN and stays invalid; a +inf is caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, cols in _tiles(grid):
+            denom = depth2d[rows, cols]
+            ids = index_buf[: denom.size].reshape(denom.shape)
+            term = term_buf[: denom.size].reshape(denom.shape)
+            np.copyto(ids, labels2d[rows, cols])
+            nx.take(ids, mode="clip", out=denom)
+            np.multiply(denom, x[cols], out=denom)
+            ny.take(ids, mode="clip", out=term)
+            np.multiply(term, y[rows, None], out=term)
+            denom += term
+            nz.take(ids, mode="clip", out=term)
+            denom += term
+            if not bounded and (denom == np.inf).any():
+                raise ValueError("valid depths must be finite and > 0")
+            valid = np.greater(denom, EPS_RAY, out=valid2d[rows, cols])
+            # invalid and NaN denominators become EPS_RAY, then 1/EPS_RAY * 0 = +0.0
+            np.fmax(denom, EPS_RAY, out=denom)
+            np.divide(1.0, denom, out=denom)
+            np.copyto(term, valid)  # the float mask in the scratch, not a cast copy
+            denom *= term
+    return depth, validity
 
 
 def _render(
@@ -186,19 +206,16 @@ def backproject(depth: DepthMap, intr: CameraIntrinsics) -> PointMap:
     When the largest depth times max(1, |x|, |y|) is finite no point
     overflows, and when the smallest valid depth times the smallest
     nonzero |x| or |y| is nonzero no valid coordinate underflows to a
-    zero whose sign the +0.0 would change. Then the fresh points are
-    handed to :class:`PointMap` without a copy or check. Otherwise the
-    checked constructor takes them, and overflowing points raise its
-    error.
+    zero whose sign the +0.0 would change. These tests come first. The
+    points are then written tile by tile (``core._tiles``), with no
+    scratch: the three coordinates of the tile, then, only when both
+    tests pass, one ``+= 0.0`` over the tile's contiguous points while
+    they are in cache (z + 0.0 is z). Such points are handed to
+    :class:`PointMap` without a copy or check. Otherwise the checked
+    constructor takes them, and overflowing points raise its error.
     """
     grid = depth.grid
     x, y = _ray_coords(grid, intr)
-    z = depth.depth.reshape(grid.height, grid.width)
-    points = np.empty((grid.height, grid.width, 3), dtype=np.float64)
-    with np.errstate(over="ignore"):  # only the checked path can overflow
-        np.multiply(x, z, out=points[:, :, 0])
-        np.multiply(y[:, None], z, out=points[:, :, 1])
-    points[:, :, 2] = z
     rays = np.abs(np.concatenate([x, y]))
     fits = np.isfinite(float(depth.depth.max()) * max(1.0, float(rays.max())))
     # A valid depth z >= floor gives z * |ray| > 2**-1075 for every nonzero
@@ -206,10 +223,19 @@ def backproject(depth: DepthMap, intr: CameraIntrinsics) -> PointMap:
     smallest = float(rays[rays > 0.0].min(initial=np.inf))
     floor = max(2.0**-1074 / smallest, 2.0**-1074)
     signed = np.count_nonzero(depth.depth >= floor) == np.count_nonzero(depth.validity)
-    if not (fits and signed):
+    fast = fits and signed
+    z = depth.depth.reshape(grid.height, grid.width)
+    points = np.empty((grid.height, grid.width, 3), dtype=np.float64)
+    with np.errstate(over="ignore"):  # only the checked path can overflow
+        for rows, cols in _tiles(grid):
+            out, zs = points[rows, cols], z[rows, cols]
+            np.multiply(x[cols], zs, out=out[:, :, 0])
+            np.multiply(y[rows, None], zs, out=out[:, :, 1])
+            out[:, :, 2] = zs
+            if fast:
+                out += 0.0
+    if not fast:
         return PointMap(grid, points.reshape(-1, 3), depth.validity)
-    for axis in (0, 1):  # one pass each: the inner loop runs along a row
-        points[:, :, axis] += 0.0
     return _frozen_fields(
         PointMap, grid=grid, points=points.reshape(-1, 3), validity=depth.validity
     )

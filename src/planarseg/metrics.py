@@ -29,6 +29,7 @@ from .core import (
     InstanceSegmentation,
     _frozen,
     _frozen_fields,
+    _tiles,
 )
 from .geometry import (
     Plane,
@@ -223,20 +224,26 @@ def _depth_errors(
 
     ``depth`` and ``validity`` are the prediction's rendered arrays,
     which become ``|depth − gt|·both`` and then its complement in place,
-    where ``both`` marks the jointly valid pixels. One weighted bincount
-    over the pair keys of the full grid gives each pair's error sum; the
-    other pixels add +0.0 terms, which leave every sum as the sum over
-    the jointly valid pixels alone. The jointly valid count per pair is
-    the table less a bincount over the keys of the other pixels, in
-    exact integers. The cost is O(N) whatever the plane count.
+    where ``both`` marks the jointly valid pixels. The four elementwise
+    passes that form them run tile by tile (``core._tiles``), so each
+    tile stays in cache between them. One weighted bincount over the
+    pair keys of the full grid gives each pair's error sum; the other
+    pixels add +0.0 terms, which leave every sum as the sum over the
+    jointly valid pixels alone. The jointly valid count per pair is the
+    table less a bincount over the keys of the other pixels, in exact
+    integers. The cost is O(N) whatever the plane count.
     """
-    both = np.logical_and(validity, gt.validity, out=validity)
-    np.subtract(depth, gt.depth, out=depth)
-    np.abs(depth, out=depth)
-    depth *= both
+    shape = (gt.grid.height, gt.grid.width)
+    views = [a.reshape(shape) for a in (depth, validity, gt.depth, gt.validity)]
+    for tile in _tiles(gt.grid):
+        diff, both, ref, ref_valid = (view[tile] for view in views)
+        np.logical_and(both, ref_valid, out=both)
+        np.subtract(diff, ref, out=diff)
+        np.abs(diff, out=diff)
+        diff *= both
     gt_ids, pred_ids = matched
     sums = np.bincount(key, depth, minlength=table.size).reshape(table.shape)
-    apart = key.take(np.flatnonzero(np.logical_not(both, out=both)))
+    apart = key.take(np.flatnonzero(np.logical_not(validity, out=validity)))
     counts = table - np.bincount(apart, minlength=table.size).reshape(table.shape)
     counts = counts[pred_ids, gt_ids]
     scores = np.full(gt_ids.size, np.nan)
@@ -262,7 +269,7 @@ def recall_depth(
 
     The predicted depth is rendered once over all predicted labels, and
     :func:`_depth_errors` scores the pairs in the render's own buffers.
-    The render comes first, so its scratch buffer is freed before the
+    The render comes first, so its tile buffers are freed before the
     pair key is made.
     """
     if pred_seg.grid != gt_seg.grid or gt_seg.grid != gt_depth.grid:

@@ -50,6 +50,7 @@ from planarseg.core import (
     CameraIntrinsics,
     EmbeddingMap,
     ImageGrid,
+    InstanceSegmentation,
     PixelPlaneParams,
     PlanarMask,
     PointMap,
@@ -182,11 +183,31 @@ class TestConfig:
             {"anchors_per_dim": np.float64(4.0)},
             {"iterations": 2.5},
             {"iterations": 3.0},
+            # bools are integers to Python, but never a count
+            {"iterations": True},
+            {"anchors_per_dim": np.True_},
+            # values that are not real numbers: comparing them would
+            # raise a TypeError
+            {"bandwidth": "0.5"},
+            {"bandwidth": None},
+            {"bandwidth": 0.5j},
+            {"density_fraction": None},
+            {"density_fraction": "0.1"},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must"):
             MeanShiftConfig(**kwargs)
+
+    def test_numpy_reals_work(self):
+        emb, mask, _ = three_blob_input(n_per=20)
+        config = MeanShiftConfig(
+            bandwidth=np.float32(0.5), density_fraction=np.float64(0.1)
+        )
+        clusters, _ = cluster(emb, mask, config)
+        reference, _ = cluster(emb, mask, MeanShiftConfig(bandwidth=0.5))
+        np.testing.assert_array_equal(clusters.centers, reference.centers)
 
     def test_numpy_integer_counts_work(self):
         emb, mask, _ = three_blob_input(n_per=20)
@@ -1645,3 +1666,23 @@ class TestHardLabels:
         seg = hard_labels(sa)
         assert seg.labels.tolist() == [0, 2]
         assert seg.n_instances == 2
+
+    def test_labels_are_handed_over_without_a_copy(self):
+        # Every producer's labels are read-only int64 in 0..C, so the
+        # segmentation takes them as they are, and they equal what the
+        # checked constructor makes of them.
+        emb, _, _ = three_blob_input(n_per=20)
+        mask = PlanarMask(emb.grid, np.arange(emb.grid.n_pixels) % 7 != 0)
+        clusters, from_cluster = cluster(emb, mask, MeanShiftConfig())
+        from_soft = soft_assign(emb, mask, clusters)
+        one_hot = one_hot_assignment(hard_labels(from_soft))
+        constructed = SoftAssignment(emb.grid, from_soft.weights)
+        for sa in (from_cluster, from_soft, one_hot, constructed):
+            seg = hard_labels(sa)
+            assert seg.labels is sa.labels
+            assert not seg.labels.flags.writeable
+            checked = InstanceSegmentation(sa.grid, np.array(sa.labels), sa.clusters)
+            assert seg.labels.dtype == checked.labels.dtype == np.int64
+            np.testing.assert_array_equal(seg.labels, checked.labels)
+            assert (seg.grid, seg.n_instances) == (checked.grid, checked.n_instances)
+            assert (seg.labels == 0).sum() == (~mask.mask).sum()

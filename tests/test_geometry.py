@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarseg import core
 from planarseg.clustering import hard_labels
 from planarseg.core import (
     CameraIntrinsics,
@@ -118,7 +119,7 @@ class TestBackproject:
         assert not pm.validity[1]
         np.testing.assert_array_equal(pm.points[1], [0.0, 0.0, 0.0])
 
-    def test_matches_per_pixel_rays_exactly(self):
+    def test_matches_per_pixel_rays_exactly(self, each_tile):
         # Oracle: the (u, v) of every pixel from a divmod, one ray per pixel.
         grid = ImageGrid(7, 5)
         intr = CameraIntrinsics(fx=4.5, fy=3.7, cx=2.3, cy=3.1)
@@ -127,9 +128,10 @@ class TestBackproject:
         v, u = np.divmod(np.arange(grid.n_pixels), grid.width)
         rays = np.stack([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy,
                          np.ones(grid.n_pixels)], axis=1)
-        pm = backproject(depth, intr)
-        np.testing.assert_array_equal(pm.points, rays * depth.depth[:, None])
-        np.testing.assert_array_equal(pm.validity, depth.validity)
+        for _ in each_tile():
+            pm = backproject(depth, intr)
+            np.testing.assert_array_equal(pm.points, rays * depth.depth[:, None])
+            np.testing.assert_array_equal(pm.validity, depth.validity)
 
 
 class TestRayCoordinates:
@@ -218,9 +220,10 @@ class TestRenderSegmentDepth:
         assert not depth.validity[3]
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_per_plane_composition(self, seed):
+    def test_matches_per_plane_composition(self, seed, each_tile):
         # Oracle: render every plane over the full grid as a one-instance
-        # segmentation, then copy each label's pixels from its plane.
+        # segmentation, then copy each label's pixels from its plane, at
+        # the default tile, which covers the grid.
         rng = np.random.default_rng(seed)
         grid = ImageGrid(7, 9)
         intr = CameraIntrinsics(fx=5.0, fy=5.0, cx=4.0, cy=3.0)
@@ -240,12 +243,12 @@ class TestRenderSegmentDepth:
             rendered = plane_depth(plane, grid, intr)
             depth[member] = rendered.depth[member]
             valid[member] = rendered.validity[member]
-        got = render_segment_depth(
-            InstanceSegmentation(grid, labels, n_instances), planes, intr
-        )
         assert (~valid & (labels == 1)).any() and (valid & (labels == 1)).any()
-        np.testing.assert_array_equal(got.validity, valid)
-        np.testing.assert_allclose(got.depth, depth, rtol=1e-12, atol=0.0)
+        seg = InstanceSegmentation(grid, labels, n_instances)
+        for _ in each_tile():
+            got = render_segment_depth(seg, planes, intr)
+            np.testing.assert_array_equal(got.validity, valid)
+            np.testing.assert_allclose(got.depth, depth, rtol=1e-12, atol=0.0)
 
     def test_plane_count_must_match(self):
         grid = ImageGrid(1, 4)
@@ -330,33 +333,36 @@ class TestRenderOracle:
     """``_render`` against the masked kernel, bit for bit."""
 
     @pytest.mark.parametrize("kind", sorted(EDGE_ROWS))
-    def test_edge_denominators(self, kind):
+    def test_edge_denominators(self, kind, each_tile):
         normals = np.array([[0.0, 0.0, 0.5], EDGE_ROWS[kind]])
         labels = finite_side_labels(normals)
         assert (labels == 1).any()
-        got = _render(EDGE_GRID, EDGE_INTR, labels, normals)
         want = masked_render(EDGE_GRID, EDGE_INTR, labels, normals)
-        same_bits(got.depth, want.depth)
-        same_bits(got.validity, want.validity)
-        assert not got.depth.flags.writeable and not got.validity.flags.writeable
+        for _ in each_tile():
+            got = _render(EDGE_GRID, EDGE_INTR, labels, normals)
+            same_bits(got.depth, want.depth)
+            same_bits(got.validity, want.validity)
+            assert not got.depth.flags.writeable and not got.validity.flags.writeable
 
-    def test_every_edge_row_at_once(self):
+    def test_every_edge_row_at_once(self, each_tile):
         normals = np.array([[0.0, 0.0, 0.0]] + list(EDGE_ROWS.values()))
         labels = finite_side_labels(normals)
-        got = _render(EDGE_GRID, EDGE_INTR, labels, normals)
         want = masked_render(EDGE_GRID, EDGE_INTR, labels, normals)
-        same_bits(got.depth, want.depth)
-        same_bits(got.validity, want.validity)
+        for _ in each_tile():
+            got = _render(EDGE_GRID, EDGE_INTR, labels, normals)
+            same_bits(got.depth, want.depth)
+            same_bits(got.validity, want.validity)
 
     @pytest.mark.parametrize("row", [[1e308, 0.0, 0.0], [0.0, 1e308, 1e308]])
-    def test_positive_infinite_denominator_raises_the_same_error(self, row):
+    def test_positive_infinite_denominator_raises_the_same_error(self, row, each_tile):
         normals = np.array([[0.0, 0.0, 0.5], row])
         labels = np.arange(EDGE_GRID.n_pixels) % 2
         with pytest.raises(ValueError) as want:
             masked_render(EDGE_GRID, EDGE_INTR, labels, normals)
-        with pytest.raises(ValueError) as got:
-            _render(EDGE_GRID, EDGE_INTR, labels, normals)
-        assert str(got.value) == str(want.value) == "valid depths must be finite and > 0"
+        for _ in each_tile():
+            with pytest.raises(ValueError) as got:
+                _render(EDGE_GRID, EDGE_INTR, labels, normals)
+            assert str(got.value) == str(want.value) == "valid depths must be finite and > 0"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_segments_with_gapped_ids(self, seed):
@@ -380,7 +386,7 @@ class TestBackprojectOracle:
     @pytest.mark.parametrize(
         "low", [0.5, 1e-300, 1e-320, 5e-324], ids=["plain", "tiny", "subnormal", "least"]
     )
-    def test_matches_checked_points(self, low):
+    def test_matches_checked_points(self, low, each_tile):
         # Tiny valid depths underflow some coordinates to signed zeros,
         # which the checked path keeps as they are.
         rng = np.random.default_rng(1)
@@ -390,26 +396,84 @@ class TestBackprojectOracle:
             rng.random(EDGE_GRID.n_pixels) < 0.7,
         )
         for intr in (EDGE_INTR, CameraIntrinsics(fx=700.0, fy=650.0, cx=2.4, cy=1.6)):
-            got = backproject(depth, intr)
             want = checked_backproject(depth, intr)
-            same_bits(got.points, want.points)
-            same_bits(got.validity, want.validity)
-            assert not got.points.flags.writeable
+            for _ in each_tile():
+                got = backproject(depth, intr)
+                same_bits(got.points, want.points)
+                same_bits(got.validity, want.validity)
+                assert not got.points.flags.writeable
 
     @pytest.mark.parametrize("top", [1e308, 1.7976931348623157e308])
-    def test_overflowing_points_raise_the_same_error(self, top):
+    def test_overflowing_points_raise_the_same_error(self, top, each_tile):
         depth = DepthMap(EDGE_GRID, np.full(EDGE_GRID.n_pixels, top))
         with pytest.raises(ValueError) as want:
             checked_backproject(depth, EDGE_INTR)
-        with pytest.raises(ValueError) as got:
-            backproject(depth, EDGE_INTR)
-        assert str(got.value) == str(want.value) == "valid points must be finite"
+        for _ in each_tile():
+            with pytest.raises(ValueError) as got:
+                backproject(depth, EDGE_INTR)
+            assert str(got.value) == str(want.value) == "valid points must be finite"
 
-    def test_huge_depth_that_fits_is_kept(self):
+    def test_huge_depth_that_fits_is_kept(self, each_tile):
         # |x|, |y| < 1 here, so 1e308 depths give finite points
         intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=2.5, cy=1.5)
         depth = DepthMap(EDGE_GRID, np.full(EDGE_GRID.n_pixels, 1e308))
-        same_bits(backproject(depth, intr).points, checked_backproject(depth, intr).points)
+        want = checked_backproject(depth, intr).points
+        for _ in each_tile():
+            same_bits(backproject(depth, intr).points, want)
+
+
+def traced_peak(fn, *args):
+    """The result of ``fn(*args)`` and the peak of the memory traced
+    during the call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestTiles:
+    @pytest.mark.parametrize(
+        "shape, size",
+        [((1, 1), 3), ((4, 6), 3), ((4, 6), 5), ((7, 5), 3), ((7, 5), 13), ((3, 20), 13),
+         ((480, 640), 1 << 14), ((2, 40000), 1 << 14)],
+    )
+    def test_tiles_cover_the_grid_in_contiguous_runs(self, monkeypatch, shape, size):
+        monkeypatch.setattr(core, "_PIXEL_TILE", size)
+        grid = ImageGrid(*shape)
+        flat = np.arange(grid.n_pixels).reshape(shape)
+        runs = [flat[tile].ravel() for tile in core._tiles(grid)]
+        np.testing.assert_array_equal(np.concatenate(runs), np.arange(grid.n_pixels))
+        for run in runs:
+            assert 1 <= run.size <= size
+            np.testing.assert_array_equal(run, np.arange(run[0], run[0] + run.size))
+
+    def vga_case(self):
+        grid = ImageGrid(480, 640)
+        intr = CameraIntrinsics(fx=576.0, fy=576.0, cx=319.5, cy=239.5)
+        labels = np.arange(grid.n_pixels) // 40000  # bands 0..7, band 0 unlabeled
+        planes = [Plane([0.02 * k, -0.01 * k, 0.5]) for k in range(1, 8)]
+        return InstanceSegmentation(grid, labels, 7), planes, intr
+
+    def test_render_holds_no_full_grid_scratch(self):
+        # Beside its depth and validity the render holds two tile buffers
+        # (the indices and one term) and numpy's own per-call buffers,
+        # under a tile here; a full-grid term alone would be 2.4 MB.
+        seg, planes, intr = self.vga_case()
+        render_segment_depth(seg, planes, intr)  # first-call costs
+        depth, peak = traced_peak(render_segment_depth, seg, planes, intr)
+        outputs = depth.depth.nbytes + depth.validity.nbytes
+        assert depth.validity.any() and not depth.validity.all()
+        assert peak < outputs + 4 * core._PIXEL_TILE * 8
+
+    def test_backproject_holds_no_full_grid_scratch(self):
+        seg, planes, intr = self.vga_case()
+        depth = render_segment_depth(seg, planes, intr)
+        backproject(depth, intr)  # first-call costs
+        points, peak = traced_peak(backproject, depth, intr)
+        assert peak < points.points.nbytes + core._PIXEL_TILE * 8
 
 
 class TestNoCheckedCopies:

@@ -557,15 +557,16 @@ class TestRecallDepth:
         np.testing.assert_allclose(curve.plane_recall[below], 200.0 / 3.0)
         np.testing.assert_allclose(curve.plane_recall[~below], 100.0)
 
-    def test_matches_brute_force_oracle(self):
+    def test_matches_brute_force_oracle(self, each_tile):
         for seed in range(20):
             pred_seg, pred_planes, gt_seg, gt_depth, _ = random_eval_case(seed)
-            curve = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, INTR)
             plane, pixel = oracle_recall_depth(
                 pred_seg, pred_planes, gt_seg, gt_depth, INTR, DEPTH_THRESHOLDS
             )
-            np.testing.assert_allclose(curve.plane_recall, plane, atol=1e-12)
-            np.testing.assert_allclose(curve.pixel_recall, pixel, atol=1e-12)
+            for _ in each_tile():
+                curve = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, INTR)
+                np.testing.assert_allclose(curve.plane_recall, plane, atol=1e-12)
+                np.testing.assert_allclose(curve.pixel_recall, pixel, atol=1e-12)
 
     def test_huge_threshold_counts_every_match(self):
         pred_seg, pred_planes, gt_seg, gt_depth, _ = random_eval_case(99)
@@ -610,16 +611,19 @@ class TestRecallDepth:
 class TestRecallDepthGatherOracle:
     """``recall_depth`` against the gather-based kernel, bit for bit."""
 
-    def assert_same(self, pred_seg, pred_planes, gt_seg, gt_depth, thresholds):
-        got = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds)
+    def assert_same(
+        self, each_tile, pred_seg, pred_planes, gt_seg, gt_depth, thresholds
+    ):
         want = gathered_recall_depth(
             pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds
         )
-        for name in ("thresholds", "plane_recall", "pixel_recall"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for _ in each_tile():
+            got = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds)
+            for name in ("thresholds", "plane_recall", "pixel_recall"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_gapped_ids_and_unlabeled_predictions(self, seed):
+    def test_gapped_ids_and_unlabeled_predictions(self, seed, each_tile):
         pred_seg, pred_planes, gt_seg, gt_depth, _ = random_eval_case(seed)
         rng = np.random.default_rng(seed)
         # Shift predicted IDs up by one so ID 1 owns no pixel, and leave
@@ -636,10 +640,10 @@ class TestRecallDepthGatherOracle:
             gt_depth.validity & ~holes,
         )
         thresholds = np.sort(rng.uniform(0.0, 0.5, 7))
-        self.assert_same(pred_seg, pred_planes, gt_seg, gt_depth, thresholds)
+        self.assert_same(each_tile, pred_seg, pred_planes, gt_seg, gt_depth, thresholds)
 
     @pytest.mark.parametrize("hole", ["reference", "rendered"])
-    def test_matched_pair_without_jointly_valid_pixels(self, hole):
+    def test_matched_pair_without_jointly_valid_pixels(self, hole, each_tile):
         planes = [Plane([0, 0, 0.5]), Plane([0, 0, 0.4]), Plane([0, 0, 0.6])]
         grid, gt_seg, gt_depth = banded_scene([3, 3, 2], planes)
         pred_planes = planes
@@ -649,13 +653,13 @@ class TestRecallDepthGatherOracle:
             )
         else:
             pred_planes = [planes[0], Plane([0, 0, -0.5]), planes[2]]
-        self.assert_same(gt_seg, pred_planes, gt_seg, gt_depth, DEPTH_THRESHOLDS)
+        self.assert_same(each_tile, gt_seg, pred_planes, gt_seg, gt_depth, DEPTH_THRESHOLDS)
 
-    def test_prediction_all_unlabeled(self):
+    def test_prediction_all_unlabeled(self, each_tile):
         planes = [Plane([0, 0, 0.5]), Plane([0, 0, 0.4])]
         grid, gt_seg, gt_depth = banded_scene([4, 4], planes)
         pred_seg = InstanceSegmentation(grid, np.zeros(grid.n_pixels, dtype=np.int64), 2)
-        self.assert_same(pred_seg, planes, gt_seg, gt_depth, DEPTH_THRESHOLDS)
+        self.assert_same(each_tile, pred_seg, planes, gt_seg, gt_depth, DEPTH_THRESHOLDS)
 
 
 def shift_ids(seg, planes, filler):
@@ -734,15 +738,16 @@ class TestLoopOracles:
             assert same_bytes(getattr(got, name), getattr(want, name)), name
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
-    def test_recall_depth(self, name):
+    def test_recall_depth(self, name, each_tile):
         pred_seg, pred_planes, gt_seg, gt_depth, _ = oracle_case(name)
         _, _, scores = gathered_depth_scores(pred_seg, pred_planes, gt_seg, gt_depth, INTR)
         thresholds = np.unique(np.concatenate([DEPTH_THRESHOLDS, list(scores.values())]))
-        got = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds)
         want = gathered_recall_depth(
             pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds
         )
-        self.assert_same_curve(got, want)
+        for _ in each_tile():
+            got = recall_depth(pred_seg, pred_planes, gt_seg, gt_depth, INTR, thresholds)
+            self.assert_same_curve(got, want)
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_recall_normal(self, name):
@@ -1125,21 +1130,26 @@ def outcome(fn, *args):
 
 class TestEvaluate:
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_the_chain_on_clustered_scenes(self, seed):
+    def test_matches_the_chain_on_clustered_scenes(self, seed, each_tile):
+        # The chain runs at the default tile, which covers these grids.
         case = clustered_case(seed, planes=2 + seed % 4)
-        assert_same_evaluation(evaluate(*case), chain_evaluation(*case))
+        want = chain_evaluation(*case)
+        for _ in each_tile():
+            assert_same_evaluation(evaluate(*case), want)
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
-    def test_matches_the_chain_on_oracle_cases(self, name):
+    def test_matches_the_chain_on_oracle_cases(self, name, each_tile):
         # Gapped reference IDs and no jointly valid pixel raise the same
         # error in both; every other case scores the same bits.
         pred_seg, pred_planes, gt_seg, gt_depth, _ = oracle_case(name)
         args = (pred_seg, pred_planes, gt_seg, gt_depth, INTR)
-        got, want = outcome(evaluate, *args), outcome(chain_evaluation, *args)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert_same_evaluation(got, want)
+        want = outcome(chain_evaluation, *args)
+        for _ in each_tile():
+            got = outcome(evaluate, *args)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert_same_evaluation(got, want)
 
     @pytest.mark.parametrize(
         "relabel, n_instances, message",
