@@ -162,9 +162,15 @@ def bench_clustering(
 def fit_loglog_slope(
     sizes: Sequence[int], times: Sequence[float]
 ) -> float:
-    """Least-squares slope of log(time) against log(size)."""
+    """Least-squares slope of log(time) against log(size). Sizes and
+    times must be finite and > 0, with at least two distinct sizes."""
     if len(sizes) != len(times) or len(sizes) < 2:
         raise ValueError("need matching sizes and times, at least two points")
+    for name, values in (("sizes", sizes), ("times", times)):
+        if not all(0.0 < value < np.inf for value in values):  # NaN fails too
+            raise ValueError(f"{name} must be finite and > 0")
+    if len(set(sizes)) < 2:
+        raise ValueError("need at least two distinct sizes")
     lx = np.log(np.asarray(sizes, dtype=np.float64))
     ly = np.log(np.asarray(times, dtype=np.float64))
     lx -= lx.mean()

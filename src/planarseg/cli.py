@@ -1,7 +1,7 @@
 """Command-line front door.
 
-Subcommands: ``cluster`` (embeddings + probabilities to labels and
-assignment), ``eval`` (prediction vs reference metrics), ``synth``
+Subcommands: ``cluster`` (embeddings + probabilities to hard labels and
+a summary), ``eval`` (prediction vs reference metrics), ``synth``
 (scene generation), ``gradcheck`` (finite-difference verification), and
 ``bench`` (timing sweep). Exit codes: 0 success, 1 computation error,
 2 usage or I/O error.
@@ -174,13 +174,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     clusters, assignment = cluster(embeddings, mask, config)
     wall_ms = (time.perf_counter() - start) * 1000.0
     labels = hard_labels(assignment)
-    weights = assignment.weights
     out = _out_dir(args.out)
     _write(
         out / "labels.pten",
         labels.labels.reshape(grid.height, grid.width).astype(np.int32),
     )
-    _write(out / "assignment.pten", weights.reshape(grid.height, grid.width, -1))
     summary = {
         "cluster_count": len(clusters),
         "iterations": config.iterations,

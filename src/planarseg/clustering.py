@@ -34,10 +34,11 @@ compared only where the boxes straddle the radius.
 Both produce a :class:`ClusterSet` (centers sorted lexicographically so
 runs and variants are comparable) and a row-stochastic soft assignment
 that is labels first. The assignment holds one column kernel, the exact
-span kernel :func:`_assign_span`, from which it builds its hard labels,
-its dense N x C weights and its cluster-major (C, M) block of assigned
-weights, each on its first read: inference that reads only labels never
-holds an N x C array, nor does training that reads only the block.
+span kernel :func:`_assign_span`, from which it builds its hard labels
+and its cluster-major (C, M) block of assigned weights, each on its
+first read; its dense N x C weights, if read, are the block scattered.
+Inference that reads only labels never holds an N x C array, nor does
+training that reads only the block.
 :func:`cluster` also hands the assignment a labels builder that keeps
 each pixel's bin, so its labels are decided a bin at a time in
 O(B * C * d + N) (:func:`_binned_labels`): a bin whose nearest center is
@@ -687,8 +688,9 @@ def soft_assign(
     Only the inputs are checked here, the centers' dimension against
     the embeddings' among them: the assignment keeps the mask as its
     assigned rows and the O(N * C * d) span kernel (:func:`_assign_span`)
-    as its column kernel, from which it builds its labels, weights and
-    cluster-major block when first read. Given centers come with no
+    as its column kernel, from which it builds its labels and
+    cluster-major block when first read (its weights scatter the
+    block). Given centers come with no
     binning of the pixels, so every label here runs the span kernel;
     :func:`cluster` decides most of its labels a bin at a time instead,
     with the same result.

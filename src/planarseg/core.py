@@ -4,11 +4,12 @@ All types are immutable after construction: array fields are copied and
 marked read-only, so instances are safe to share across threads. The
 library's own kernels hand fresh arrays to :func:`_frozen_fields`
 instead, which freezes them without a copy or a check.
-:class:`SoftAssignment` may build its labels, weights and weight block on
-first read: the weights and the block from the one column kernel its
-producer hands it, the labels from the producer's labels builder if it
-gave one and from that kernel otherwise; each is cached once,
-read-only, and a race can at worst build it twice.
+:class:`SoftAssignment` may build its labels, weight block and weights
+on first read: the block from the one column kernel its producer hands
+it, the weights (unless the constructor holds them) by scattering the
+block, the labels from the producer's labels builder if it gave one and
+from that kernel otherwise; each is cached once, read-only, and a race
+can at worst build it twice.
 Pixels are linearized row-major (index = row * width + col) everywhere.
 Internal arithmetic is 64-bit; narrower inputs are widened on entry.
 """
@@ -226,7 +227,7 @@ def _checked_rows(grid: ImageGrid, weights: np.ndarray) -> np.ndarray:
     return assigned
 
 
-def _checked_block(grid: ImageGrid, block: np.ndarray) -> None:
+def _checked_block(block: np.ndarray) -> None:
     """Check a (C, M) block of assigned weight columns by the rules of
     :func:`_checked_rows`, with its messages and in its order: entries
     in [0, 1], then every column sum within ``ROW_SUM_TOL`` of 1 (a NaN
@@ -242,13 +243,24 @@ def _checked_block(grid: ImageGrid, block: np.ndarray) -> None:
 
 # Assigned pixels per span of a column kernel: each span's (C, span)
 # block stays a few MiB for the usual cluster counts, and the per-center
-# calls of a span cost little beside its work. The spans build the dense
-# weights, the block, the default labels and cluster's binned labels
-# (both its bins and its fallback pixels). On 480x640 scenes with C = 8
+# calls of a span cost little beside its work. The spans build the
+# block, the default labels and cluster's binned labels (both its bins
+# and its fallback pixels). On 480x640 scenes with C = 8
 # (one core of a 2-core Xeon) a label pass over every pixel took about
 # 23 ms per image at 2^15, 24-26 ms at 2^14 and 2^16 and 25-26 ms at
 # 2^13.
 _ASSIGN_SPAN = 1 << 15
+
+# Assigned pixels per span of the block's readers, soft pooling and
+# instance_param_loss (:meth:`SoftAssignment._block_spans`). On 192x256
+# scenes with C = 16 (one core of a 2-core Xeon) spans of 4096 or 8192
+# pooled the 42k assigned pixels in about 0.55 ms, against 0.85 ms at
+# 16384 and 0.95 ms in one product over all of them. In
+# instance_param_loss each span's (C, span) temporaries stay about 1 MiB
+# at C = 16, small enough to reuse heap memory that earlier calls freed;
+# one span of all ~42k rows made ~5.4 MB temporaries that took about
+# 1100 page faults per call.
+_BLOCK_SPAN = 8192
 
 # A column kernel ``columns(rows, out)`` writes the (C, len(rows))
 # weights of the assigned pixels ``rows`` into ``out``, whose rows may be
@@ -287,27 +299,19 @@ def _tiles(grid: ImageGrid) -> Iterator[Tuple[slice, slice]]:
             yield slice(top, bottom), slice(left, right)
 
 
-def _kernel_spans(
-    columns: _Columns, clusters: int, rows: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Per span of at most ``_ASSIGN_SPAN`` of the pixels ``rows``, the
-    span and the (C, span) weights that ``columns`` writes for it, into
-    one buffer that every span reuses."""
-    buf = np.empty((clusters, min(_ASSIGN_SPAN, rows.shape[0])))
-    for start, stop in _spans(rows.shape[0]):
-        span = rows[start:stop]
-        out = buf[:, : span.shape[0]]
-        columns(span, out)
-        yield span, out
-
-
 def _label_rows(
     columns: _Columns, clusters: int, labels: np.ndarray, rows: np.ndarray
 ) -> None:
     """Write 1 + the column of each pixel's first largest weight, from
-    the column kernel, into ``labels[rows]``, span by span. A NaN weight
-    (every distance of a pixel overflowed to inf) is rejected."""
-    for span, block in _kernel_spans(columns, clusters, rows):
+    the column kernel, into ``labels[rows]``, span by span over
+    ``_ASSIGN_SPAN`` pixels, with one (C, span) buffer that every span
+    reuses. A NaN weight (every distance of a pixel overflowed to inf)
+    is rejected."""
+    buf = np.empty((clusters, min(_ASSIGN_SPAN, rows.shape[0])))
+    for start, stop in _spans(rows.shape[0]):
+        span = rows[start:stop]
+        block = buf[:, : span.shape[0]]
+        columns(span, block)
         best = block[0].copy()
         top = np.ones(span.shape[0], dtype=np.int64)
         higher = np.empty(span.shape[0], dtype=bool)
@@ -336,32 +340,35 @@ class SoftAssignment:
     sums. ``labels`` are the hard labels: 0 on unassigned rows, else
     1 + the column of the row's first largest weight.
 
-    Beside the dense (N, C) ``weights`` an assignment keeps a private
-    cluster-major block (:attr:`_block`): the (C, M) weights of its M
-    assigned pixels in ascending pixel order, so column j equals row
-    ``flatnonzero(assigned_rows)[j]`` of ``weights`` bit for bit. Soft
-    pooling and ``instance_param_loss`` read only the block.
+    An assignment builds one weight array, a private cluster-major
+    block (:attr:`_block`): the (C, M) weights of its M assigned pixels
+    in ascending pixel order. Soft pooling and ``instance_param_loss``
+    read only the block. The dense (N, C) ``weights`` of a producer's
+    assignment are that block scattered into zeros on first read, so
+    column j of the block equals row ``flatnonzero(assigned_rows)[j]``
+    of ``weights`` bit for bit, and a reader of ``weights`` holds both
+    arrays; constructor assignments keep the weights they were given.
+    No path of the library or its command line reads ``weights``.
 
     Every assignment holds one column kernel, ``columns(rows, out)``,
     which writes the (C, len(rows)) weights of the given assigned pixels
     into ``out``; for constructor weights it copies their rows. The
     assignment alone runs it, span by span over ``_ASSIGN_SPAN``
-    assigned pixels, to build the dense weights, the block and the
-    default first-maximum labels, each on its own first read and none
-    from another (constructor labels are ``np.argmax`` of the weights
-    the constructor already holds):
-    a caller that only reads labels never holds an N x C or C x M
-    array, and one that reads the block never holds an N x C array.
-    The library's own producers build an assignment from a source
-    (:meth:`_from_source`): the cluster count, the assigned rows, their
-    kernel and, where they know the labels more cheaply than the kernel
-    does, a labels builder. Built weights and blocks pass the same
-    checks as constructor weights and are frozen in place, without a
-    copy. Each value is cached once and read-only, so the object stays
-    immutable from outside; two threads racing on a first read may both
-    build the value, and both get the one that was cached first. Once
-    the labels are cached their builder is dropped, with whatever it
-    held.
+    assigned pixels, to build the block and the default first-maximum
+    labels, each on its own first read and neither from the other
+    (constructor labels are ``np.argmax`` of the weights the
+    constructor already holds): a caller that only reads labels never
+    holds an N x C or C x M array, and one that reads the block never
+    holds an N x C array. The library's own producers build an
+    assignment from a source (:meth:`_from_source`): the cluster count,
+    the assigned rows, their kernel and, where they know the labels
+    more cheaply than the kernel does, a labels builder. A built block
+    passes the same checks as constructor weights and is frozen in
+    place, without a copy. Each value is cached once and read-only, so
+    the object stays immutable from outside; two threads racing on a
+    first read may both build the value, and both get the one that was
+    cached first. Once the labels are cached their builder is dropped,
+    with whatever it held.
     """
 
     def __init__(self, grid: ImageGrid, weights: np.ndarray) -> None:
@@ -410,15 +417,13 @@ class SoftAssignment:
     def __repr__(self) -> str:
         return f"SoftAssignment(grid={self.grid!r}, clusters={self._clusters})"
 
-    def _cached(self, name: str, build: Callable[[], np.ndarray], check=None):
-        """The value cached under ``name``: built by ``build()``, checked
-        and frozen on first read. ``setdefault`` keeps the first of two
+    def _cached(self, name: str, build: Callable[[], np.ndarray]):
+        """The value cached under ``name``: built by ``build()`` and
+        frozen on first read. ``setdefault`` keeps the first of two
         racing builds."""
         value = self.__dict__.get(name)
         if value is None:
             value = build()
-            if check is not None:
-                check(self.grid, value)
             value.flags.writeable = False
             value = self.__dict__.setdefault(name, value)
         return value
@@ -429,19 +434,18 @@ class SoftAssignment:
         _label_rows(self._columns, self._clusters, labels, rows)
         return labels
 
-    def _dense_weights(self) -> np.ndarray:
-        weights = np.zeros((self.grid.n_pixels, self._clusters))
-        rows = np.flatnonzero(self._assigned)
-        for span, block in _kernel_spans(self._columns, self._clusters, rows):
-            weights[span] = block.T
-        return weights
-
     def _column_block(self) -> np.ndarray:
         rows = np.flatnonzero(self._assigned)
         block = np.empty((self._clusters, rows.shape[0]))
         for start, stop in _spans(rows.shape[0]):
             self._columns(rows[start:stop], block[:, start:stop])
+        _checked_block(block)
         return block
+
+    def _scattered_block(self) -> np.ndarray:
+        weights = np.zeros((self.grid.n_pixels, self._clusters))
+        weights[self._assigned] = self._block.T
+        return weights
 
     @property
     def clusters(self) -> int:
@@ -465,21 +469,23 @@ class SoftAssignment:
 
     @property
     def weights(self) -> np.ndarray:
-        """Read-only (N, C) weights, built and checked once."""
-        return self._cached("_weights", self._dense_weights, _checked_rows)
+        """Read-only (N, C) weights: the constructor's, or else
+        :attr:`_block` scattered into zeros, built once."""
+        return self._cached("_weights", self._scattered_block)
 
     @property
     def _block(self) -> np.ndarray:
         """Read-only (C, M) weights of the assigned pixels, cluster-major
         and in ascending pixel order, built and checked once."""
-        return self._cached("_member_block", self._column_block, _checked_block)
+        return self._cached("_member_block", self._column_block)
 
-    def _block_spans(self, size: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Per span of at most ``size`` assigned pixels, in pixel order,
-        the pixels' indices and their (C, span) view of :attr:`_block`."""
+    def _block_spans(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Per span of at most ``_BLOCK_SPAN`` assigned pixels, in
+        pixel order, the pixels' indices and their (C, span) view of
+        :attr:`_block`."""
         block = self._block
         idx = np.flatnonzero(self._assigned)
-        for start, stop in _spans(idx.shape[0], size):
+        for start, stop in _spans(idx.shape[0], _BLOCK_SPAN):
             yield idx[start:stop], block[:, start:stop]
 
 

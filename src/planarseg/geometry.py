@@ -7,7 +7,8 @@ a plain 3-vector.
 
 :func:`one_hot_assignment` hands its assignment the labels and one
 column kernel, the indicator of each pixel's label, from which the
-assignment builds its dense weights and its block if they are read.
+assignment builds its block if it is read (and its dense weights, by
+scattering the block).
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ __all__ = [
 ]
 
 EPS_RAY = 1e-8
-
-# Assigned pixels per span of soft pooling. On 192x256 scenes with
-# C = 16 (one core of a 2-core Xeon) spans of 4096 or 8192 pooled the
-# 42k assigned pixels in about 0.55 ms, against 0.85 ms at 16384 and
-# 0.95 ms in one product over all of them.
-_POOL_SPAN = 8192
 
 
 @dataclass(frozen=True)
@@ -266,7 +261,7 @@ def pool_instance_params(
     counts and one per axis, with no N x C array. Any other assignment
     reads its cluster-major (C, M) block of assigned weights, in BLAS
     products ``[params[assigned] | 1]^T @ block^T`` over spans of
-    ``_POOL_SPAN`` pixels whose left operand is contiguous; no N x C
+    ``core._BLOCK_SPAN`` pixels whose left operand is contiguous; no N x C
     array is built.
     """
     if pixel_params.grid != assignment.grid:
@@ -281,7 +276,7 @@ def pool_instance_params(
         )
     else:
         pooled = np.zeros((params.shape[1] + 1, assignment.clusters))
-        for rows, weights in assignment._block_spans(_POOL_SPAN):
+        for rows, weights in assignment._block_spans():
             lifted = np.empty((params.shape[1] + 1, rows.shape[0]))
             lifted[:-1] = params.take(rows, axis=0).T
             lifted[-1] = 1.0
@@ -303,10 +298,10 @@ def one_hot_assignment(segments: InstanceSegmentation) -> SoftAssignment:
 
     The assignment is defined by the labels, which it keeps as its own.
     Its column kernel writes the indicator of each pixel's label, so its
-    dense weights and its block are each built only if read: row i is
-    the indicator of instance ``labels[i]``, all-zero for label 0.
-    Nothing of size C x C is built, so a large ID space costs nothing
-    until the weights are read.
+    block, and the dense weights that scatter it, are built only if
+    read: row i of the weights is the indicator of instance
+    ``labels[i]``, all-zero for label 0. Nothing of size C x C is
+    built, so a large ID space costs nothing until the block is read.
     """
     if segments.n_instances < 1:
         raise ValueError("segmentation has no instances")

@@ -51,13 +51,6 @@ __all__ = [
 
 PROB_CLAMP = 1e-12
 
-# Assigned pixels per span of instance_param_loss. Each span's (C, span)
-# temporaries stay about 1 MiB at C = 16, small enough to reuse heap
-# memory that earlier calls freed. One span of all ~42k rows of a
-# 192x256 scene made ~5.4 MB temporaries that took about 1100 page
-# faults per call.
-_IPL_SPAN = 8192
-
 
 @dataclass(frozen=True)
 class Margins:
@@ -315,7 +308,7 @@ def instance_param_loss(
     Each pixel charges every cluster |n_j . Q_i - 1| weighted by its
     membership; the sum is averaged over assigned pixels and clusters.
     The memberships come from the assignment's cluster-major (C, M)
-    block of assigned weights, read in fixed spans of ``_IPL_SPAN``
+    block of assigned weights, read in fixed spans of ``core._BLOCK_SPAN``
     columns: per span the residuals form as (C, span) beside the
     block's own columns, so no N x C array is read or built.
     """
@@ -331,7 +324,7 @@ def instance_param_loss(
     if n_planar == 0:
         return 0.0, grad
     total = 0.0
-    for span, s in assignment._block_spans(_IPL_SPAN):
+    for span, s in assignment._block_spans():
         q = points.points.take(span, axis=0)
         residual = instance_params.params @ q.T
         residual -= 1.0
@@ -376,7 +369,10 @@ def total_loss(
 
 
 def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Numerical gradient of scalar ``fn`` at ``x`` by central differences."""
+    """Numerical gradient of scalar ``fn`` at ``x`` by central differences
+    of step ``h``, which must be finite and > 0."""
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = grad.ravel()

@@ -69,6 +69,8 @@ def read_tensor(path: Union[str, Path]) -> np.ndarray:
     dtype = _CODE_TO_DTYPE.get(code)
     if dtype is None:
         raise TensorFormatError(f"{path}: unknown dtype code {code}")
+    if ndim < 1:
+        raise TensorFormatError(f"{path}: a tensor needs at least one dimension")
     dims_end = 7 + 8 * ndim
     if len(raw) < dims_end:
         raise TensorFormatError(f"{path}: truncated dimension list")

@@ -90,6 +90,18 @@ class TestFitLoglogSlope:
         with pytest.raises(ValueError, match="matching"):
             fit_loglog_slope([100, 200], [1.0])
 
+    def test_needs_two_distinct_sizes(self):
+        # one repeated size gives a 0/0 slope
+        with pytest.raises(ValueError, match="two distinct sizes"):
+            fit_loglog_slope([4, 4], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_sizes_and_times_not_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="sizes must be finite and > 0"):
+            fit_loglog_slope([bad, 200], [1.0, 2.0])
+        with pytest.raises(ValueError, match="times must be finite and > 0"):
+            fit_loglog_slope([100, 200], [1.0, bad])
+
 
 class TestBenchCsv:
     def test_header_exact(self):

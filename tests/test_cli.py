@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import planarseg
 from planarseg import bench, cli, gradcheck
 from planarseg.cli import build_parser, main
+from planarseg.core import SoftAssignment
 from planarseg.tensor_io import read_tensor, write_tensor
 
 SYNTH_ARGS = [
@@ -259,14 +260,24 @@ class TestClusterCommand:
         labels = read_tensor(pred / "labels.pten")
         assert labels.shape == (16, 24)
         assert labels.dtype == np.int32
-        assignment = read_tensor(pred / "assignment.pten")
+        assert sorted(path.name for path in pred.iterdir()) == ["labels.pten", "summary.json"]
         summary = json.loads((pred / "summary.json").read_text())
         assert summary["cluster_count"] == 3
-        assert assignment.shape == (16, 24, 3)
         assert summary["k"] == 10
         assert summary["bandwidth"] == 0.5
         assert summary["wall_ms"] > 0.0
         assert set(np.unique(labels)) == {1, 2, 3}
+
+    def test_builds_no_dense_weights(self, tmp_path, monkeypatch):
+        # The dense N x C weights are built only on a read of
+        # SoftAssignment.weights; cluster never reads them.
+        def no_weights(self):
+            raise AssertionError("cluster read the dense weights")
+
+        monkeypatch.setattr(SoftAssignment, "weights", property(no_weights))
+        scene = run_synth(tmp_path)
+        pred = run_cluster(tmp_path, scene)
+        assert sorted(path.name for path in pred.iterdir()) == ["labels.pten", "summary.json"]
 
     def test_deterministic_rerun(self, tmp_path):
         scene = run_synth(tmp_path)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarseg import clustering, core, losses
+from planarseg import clustering, core
 from planarseg.clustering import (
     BIN_SIDE,
     MAX_ANCHORS,
@@ -1081,11 +1081,12 @@ class TestSoftAssign:
         with pytest.raises(AttributeError):
             sa.grid = emb.grid
 
-    def test_peak_memory_is_one_weight_array_and_one_span(self):
-        # 200k masked pixels, C = 8, d = 2. The built weights are one
-        # N x C array, frozen in place; beyond it only one span's
-        # scratch, the masked-pixel index and per-row check vectors may
-        # be live. A frozen copy would add 16 MB, and an (N, C, d)
+    def test_peak_memory_is_one_weight_array_one_block_and_one_span(self):
+        # 200k masked pixels, C = 8, d = 2. The weights are the block
+        # scattered into one N x C array, frozen in place, and a reader
+        # of the weights holds both; beyond them only one span's
+        # scratch, the masked-pixel index and per-column check vectors
+        # may be live. A frozen copy would add 16 MB, and an (N, C, d)
         # difference tensor alone 25.6 MB.
         grid = ImageGrid(500, 500)
         n, c, d = grid.n_pixels, 8, 2
@@ -1095,14 +1096,17 @@ class TestSoftAssign:
         clusters = ClusterSet(rng.normal(size=(c, d)), np.ones(c, dtype=np.int64))
         span = core._ASSIGN_SPAN
         weights = n * c * 8
+        block = c * 200_000 * 8
         scratch = span * (c + d + 2) * 8 + 200_000 * 8 + 4 * n * 8
         tracemalloc.start()
         try:
-            soft_assign(emb, mask, clusters).weights
+            sa = soft_assign(emb, mask, clusters)
+            sa.weights
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert weights < peak <= weights + scratch
+        assert weights + block < peak <= weights + block + scratch
+        assert "_member_block" in vars(sa)
 
 
 class TestWeightBlock:
@@ -1177,18 +1181,6 @@ class TestWeightBlock:
             assert (assignment.labels[rows[::7]] == 1).all()
             assert (assignment.labels[rows[3::7]] == 2).all()
 
-    def test_block_and_weights_are_built_apart(self):
-        # Reading the block builds no dense weights, and the reverse.
-        emb, mask, _ = three_blob_input(n_per=20)
-        clusters = ClusterSet(np.array([[1.0, 1.0], [4.0, 1.5]]), np.ones(2, dtype=np.int64))
-        first = soft_assign(emb, mask, clusters)
-        block = first._block
-        assert "_member_block" in vars(first) and "_weights" not in vars(first)
-        second = soft_assign(emb, mask, clusters)
-        weights = second.weights
-        assert "_weights" in vars(second) and "_member_block" not in vars(second)
-        np.testing.assert_array_equal(block, weights[mask.mask].T)
-
     def test_training_path_peak_is_one_block_and_spans(self):
         # soft_assign -> soft pooling -> instance_param_loss on 250k
         # pixels, about half masked, C = 8, d = 2. The block is the one
@@ -1208,8 +1200,8 @@ class TestWeightBlock:
         params = PixelPlaneParams(grid, rng.normal(size=(n, 3)) + [0.0, 0.0, 2.0])
         points = PointMap(grid, rng.normal(size=(n, 3)) + [0.0, 0.0, 3.0])
         block = c * m * 8
-        assert (2 * d + 2) * core._ASSIGN_SPAN <= 2 * (2 * c + 3) * losses._IPL_SPAN
-        scratch = m * 8 + 2 * (2 * c + 3) * losses._IPL_SPAN * 8
+        assert (2 * d + 2) * core._ASSIGN_SPAN <= 2 * (2 * c + 3) * core._BLOCK_SPAN
+        scratch = m * 8 + 2 * (2 * c + 3) * core._BLOCK_SPAN * 8
         tracemalloc.start()
         try:
             assignment = soft_assign(emb, mask, clusters)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from planarseg import core
 from planarseg.core import (
     CameraIntrinsics,
     DepthMap,
@@ -184,11 +185,12 @@ class TestSoftAssignment:
             assert block.dtype == np.float64 and block.shape == (c, sa.assigned_rows.sum())
             np.testing.assert_array_equal(block, sa.weights[sa.assigned_rows].T)
 
-    def test_block_spans_cover_the_block_in_pixel_order(self):
+    def test_block_spans_cover_the_block_in_pixel_order(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_SPAN", 3)
         weights = np.zeros((6, 2))
         weights[[0, 2, 3, 5]] = [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.25, 0.75]]
         sa = SoftAssignment(GRID, weights)
-        spans = list(sa._block_spans(3))
+        spans = list(sa._block_spans())
         assert [rows.tolist() for rows, _ in spans] == [[0, 2, 3], [5]]
         np.testing.assert_array_equal(
             np.concatenate([block for _, block in spans], axis=1), weights[[0, 2, 3, 5]].T

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarseg import losses
+from planarseg import core
 from planarseg.clustering import cluster
 from planarseg.core import (
     CameraIntrinsics,
@@ -35,6 +35,7 @@ from planarseg.losses import (
     total_loss,
 )
 from planarseg.geometry import pool_instance_params
+from planarseg.gradcheck import run_gradient_checks
 from planarseg.synth import (
     EmbeddingNoiseSpec,
     SceneSpec,
@@ -606,7 +607,7 @@ class TestInstanceParamLoss:
     def test_spans_match_whole_array_formula(self, monkeypatch):
         # 2500 assigned pixels in spans of 1000: three spans, against the
         # one-shot formula over all assigned rows.
-        monkeypatch.setattr(losses, "_IPL_SPAN", 1000)
+        monkeypatch.setattr(core, "_BLOCK_SPAN", 1000)
         rng = np.random.default_rng(11)
         grid = ImageGrid(50, 60)
         pts = rng.normal(size=(3000, 3)) + np.array([0.0, 0.0, 3.0])
@@ -745,3 +746,12 @@ class TestCentralDifference:
         fd = central_difference(lambda a: float(a.sum()), x)
         assert fd.shape == (2, 3)
         np.testing.assert_allclose(fd, 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
+    def test_rejects_a_step_not_finite_and_positive(self, h):
+        calls = []
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            central_difference(lambda a: calls.append(a) or 0.0, np.ones(2), h)
+        assert calls == []
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            run_gradient_checks(samples=1, h=h)

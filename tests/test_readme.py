@@ -71,6 +71,6 @@ def test_synth_and_cluster_lines_run(tmp_path, monkeypatch, capsys):
     assert cli.main(commands["cluster"]) == 0
     assert capsys.readouterr().err == ""
     written = sorted(path.name for path in (tmp_path / "pred").iterdir())
-    assert written == ["assignment.pten", "labels.pten", "summary.json"]
+    assert written == ["labels.pten", "summary.json"]
     summary = json.loads((tmp_path / "pred" / "summary.json").read_text())
     assert summary["cluster_count"] >= 1 and summary["wall_ms"] > 0.0

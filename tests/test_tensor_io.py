@@ -105,6 +105,17 @@ class TestReadErrors:
         with pytest.raises(TensorFormatError, match="dtype code"):
             read_tensor(path)
 
+    def test_zero_dimensional_header(self, tmp_path):
+        # A 0-d header with one float64 payload would read back as a
+        # shape-() array, which write_tensor refuses to write.
+        path = tmp_path / "scalar.pten"
+        path.write_bytes(b"PTEN" + bytes([1, 1, 0]) + struct.pack("<d", 1.5))
+        with pytest.raises(TensorFormatError, match="at least one dimension") as err:
+            read_tensor(path)
+        assert str(path) in str(err.value)
+        with pytest.raises(TensorFormatError, match="dimensions"):
+            write_tensor(tmp_path / "out.pten", np.float64(1.5))
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "tr.pten"
         write_tensor(path, np.ones((2, 3)))
