@@ -318,33 +318,103 @@ def one_hot_assignment(segments: InstanceSegmentation) -> SoftAssignment:
     )
 
 
+# The Gram path of ``fit_plane_lsq`` needs eigenvalues of G = Q^T Q with
+# lambda_min / lambda_max above this ratio; below it the QR decides. The
+# normal equations' relative error is about cond(G) * eps, times a factor
+# that grows with m through the dot products. Random Q of 3 to 307200
+# points with that ratio just above 1e-5, most of them fitting exactly
+# (where ``lstsq`` is most accurate), erred from ``lstsq`` by at most
+# 6.7e-11 relative over 3270 draws, 15x inside the 1e-9 of the oracle
+# tests; just above 1e-6 the worst was 1.2e-9, at 1e5 points. The
+# reference segments of the VGA perfbench scenes read ratios of 2.5e-4
+# and up. Above the ratio, the QR's rank test (s_min <= s_max * m * eps)
+# cannot fire.
+_GRAM_MIN_RATIO = 1e-5
+# The largest Gram diagonal entry must lie in [2^-900, 2^900]: outside,
+# the squares of the largest coordinates overflow or lose bits to
+# underflow, and the QR, which scales its norms, decides.
+_GRAM_RANGE = (2.0**-900, 2.0**900)
+
+
+def _subset_indices(points: PointMap, subset: np.ndarray) -> np.ndarray:
+    """``subset`` as flat int64 indices, each in [0, N)."""
+    subset = np.asarray(subset)
+    if subset.dtype.kind not in "iu" and subset.size:
+        raise ValueError(f"subset must hold integer indices, got dtype {subset.dtype}")
+    subset = subset.astype(np.int64, copy=False).ravel()
+    n = points.grid.n_pixels
+    # viewed as uint64, a negative index (or a uint64 one past the int64
+    # range, which the cast wrapped) exceeds every valid one: one max
+    # pass checks both ends
+    if subset.size and subset.view(np.uint64).max() >= n:
+        raise ValueError(f"subset indices must lie in [0, {n})")
+    return subset
+
+
 def fit_plane_lsq(
     points: PointMap, subset: np.ndarray
 ) -> Tuple[Plane, float]:
     """Least-squares plane through the valid points at ``subset`` indices.
 
-    Solves for n minimizing |Q n - 1|^2 from one Householder QR of the
-    (m, 4) block [Q 1]: n = R[:3, :3]^-1 R[:3, 3], and the residual norm
-    is |R[3, 3]| (0 when m = 3). Returns the plane with the residual
-    RMS. Q has the singular values of R[:3, :3], so the points are
-    rejected as collinear or coincident when the smallest of them is at
-    most m * eps times the largest, the tolerance of ``matrix_rank``.
-    Points so large that the QR overflows are rejected too.
+    ``subset`` holds integer indices in [0, N); any other dtype, or an
+    index outside that range, is a ``ValueError``. Returns the n
+    minimizing |Q n - 1|^2 over the kept points Q, as a plane, with the
+    residual RMS (0 when m = 3).
+
+    n solves the normal equations G n = s, with G = Q^T Q from six row
+    dot products and s = Q^T 1 from three row sums, when G certifies
+    them: every entry finite, the largest diagonal entry in
+    ``_GRAM_RANGE``, and lambda_min / lambda_max > ``_GRAM_MIN_RATIO``.
+    n then comes from the eigenpairs of G, and the residual from one
+    pass ``n @ Q^T - 1`` over the points, which does not cancel when the
+    fit is exact. Within that ratio n is within about 1e-10 relative of
+    the exact least-squares plane. Any other G leaves the decision to
+    :func:`_fit_plane_qr`, which also rejects collinear, coincident and
+    overflowing points.
 
     The kept points are taken as whole rows in one ``take`` and copied,
-    transposed, into the block, whose transpose the QR reads in Fortran
-    order. When every index is valid, as for a segment already masked
-    by validity, the subset is used as it is.
+    transposed, into the rows of the block the QR would read. When every
+    index is valid, as for a segment already masked by validity, the
+    subset is used as it is.
     """
-    subset = np.asarray(subset, dtype=np.int64).ravel()
+    subset = _subset_indices(points, subset)
     valid = points.validity.take(subset)
     keep = subset if valid.all() else subset.compress(valid)
     m = keep.shape[0]
     if m < 3:
         raise ValueError("degenerate point set: need >= 3 valid points")
     block = np.empty((4, m), dtype=np.float64)
-    block[:3] = points.points.take(keep, axis=0).T
+    q = block[:3]
+    q[...] = points.points.take(keep, axis=0).T
+    x, y, z = q
+    with np.errstate(over="ignore", invalid="ignore"):  # such a Gram goes to the QR
+        xx, yy, zz = x @ x, y @ y, z @ z
+        xy, xz, yz = x @ y, x @ z, y @ z
+    gram = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+    lo, hi = _GRAM_RANGE
+    if np.isfinite(gram).all() and lo <= max(xx, yy, zz) <= hi:
+        lam, vec = np.linalg.eigh(gram)
+        if lam[0] > _GRAM_MIN_RATIO * lam[2]:
+            n = vec @ ((q.sum(axis=1) @ vec) / lam)
+            if m == 3:
+                return Plane(n), 0.0
+            residual = n @ q
+            residual -= 1.0
+            return Plane(n), float(np.sqrt(residual @ residual / m))
     block[3] = 1.0
+    return _fit_plane_qr(block)
+
+
+def _fit_plane_qr(block: np.ndarray) -> Tuple[Plane, float]:
+    """The plane and residual RMS of :func:`fit_plane_lsq` from one
+    Householder QR of the (m, 4) transpose of ``block`` = [Q^T; 1]:
+    n = R[:3, :3]^-1 R[:3, 3], and the residual norm is |R[3, 3]| (0
+    when m = 3). Q has the singular values of R[:3, :3], so the points
+    are rejected as collinear or coincident when the smallest of them is
+    at most m * eps times the largest, the tolerance of ``matrix_rank``.
+    Points so large that the QR overflows are rejected too. The QR reads
+    the block's transpose in Fortran order."""
+    m = block.shape[1]
     r = np.linalg.qr(block.T, mode="r")
     if not np.isfinite(r).all():  # the QR overflowed; the SVD would fail on NaN
         raise ValueError("point coordinates too large to fit a plane")

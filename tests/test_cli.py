@@ -871,6 +871,37 @@ class TestEvalCommand:
             "need >= 3 valid points\n"
         )
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 0.0, -2.0])
+    def test_reference_depth_nan_or_not_positive_is_missing(self, tmp_path, value):
+        # Such a reference pixel is missing: the run writes the same files
+        # as with its depth at 0.
+        scene = run_synth(tmp_path)
+        depth = read_tensor(scene / "depth.pten")
+        outputs = []
+        for name, fill in (("spoilt", value), ("missing", 0.0)):
+            changed = depth.copy()
+            changed.reshape(-1)[::7] = fill
+            write_tensor(tmp_path / f"{name}.pten", changed)
+            args = self.eval_args(scene, tmp_path / name)
+            args[args.index("--gt-depth") + 1] = str(tmp_path / f"{name}.pten")
+            assert main(args) == 0
+            outputs.append([
+                (tmp_path / name / file).read_bytes()
+                for file in ("metrics.json", "recall_depth.csv", "recall_normal.csv")
+            ])
+        assert outputs[0] == outputs[1]
+
+    def test_infinite_reference_depth_exits_one(self, tmp_path, capsys):
+        scene = run_synth(tmp_path)
+        depth = read_tensor(scene / "depth.pten")
+        depth[0, 0] = np.inf
+        write_tensor(tmp_path / "depth.pten", depth)
+        args = self.eval_args(scene, tmp_path / "eval")
+        args[args.index("--gt-depth") + 1] = str(tmp_path / "depth.pten")
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: valid depths must be finite and > 0\n"
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf])
     def test_non_integral_labels_exit_two(self, tmp_path, capsys, bad):
         scene = run_synth(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarseg import core
+from planarseg import core, geometry
 from planarseg.clustering import hard_labels
 from planarseg.core import (
     CameraIntrinsics,
@@ -681,6 +681,32 @@ class TestFitPlaneLsq:
         with pytest.raises(ValueError, match="need >= 3 valid points"):
             fit_plane_lsq(pm, np.array([1, 5, 6, 11, 0, 2]))
 
+    @pytest.mark.parametrize(
+        "subset, message",
+        [
+            (np.ones(12, dtype=bool), "integer indices, got dtype bool"),
+            (np.array([0.0, 2.0, 3.9]), "integer indices, got dtype float64"),
+            (np.array([0, 2, -1]), r"must lie in \[0, 12\)"),
+            (np.array([0, 2, 12]), r"must lie in \[0, 12\)"),
+            (np.array([0, 2, 2**64 - 1], dtype=np.uint64), r"must lie in \[0, 12\)"),
+            ([], "need >= 3 valid points"),
+        ],
+    )
+    def test_subset_must_be_integer_indices_in_range(self, subset, message):
+        # A mask would read as indices {0, 1}, a negative index would wrap
+        # to the end of the map, and a float index would truncate.
+        q = np.random.default_rng(5).normal(size=(12, 3)) + [0.0, 0.0, 4.0]
+        with pytest.raises(ValueError, match=message):
+            fit_plane_lsq(PointMap(ImageGrid(3, 4), q), subset)
+
+    def test_any_integer_subset_dtype_fits_the_same_plane(self):
+        q = np.random.default_rng(6).normal(size=(12, 3)) + [0.0, 0.0, 4.0]
+        pm = PointMap(ImageGrid(3, 4), q)
+        want, want_rms = fit_plane_lsq(pm, np.array([[0, 3, 5], [7, 8, 11]]))
+        for dtype in (np.int64, np.int32, np.uint8, np.uint64):
+            plane, rms = fit_plane_lsq(pm, np.array([0, 3, 5, 7, 8, 11], dtype=dtype))
+            assert plane.n.tobytes() == want.n.tobytes() and rms == want_rms
+
     def test_two_points_degenerate(self):
         pm = PointMap(ImageGrid(1, 2), np.array([[1.0, 0, 1], [0, 1.0, 1]]))
         with pytest.raises(ValueError, match="degenerate point set"):
@@ -818,6 +844,111 @@ class TestFitPlaneLsqOracle:
                 fit_plane_lsq(pm, np.arange(m))
         else:
             fit_plane_lsq(pm, np.arange(m))
+
+
+def qr_fit(q):
+    """The QR fallback of ``fit_plane_lsq`` on the (m, 3) points ``q``."""
+    block = np.empty((4, q.shape[0]))
+    block[:3], block[3] = q.T, 1.0
+    return geometry._fit_plane_qr(block)
+
+
+def gram_ratio(q):
+    lam = np.linalg.eigvalsh(q.T @ q)
+    return lam[0] / lam[-1]
+
+
+def conditioned_points(ratio, m, rng):
+    """m points whose Gram has eigenvalue ratio ``ratio``, about 1 m from
+    the camera."""
+    u, _ = np.linalg.qr(rng.normal(size=(m, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return (u * [1.0, 0.5, np.sqrt(ratio)]) @ v.T
+
+
+def forbid_qr(monkeypatch):
+    def qr(*args, **kwargs):
+        raise AssertionError("the QR fallback ran")
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+
+
+FIVE_POINTS = np.array(
+    [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.1], [0.5, 0.2, 1.0], [0.3, 0.3, 1.2]]
+)
+
+
+class TestFitPlaneLsqFallback:
+    """Each Gram the normal equations cannot trust goes to the QR, whose
+    plane bits and error text ``fit_plane_lsq`` then returns."""
+
+    def assert_same_as_qr(self, q):
+        pm = PointMap(ImageGrid(1, q.shape[0]), q)
+        try:
+            want, want_rms = qr_fit(q)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                fit_plane_lsq(pm, np.arange(q.shape[0]))
+            return str(exc)
+        plane, rms = fit_plane_lsq(pm, np.arange(q.shape[0]))
+        assert plane.n.tobytes() == want.n.tobytes() and rms == want_rms
+        return None
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (1e160, "norm below"),  # the Gram overflows
+            (1e140, "norm below"),  # finite, above 2^900
+            (1e-140, None),  # normal, below 2^-900
+            (1e-160, "norm must be finite"),  # subnormal
+        ],
+    )
+    def test_gram_out_of_range(self, scale, message):
+        error = self.assert_same_as_qr(scale * FIVE_POINTS)
+        assert error is None if message is None else message in error
+
+    @pytest.mark.parametrize(
+        "offset, message", [(1e-15, "collinear or coincident"), (1e-9, None)]
+    )
+    def test_near_collinear(self, offset, message):
+        # 20 points on a line, one moved off it by ``offset``: at 1e-15
+        # the QR's rank test rejects them, at 1e-9 it fits a plane
+        rng = np.random.default_rng(11)
+        q = np.array([0.2, -0.1, 2.0]) + rng.uniform(-1.0, 1.0, (20, 1)) * [0.6, 0.0, 0.8]
+        q[0, 1] += offset
+        error = self.assert_same_as_qr(q)
+        assert error is None if message is None else message in error
+
+    @pytest.mark.parametrize("m", [3, 50])
+    def test_conditioning_just_past_the_ratio(self, m):
+        q = conditioned_points(0.9 * geometry._GRAM_MIN_RATIO, m, np.random.default_rng(m))
+        assert gram_ratio(q) < geometry._GRAM_MIN_RATIO
+        assert self.assert_same_as_qr(q) is None
+
+    @pytest.mark.parametrize("m", [3, 50, 20000])
+    def test_conditioning_just_inside_the_ratio(self, m, monkeypatch):
+        rng = np.random.default_rng(m)
+        q = conditioned_points(1.1 * geometry._GRAM_MIN_RATIO, m, rng)
+        assert gram_ratio(q) > geometry._GRAM_MIN_RATIO
+        forbid_qr(monkeypatch)
+        plane, _ = fit_plane_lsq(PointMap(ImageGrid(1, m), q), np.arange(m))
+        n_ref, _ = oracle_fit_plane(q)
+        assert np.linalg.norm(plane.n - n_ref) <= 1e-9 * np.linalg.norm(n_ref)
+
+    def test_vga_scene_fits_every_segment_on_the_gram_path(self, monkeypatch):
+        # 480x640 with 32 planes, as the eval benchmark scores: every
+        # reference segment is certified by its Gram.
+        grid = ImageGrid(480, 640)
+        intr = CameraIntrinsics(fx=576.0, fy=576.0, cx=319.5, cy=239.5)
+        scene = generate_scene(SceneSpec(grid, intr, plane_count=32, seed=27))
+        points = backproject(scene.depth, intr)
+        labels = scene.segmentation.labels
+        forbid_qr(monkeypatch)
+        for idx, truth in enumerate(scene.planes, start=1):
+            members = np.flatnonzero((labels == idx) & points.validity)
+            plane, rms = fit_plane_lsq(points, members)
+            assert np.linalg.norm(plane.n - truth.n) <= 1e-9 * np.linalg.norm(truth.n)
+            assert rms < 1e-9
 
 
 class TestNormalAngle:
