@@ -64,6 +64,7 @@ from .core import (
     PlanarMask,
     SoftAssignment,
     _Columns,
+    _checked_int,
     _frozen,
     _frozen_fields,
     _label_rows,
@@ -172,9 +173,7 @@ class MeanShiftConfig:
 
     def __post_init__(self) -> None:
         for name in ("anchors_per_dim", "iterations"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _checked_int(name, getattr(self, name))
         for name in ("bandwidth", "density_fraction"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):

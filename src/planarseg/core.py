@@ -4,20 +4,22 @@ All types are immutable after construction: array fields are copied and
 marked read-only, so instances are safe to share across threads. The
 library's own kernels hand fresh arrays to :func:`_frozen_fields`
 instead, which freezes them without a copy or a check.
-:class:`SoftAssignment` may build its labels, weight block and weights
-on first read: the block from the one column kernel its producer hands
-it, the weights (unless the constructor holds them) by scattering the
-block, the labels from the producer's labels builder if it gave one and
-from that kernel otherwise; each is cached once, read-only, and a race
-can at worst build it twice.
+:class:`SoftAssignment` holds one weight array, a (C, M) block of its
+assigned pixels' weights. Its constructor copies the given weights'
+assigned rows into the block at once; the library's lazy producers hand
+over a column kernel instead, which builds the block on first read.
+The dense weights are the block scattered on first read, and the labels
+come from the producer's labels builder if it gave one, else from the
+first maximum of each kernel or block column; each value is cached
+once, read-only, and a race can at worst build it twice.
 Pixels are linearized row-major (index = row * width + col) everywhere.
 Internal arithmetic is 64-bit; narrower inputs are widened on entry.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
-from functools import partial
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -71,6 +73,14 @@ def _check_plane_rows(rows: np.ndarray) -> None:
     raise ValueError(f"plane vector norm below {EPS_PLANE}")
 
 
+def _checked_int(name: str, value) -> int:
+    """``value`` as an ``int``: a value of the field ``name`` that is a
+    bool or not an integer raises; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _frozen_fields(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with ``fields`` set
     directly, bypassing ``__init__`` and ``__post_init__``; array fields
@@ -100,6 +110,8 @@ class ImageGrid:
     width: int
 
     def __post_init__(self) -> None:
+        for name in ("height", "width"):  # as ints: numpy ones could wrap in n_pixels
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name)))
         if self.height < 1 or self.width < 1:
             raise ValueError(
                 f"grid dimensions must be >= 1, got {self.height}x{self.width}"
@@ -179,7 +191,8 @@ class InstanceSegmentation:
 
     ``n_instances`` fixes the ID space 1..C; individual IDs may own no
     pixels (for example a cluster that wins no argmax), which keeps label
-    indices aligned with external per-instance arrays.
+    indices aligned with external per-instance arrays. It must be an
+    integer (a bool is not) when given.
     """
 
     grid: ImageGrid
@@ -195,7 +208,8 @@ class InstanceSegmentation:
         top = int(labels.max(initial=0))
         if labels.min(initial=0) < 0:
             raise ValueError("labels must be >= 0")
-        count = top if self.n_instances is None else int(self.n_instances)
+        count = top if self.n_instances is None else self.n_instances
+        count = _checked_int("n_instances", count)
         if count < top:
             raise ValueError(f"n_instances={count} below max label {top}")
         object.__setattr__(self, "labels", labels)
@@ -206,32 +220,29 @@ class InstanceSegmentation:
         return PlanarMask(self.grid, self.labels > 0)
 
 
-def _checked_rows(grid: ImageGrid, weights: np.ndarray) -> np.ndarray:
-    """Check dense (N, C) weights; return the read-only mask of nonzero
-    rows, taken from the row sums of one BLAS pass."""
-    if weights.ndim != 2 or weights.shape[0] != grid.n_pixels:
-        raise ValueError(
-            f"weights must have shape (N, C) with N={grid.n_pixels}, "
-            f"got {weights.shape}"
-        )
-    if weights.shape[1] < 1:
-        raise ValueError("assignment needs at least one cluster column")
-    if weights.min() < 0.0 or weights.max() > 1.0:
-        raise ValueError("assignment weights must lie in [0, 1]")
-    sums = weights @ np.ones(weights.shape[1])
-    ok = (np.abs(sums - 1.0) <= ROW_SUM_TOL) | (sums == 0.0)
-    if not np.all(ok):
-        raise ValueError("assignment rows must sum to 1 or be all-zero")
-    assigned = sums > 0.0
-    assigned.flags.writeable = False
-    return assigned
+def _compact(seg: InstanceSegmentation) -> InstanceSegmentation:
+    """``seg`` itself, or, when its ID space is at least its pixel count,
+    the same partition with the present IDs renumbered 1..K in
+    ascending order and label 0 kept. Tables indexed by ID then stay
+    sized by the pixel count, however large the IDs."""
+    if seg.n_instances < seg.grid.n_pixels:
+        return seg
+    ids, inverse = np.unique(seg.labels, return_inverse=True)
+    shift = int(ids[0] > 0)  # label 0 absent: the first present ID becomes 1
+    labels = inverse.astype(np.int64, copy=False)
+    labels += shift
+    return _frozen_fields(
+        InstanceSegmentation,
+        grid=seg.grid,
+        labels=labels,
+        n_instances=ids.shape[0] - 1 + shift,
+    )
 
 
 def _checked_block(block: np.ndarray) -> None:
-    """Check a (C, M) block of assigned weight columns by the rules of
-    :func:`_checked_rows`, with its messages and in its order: entries
-    in [0, 1], then every column sum within ``ROW_SUM_TOL`` of 1 (a NaN
-    fails the sums)."""
+    """Check a (C, M) block of assigned weight columns, in this order:
+    entries in [0, 1], then every column sum within ``ROW_SUM_TOL`` of 1
+    (a NaN fails the sums)."""
     if block.min(initial=0.0) < 0.0 or block.max(initial=1.0) > 1.0:
         raise ValueError("assignment weights must lie in [0, 1]")
     sums = np.ones(block.shape[0]) @ block
@@ -324,63 +335,62 @@ def _label_rows(
         labels[span] = top
 
 
-def _weight_columns(weights: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """The column kernel of constructor weights: the (N, C) rows
-    ``rows``, transposed into ``out``."""
-    out[...] = weights.take(rows, axis=0).T
-
-
 class SoftAssignment:
     """Per-pixel membership weights over clusters, with hard labels.
 
     Rows of assigned (planar) pixels sum to 1; unassigned pixels carry
     all-zero rows so the grid shape survives end to end.
-    ``SoftAssignment(grid, weights)`` copies and checks the weights, and
-    ``assigned_rows`` is the mask of nonzero rows cached from their row
-    sums. ``labels`` are the hard labels: 0 on unassigned rows, else
-    1 + the column of the row's first largest weight.
+    ``assigned_rows`` is the mask of nonzero rows. ``labels`` are the
+    hard labels: 0 on unassigned rows, else 1 + the column of the row's
+    first largest weight.
 
-    An assignment builds one weight array, a private cluster-major
-    block (:attr:`_block`): the (C, M) weights of its M assigned pixels
-    in ascending pixel order. Soft pooling and ``instance_param_loss``
-    read only the block. The dense (N, C) ``weights`` of a producer's
-    assignment are that block scattered into zeros on first read, so
-    column j of the block equals row ``flatnonzero(assigned_rows)[j]``
-    of ``weights`` bit for bit, and a reader of ``weights`` holds both
-    arrays; constructor assignments keep the weights they were given.
-    No path of the library or its command line reads ``weights``.
+    An assignment holds one weight array, a private cluster-major block
+    (:attr:`_block`): the (C, M) weights of its M assigned pixels in
+    ascending pixel order. Soft pooling and ``instance_param_loss`` read
+    only the block. The dense (N, C) ``weights`` are that block
+    scattered into zeros on first read, so column j of the block equals
+    row ``flatnonzero(assigned_rows)[j]`` of ``weights`` bit for bit,
+    and a reader of ``weights`` holds both arrays. No path of the
+    library or its command line reads ``weights``.
 
-    Every assignment holds one column kernel, ``columns(rows, out)``,
-    which writes the (C, len(rows)) weights of the given assigned pixels
-    into ``out``; for constructor weights it copies their rows. The
-    assignment alone runs it, span by span over ``_ASSIGN_SPAN``
-    assigned pixels, to build the block and the default first-maximum
-    labels, each on its own first read and neither from the other
-    (constructor labels are ``np.argmax`` of the weights the
-    constructor already holds): a caller that only reads labels never
-    holds an N x C or C x M array, and one that reads the block never
-    holds an N x C array. The library's own producers build an
+    There are two ways to build one. ``SoftAssignment(grid, weights)``
+    checks the shape, takes the rows with any nonzero entry as the
+    assigned rows, gathers them into the block and checks the block; it
+    keeps no (N, C) array. Its labels are the first maximum of each
+    block column, built on first read. The library's lazy producers
+    (``cluster``, ``soft_assign`` and ``one_hot_assignment``) build an
     assignment from a source (:meth:`_from_source`): the cluster count,
-    the assigned rows, their kernel and, where they know the labels
-    more cheaply than the kernel does, a labels builder. A built block
-    passes the same checks as constructor weights and is frozen in
-    place, without a copy. Each value is cached once and read-only, so
-    the object stays immutable from outside; two threads racing on a
-    first read may both build the value, and both get the one that was
-    cached first. Once the labels are cached their builder is dropped,
-    with whatever it held.
+    the assigned rows, one column kernel ``columns(rows, out)``, which
+    writes the (C, len(rows)) weights of the given assigned pixels into
+    ``out``, and, where they know the labels more cheaply than the
+    kernel does, a labels builder.
+    The assignment alone runs the kernel, span by span over
+    ``_ASSIGN_SPAN`` assigned pixels, to build the block and the default
+    first-maximum labels, each on its own first read and neither from
+    the other: a caller that only reads labels never holds an N x C or
+    C x M array, and one that reads the block never holds an N x C
+    array. Either block passes the same checks (entries in [0, 1], then
+    columns summing to 1) and is frozen in place, without a copy. Each
+    value is cached once and read-only, so the object stays immutable
+    from outside; two threads racing on a first read may both build the
+    value, and both get the one that was cached first. Once the labels
+    are cached their builder is dropped, with whatever it held.
     """
 
     def __init__(self, grid: ImageGrid, weights: np.ndarray) -> None:
-        weights = _frozen(weights, np.float64)
-        assigned = _checked_rows(grid, weights)
-        columns = partial(_weight_columns, weights)
-
-        def labels() -> np.ndarray:
-            return (np.argmax(weights, axis=1) + 1) * assigned
-
-        source = self._from_source(grid, weights.shape[1], assigned, columns, labels)
-        self.__dict__.update(vars(source), _weights=weights)
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 2 or weights.shape[0] != grid.n_pixels:
+            raise ValueError(
+                f"weights must have shape (N, C) with N={grid.n_pixels}, "
+                f"got {weights.shape}"
+            )
+        if weights.shape[1] < 1:
+            raise ValueError("assignment needs at least one cluster column")
+        assigned = weights.any(axis=1)
+        block = np.ascontiguousarray(weights[assigned].T)
+        _checked_block(block)
+        self._init(grid, weights.shape[1], assigned, None, None, False)
+        self._cached("_member_block", block.view)  # frozen, without a copy
 
     @classmethod
     def _from_source(
@@ -394,11 +404,20 @@ class SoftAssignment:
     ) -> "SoftAssignment":
         """An assignment whose weights the column kernel ``columns``
         writes, and whose labels ``labels()`` builds on first read (by
-        default the first maximum of the kernel's columns). ``assigned``
-        must be read-only. ``indicator`` says that each assigned row is
-        one-hot on its label, so pooling may sum pixels by label."""
+        default the first maximum of the kernel's columns). ``indicator``
+        says that each assigned row is one-hot on its label, so pooling
+        may sum pixels by label."""
         out = cls.__new__(cls)
-        out.__dict__.update(
+        out._init(grid, clusters, assigned, columns, labels, indicator)
+        return out
+
+    def _init(self, grid, clusters, assigned, columns, labels, indicator) -> None:
+        """Set the fields of every assignment: the one initializer of
+        :meth:`__init__` and :meth:`_from_source` (the constructor's
+        assignment has no column kernel and no labels builder).
+        ``assigned`` is frozen in place, without a copy."""
+        assigned.flags.writeable = False
+        self.__dict__.update(
             grid=grid,
             _clusters=clusters,
             _assigned=assigned,
@@ -406,7 +425,6 @@ class SoftAssignment:
             _build_labels=labels,
             _indicator=indicator,
         )
-        return out
 
     def __setattr__(self, name, value) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -430,6 +448,9 @@ class SoftAssignment:
 
     def _first_max_labels(self) -> np.ndarray:
         labels = np.zeros(self.grid.n_pixels, dtype=np.int64)
+        if self._columns is None:  # a constructor assignment: its block is built
+            labels[self._assigned] = np.argmax(self._block, axis=0) + 1
+            return labels
         rows = np.flatnonzero(self._assigned)
         _label_rows(self._columns, self._clusters, labels, rows)
         return labels
@@ -469,8 +490,10 @@ class SoftAssignment:
 
     @property
     def weights(self) -> np.ndarray:
-        """Read-only (N, C) weights: the constructor's, or else
-        :attr:`_block` scattered into zeros, built once."""
+        """Read-only (N, C) weights: :attr:`_block` scattered into zeros,
+        built once. For a constructor assignment they equal the weights
+        it was given, bit for bit, except that a -0.0 in an unassigned
+        row reads +0.0."""
         return self._cached("_weights", self._scattered_block)
 
     @property

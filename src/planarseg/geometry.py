@@ -306,12 +306,10 @@ def one_hot_assignment(segments: InstanceSegmentation) -> SoftAssignment:
     if segments.n_instances < 1:
         raise ValueError("segmentation has no instances")
     labels = segments.labels
-    assigned = labels > 0
-    assigned.flags.writeable = False
     return SoftAssignment._from_source(
         segments.grid,
         segments.n_instances,
-        assigned,
+        labels > 0,
         partial(_one_hot_span, labels),
         labels=labels.view,
         indicator=True,

@@ -10,7 +10,9 @@ planar pixels.
 The losses carry integer labels, not per-instance index lists. The
 pull/push pair takes instance sizes and means from ``np.bincount`` over
 the labels and reads per-pixel terms back with one gather per axis, so
-it costs O(N * d + C^2 * d) whatever the instance count C.
+it costs O(N * d + C^2 * d) whatever the instance count C. An ID space
+of at least the pixel count is renumbered first, keeping ID order, so
+the tables stay sized by the pixel count, however large the IDs.
 :func:`embedding_loss` and :func:`total_loss` compute the means once
 for both terms. The per-pixel losses run axis by axis over contiguous
 columns, with no row gathers or scatters. Rows outside the labels or
@@ -35,6 +37,7 @@ from .core import (
     PlaneInstanceParams,
     PointMap,
     SoftAssignment,
+    _compact,
 )
 
 __all__ = [
@@ -101,7 +104,9 @@ def balanced_bce(
 class _Instances(NamedTuple):
     """The labeled pixels of a segmentation, summed by instance ID.
 
-    Per-ID tables have one entry for each ID 0..n_instances. Entry 0
+    Per-ID tables have one entry for each ID 0..n_instances, after an ID
+    space of at least the pixel count is renumbered as the partition
+    metrics renumber it (``core._compact``). Entry 0
     (unlabeled) and the entries of IDs that own no pixel are zero, so a
     gather over the labels reads zeros on unlabeled pixels. Arrays are
     kept axis by axis, (d, N) and (d, C + 1), so every per-axis pass
@@ -124,6 +129,7 @@ def _instances(embeddings: EmbeddingMap, gt: InstanceSegmentation) -> _Instances
     """
     if embeddings.grid != gt.grid:
         raise ValueError("embedding and segmentation grids must match")
+    gt = _compact(gt)
     labels = gt.labels
     bins = gt.n_instances + 1
     columns = _columns(embeddings.values, labels > 0)

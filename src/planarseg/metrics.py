@@ -27,8 +27,8 @@ from .core import (
     CameraIntrinsics,
     DepthMap,
     InstanceSegmentation,
+    _compact,
     _frozen,
-    _frozen_fields,
     _tiles,
 )
 from .geometry import (
@@ -134,25 +134,6 @@ def _contingency(
     key = np.multiply(a.labels, shape[1])
     key += b.labels
     return np.bincount(key, minlength=shape[0] * shape[1]).reshape(shape), key
-
-
-def _compact(seg: InstanceSegmentation) -> InstanceSegmentation:
-    """``seg`` itself, or, when its ID space is at least its pixel count,
-    the same partition with the present IDs renumbered 1..K in
-    ascending order and label 0 kept. Tables indexed by ID then stay
-    sized by the pixel count, however large the IDs."""
-    if seg.n_instances < seg.grid.n_pixels:
-        return seg
-    ids, inverse = np.unique(seg.labels, return_inverse=True)
-    shift = int(ids[0] > 0)  # label 0 absent: the first present ID becomes 1
-    labels = inverse.astype(np.int64, copy=False)
-    labels += shift
-    return _frozen_fields(
-        InstanceSegmentation,
-        grid=seg.grid,
-        labels=labels,
-        n_instances=ids.shape[0] - 1 + shift,
-    )
 
 
 def _iou(table: np.ndarray) -> np.ndarray:

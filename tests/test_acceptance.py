@@ -123,6 +123,7 @@ class TestCriterion1OracleEquivalence:
         )
 
 
+@pytest.mark.slow
 class TestCriterion2Complexity:
     def test_loglog_slopes_and_speedup(self):
         start = time.perf_counter()

@@ -1,5 +1,7 @@
 """Domain type construction, validation, and immutability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,28 @@ class TestImageGrid:
     def test_rejects_degenerate(self, h, w):
         with pytest.raises(ValueError):
             ImageGrid(h, w)
+
+    @pytest.mark.parametrize(
+        "h, w, field",
+        [
+            (2.5, 3, "height"),
+            (2, 3.0, "width"),
+            (np.float64(2), 3, "height"),
+            (True, 3, "height"),
+            (2, np.True_, "width"),
+            (2, "3", "width"),
+        ],
+    )
+    def test_rejects_non_integers(self, h, w, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ImageGrid(h, w)
+
+    def test_accepts_numpy_integers_as_ints(self):
+        # numpy dimensions would wrap in the product
+        for side in (np.int32(50_000), np.uint16(50_000)):
+            grid = ImageGrid(side, side)
+            assert grid.n_pixels == 2_500_000_000 and type(grid.n_pixels) is int
+            assert grid == ImageGrid(50_000, 50_000)
 
 
 class TestEmbeddingMap:
@@ -85,6 +109,15 @@ class TestInstanceSegmentation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             InstanceSegmentation(GRID, np.array([0, -1, 1, 2, 2, 2]))
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3), True, np.True_, "3"])
+    def test_rejects_a_non_integer_count(self, count):
+        with pytest.raises(ValueError, match="n_instances must be an integer"):
+            InstanceSegmentation(GRID, np.array([0, 1, 1, 0, 0, 1]), count)
+
+    def test_accepts_a_numpy_integer_count(self):
+        seg = InstanceSegmentation(GRID, np.array([0, 1, 1, 0, 0, 1]), np.int32(3))
+        assert seg.n_instances == 3 and type(seg.n_instances) is int
 
     def test_planar_mask(self):
         seg = InstanceSegmentation(GRID, np.array([0, 1, 1, 2, 0, 2]))
@@ -184,6 +217,104 @@ class TestSoftAssignment:
             assert block.flags.c_contiguous and not block.flags.writeable
             assert block.dtype == np.float64 and block.shape == (c, sa.assigned_rows.sum())
             np.testing.assert_array_equal(block, sa.weights[sa.assigned_rows].T)
+
+    def test_constructor_builds_the_block_from_the_input(self):
+        # The constructor copies the assigned rows into the block at once
+        # and keeps nothing else; the dense weights are the block
+        # scattered on first read, and give back the input bit for bit.
+        rng = np.random.default_rng(4)
+        grid = ImageGrid(20, 25)
+        for c in (1, 3, 8):
+            weights = rng.random((500, c))
+            weights /= weights.sum(axis=1, keepdims=True)
+            weights[rng.random(500) < 0.3] = 0.0
+            given = weights.copy()
+            assigned = weights.sum(axis=1) > 0
+            sa = SoftAssignment(grid, weights)
+            assert "_member_block" in vars(sa) and "_weights" not in vars(sa)
+            assert sa._block.tobytes() == weights[assigned].T.tobytes()
+            np.testing.assert_array_equal(sa.assigned_rows, assigned)
+            weights[:] = 1.0 / c  # later writes to the input do not leak
+            assert sa.weights.tobytes() == given.tobytes()
+            assert not sa.weights.flags.writeable
+
+    def test_weights_keep_the_input_but_unassigned_negative_zeros(self):
+        weights = np.zeros((6, 2))
+        weights[0] = [1.0, -0.0]
+        weights[3] = [-0.0, -0.0]
+        weights[4] = [0.5, 0.5]
+        sa = SoftAssignment(GRID, weights.astype(np.float32))
+        np.testing.assert_array_equal(sa.weights, weights)
+        assert np.signbit(sa.weights[0, 1])  # an assigned row keeps its bits
+        assert not np.signbit(sa.weights[3]).any()  # an unassigned one reads +0.0
+        assert sa.assigned_rows.tolist() == [True, False, False, False, True, False]
+
+    def test_labels_are_the_first_maximum_of_each_row(self):
+        rng = np.random.default_rng(6)
+        for c in (1, 2, 5):
+            weights = rng.integers(0, 3, size=(500, c)).astype(np.float64)  # many ties
+            sums = weights.sum(axis=1, keepdims=True)
+            weights /= np.where(sums > 0.0, sums, 1.0)
+            sa = SoftAssignment(ImageGrid(20, 25), weights)
+            want = (np.argmax(weights, axis=1) + 1) * (sums[:, 0] > 0.0)
+            np.testing.assert_array_equal(sa.labels, want)
+            assert sa.labels.dtype == np.int64 and not sa.labels.flags.writeable
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # an out-of-range entry is found before a bad sum in any row
+            ({0: [0.5, 0.5 + 2e-9], 5: [-0.5, 0.5]}, r"\[0, 1\]"),
+            ({2: [np.inf, -np.inf]}, r"\[0, 1\]"),
+            # a NaN fails the sums and hides every entry from the range check
+            ({0: [np.nan, 0.5], 5: [1.5, -0.5]}, "sum to 1"),
+            ({0: [1.5, -0.5], 5: [np.nan, 0.5]}, "sum to 1"),
+            ({0: [0.5, 0.5 - 2e-9], 5: [np.nan, 0.5]}, "sum to 1"),
+            ({1: [0.0, 5e-324]}, "sum to 1"),
+        ],
+    )
+    def test_checks_the_range_then_the_sums(self, rows, message):
+        weights = np.zeros((6, 2))
+        for row, values in rows.items():
+            weights[row] = values
+        with pytest.raises(ValueError, match=message):
+            SoftAssignment(GRID, weights)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (np.full((5, 2), np.nan), "shape"),
+            (np.full(6, np.nan), "shape"),
+            (np.zeros((6, 0)), "at least one cluster column"),
+        ],
+    )
+    def test_checks_the_shape_first(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            SoftAssignment(GRID, weights)
+
+    def test_keeps_no_dense_copy(self):
+        # Only the (C, M) block and the assigned mask outlive the
+        # constructor; the dense weights appear on their first read.
+        rng = np.random.default_rng(7)
+        grid, c = ImageGrid(100, 120), 8
+        n = grid.n_pixels
+        weights = rng.random((n, c))
+        weights /= weights.sum(axis=1, keepdims=True)
+        weights[rng.random(n) < 0.3] = 0.0
+        block = c * int((weights.sum(axis=1) > 0).sum()) * 8
+        tracemalloc.start()
+        try:
+            sa = SoftAssignment(grid, weights)
+            held, _ = tracemalloc.get_traced_memory()
+            sa.labels
+            labelled, _ = tracemalloc.get_traced_memory()
+            sa.weights
+            dense, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block < held < block + n + 4096 < n * c * 8
+        assert labelled - held < n * 8 + 4096
+        assert dense - labelled >= n * c * 8
 
     def test_block_spans_cover_the_block_in_pixel_order(self, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_SPAN", 3)

@@ -376,6 +376,37 @@ class TestEmbeddingLoss:
         np.testing.assert_array_equal(grad, 0.0)
 
 
+class TestEmbeddingLossIdSpace:
+    # IDs keep their order when renumbered, so gaps and huge IDs give the
+    # value and gradient of the compact-ID map bit for bit.
+    @staticmethod
+    def scene():
+        grid = ImageGrid(30, 40)
+        rng = np.random.default_rng(11)
+        compact = rng.integers(0, 5, size=grid.n_pixels)
+        centers = rng.normal(0.0, 0.4, size=(5, 3))
+        values = centers[compact] + rng.normal(0.0, 0.6, size=(grid.n_pixels, 3))
+        return grid, EmbeddingMap(grid, values), compact
+
+    @pytest.mark.parametrize(
+        "ids, n_instances",
+        [
+            ([0, 1, 5, 9, 12], None),
+            ([0, 1, 5, 9, 12], 2**40),
+            ([0, 3, 2**40 - 7, 2**40 - 1, 2**40], None),
+        ],
+    )
+    def test_matches_compact_ids(self, ids, n_instances):
+        grid, emb, compact = self.scene()
+        sparse = InstanceSegmentation(grid, np.array(ids)[compact], n_instances)
+        dense = InstanceSegmentation(grid, compact)
+        for fn in (embedding_loss, pull_loss, push_loss):
+            value, grad = fn(emb, sparse)
+            want_value, want_grad = fn(emb, dense)
+            assert value == want_value and value > 0.0, fn.__name__
+            assert grad.tobytes() == want_grad.tobytes(), fn.__name__
+
+
 class TestPixelParamLoss:
     def test_exact_match_is_zero(self):
         params = PixelPlaneParams(GRID, np.ones((GRID.n_pixels, 3)))
