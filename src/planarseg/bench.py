@@ -3,7 +3,9 @@
 Measures per-iteration shift cost and whole-call cost for the anchor
 variant and the per-pixel baseline on identical synthetic inputs, so the
 linear-vs-quadratic scaling and the speed ratio between them can be read
-off one CSV.
+off one CSV. One timing loop runs both variants; each differs only in
+its shift seeds (the filtered anchors or every pixel, shifted against
+every pixel), its iteration count and the whole call it times.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import csv
 import io
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import EmbeddingMap, ImageGrid, PlanarMask
+from .core import EmbeddingMap, ImageGrid, PlanarMask, _checked_int
 from .clustering import (
     MeanShiftConfig,
     _gaussian_shift,
@@ -101,9 +104,13 @@ def bench_clustering(
     scales as N and N^2; :func:`cluster` itself shifts anchors against
     the moment cells of its bins. ``total_ms`` times the whole call.
     The baseline runs ``vanilla_iters`` iterations in its total so large
-    sizes stay affordable. Every size and ``vanilla_iters`` must be at
-    least 1 and ``repeats`` at least 3, all checked before any timing.
+    sizes stay affordable. Every size and ``vanilla_iters`` must be an
+    integer of at least 1 and ``repeats`` one of at least 3, all checked
+    before any timing.
     """
+    repeats = _checked_int("repeats", repeats)
+    sizes = [_checked_int("sizes", n) for n in sizes]
+    vanilla_iters = _checked_int("vanilla_iters", vanilla_iters)
     if repeats < 3:
         raise ValueError("repeats must be >= 3")
     if min(sizes, default=1) < 1:
@@ -113,49 +120,33 @@ def bench_clustering(
     results: List[BenchResult] = []
     for n in sizes:
         emb, mask = _mixture_input(n, 2, rng_seed)
-        anchor_pos = _seed_anchors(emb, mask, config)[0]
         values = emb.values
-
-        iter_fast = _median_time(
-            lambda: _gaussian_shift(anchor_pos, values, config.bandwidth), repeats
+        anchors = _seed_anchors(emb, mask, config)[0]
+        vanilla = partial(
+            vanilla_mean_shift,
+            emb,
+            mask,
+            bandwidth=config.bandwidth,
+            max_iters=vanilla_iters,
+            tol=0.0,
         )
-        total_fast = _median_time(lambda: cluster(emb, mask, config), repeats)
-        results.append(
-            BenchResult(
-                variant="fast",
-                n=n,
-                k=config.anchors_per_dim,
-                d=2,
-                iterations=config.iterations,
-                iter_ms=iter_fast * 1000.0,
-                total_ms=total_fast * 1000.0,
+        # (variant, shift seeds, iterations, whole call)
+        for variant, seeds, iterations, whole in (
+            ("fast", anchors, config.iterations, partial(cluster, emb, mask, config)),
+            ("vanilla", values, vanilla_iters, vanilla),
+        ):
+            shift = partial(_gaussian_shift, seeds, values, config.bandwidth)
+            results.append(
+                BenchResult(
+                    variant=variant,
+                    n=n,
+                    k=config.anchors_per_dim,
+                    d=2,
+                    iterations=iterations,
+                    iter_ms=_median_time(shift, repeats) * 1000.0,
+                    total_ms=_median_time(whole, repeats) * 1000.0,
+                )
             )
-        )
-
-        iter_vanilla = _median_time(
-            lambda: _gaussian_shift(values, values, config.bandwidth), repeats
-        )
-        total_vanilla = _median_time(
-            lambda: vanilla_mean_shift(
-                emb,
-                mask,
-                bandwidth=config.bandwidth,
-                max_iters=vanilla_iters,
-                tol=0.0,
-            ),
-            repeats,
-        )
-        results.append(
-            BenchResult(
-                variant="vanilla",
-                n=n,
-                k=config.anchors_per_dim,
-                d=2,
-                iterations=vanilla_iters,
-                iter_ms=iter_vanilla * 1000.0,
-                total_ms=total_vanilla * 1000.0,
-            )
-        )
     return results
 
 

@@ -983,11 +983,14 @@ def vanilla_mean_shift(
     Seeds iterate under the same Gaussian kernel until the largest
     displacement drops below ``tol`` or ``max_iters`` passes, then modes
     within one bandwidth merge into clusters. Masked embeddings must lie
-    within the same bound as for :func:`cluster`.
+    within the same bound as for :func:`cluster`. ``max_iters`` must be
+    an integer of at least 1 and ``tol`` at least 0 (not NaN).
     """
     _check_bandwidth(bandwidth)
-    if max_iters < 1:
+    if _checked_int("max_iters", max_iters) < 1:
         raise ValueError("max_iters must be >= 1")
+    if not tol >= 0.0:  # NaN fails too
+        raise ValueError(f"tol must be >= 0, got {tol}")
     values = np.stack(_masked_columns(embeddings, mask), axis=1)
     seeds = values.copy()
     for _ in range(max_iters):

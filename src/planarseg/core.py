@@ -241,9 +241,13 @@ def _compact(seg: InstanceSegmentation) -> InstanceSegmentation:
 
 def _checked_block(block: np.ndarray) -> None:
     """Check a (C, M) block of assigned weight columns, in this order:
-    entries in [0, 1], then every column sum within ``ROW_SUM_TOL`` of 1
-    (a NaN fails the sums)."""
-    if block.min(initial=0.0) < 0.0 or block.max(initial=1.0) > 1.0:
+    entries in [0, 1], then every column sum within ``ROW_SUM_TOL`` of 1.
+    The range bounds skip NaN, so a NaN cannot hide an out-of-range
+    entry; a NaN in an otherwise in-range block fails the sums."""
+    if (
+        np.fmin.reduce(block, axis=None, initial=0.0) < 0.0
+        or np.fmax.reduce(block, axis=None, initial=1.0) > 1.0
+    ):
         raise ValueError("assignment weights must lie in [0, 1]")
     sums = np.ones(block.shape[0]) @ block
     sums -= 1.0

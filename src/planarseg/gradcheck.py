@@ -1,14 +1,17 @@
 """Finite-difference verification of every analytic loss gradient.
 
-Each check draws random inputs resampled to sit at least a safety
-margin away from hinge/absolute-value kinks and from clamp boundaries,
-evaluates the analytic gradient, and compares it against central
-differences coordinate by coordinate.
+Each loss has one case, which draws random inputs resampled to sit at
+least ``KINK_MARGIN`` away from hinge/absolute-value kinks and from
+clamp boundaries. One driver, :func:`run_gradient_checks`, runs every
+case the same way: the analytic gradient, central differences of step
+1e-5 coordinate by coordinate, and their relative error, whose maximum
+over the samples must stay below ``TOLERANCE``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -23,6 +26,7 @@ from .core import (
     PlaneInstanceParams,
     PointMap,
     SoftAssignment,
+    _checked_int,
 )
 from .losses import (
     Margins,
@@ -39,6 +43,7 @@ from .losses import (
 __all__ = ["GradCheckResult", "run_gradient_checks", "LOSS_NAMES"]
 
 KINK_MARGIN = 1e-3
+TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -62,13 +67,13 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - numeric)) / scale
 
 
-def _off_kink_draw(draw: Callable, off_kink: Callable, what: str):
+def _off_kink_draw(draw: Callable, off_kink: Callable):
     """The first of up to 1000 calls of ``draw`` that ``off_kink`` accepts."""
     for _ in range(1000):
         sample = draw()
         if off_kink(sample):
             return sample
-    raise RuntimeError(f"could not sample an off-kink {what} configuration")
+    raise RuntimeError("could not sample an off-kink configuration")
 
 
 def _random_segmentation(
@@ -80,35 +85,26 @@ def _random_segmentation(
     return InstanceSegmentation(grid, labels, n_instances)
 
 
-def _check_balanced_bce(rng: np.random.Generator, h: float) -> float:
+def _bce_case(rng: np.random.Generator):
     grid = ImageGrid(4, 5)
     mask = np.zeros(grid.n_pixels, dtype=bool)
     mask[rng.permutation(grid.n_pixels)[: grid.n_pixels // 2]] = True
     probs = rng.uniform(0.05, 0.95, size=grid.n_pixels)
     gt = PlanarMask(grid, mask)
-    _, grad = balanced_bce(PlanarProbabilityMap(grid, probs), gt)
-
-    def value(p: np.ndarray) -> float:
-        return balanced_bce(PlanarProbabilityMap(grid, p), gt)[0]
-
-    return _rel_err(grad, central_difference(value, probs, h))
+    return lambda p: (PlanarProbabilityMap(grid, p), gt), probs
 
 
-def _check_pull(rng: np.random.Generator, h: float) -> float:
+def _embedding_case(sigma: float, off_kink: Callable, rng: np.random.Generator):
+    """The pull and push case: embeddings of spread ``sigma`` that
+    ``off_kink`` accepts, over a random three-instance segmentation."""
     grid = ImageGrid(3, 4)
     margins = Margins()
     seg = _random_segmentation(rng, grid, 3)
     emb = _off_kink_draw(
-        lambda: EmbeddingMap(grid, rng.normal(0.0, 2.0, size=(grid.n_pixels, 2))),
-        lambda e: _pull_off_kink(e, seg, margins),
-        "pull",
+        lambda: EmbeddingMap(grid, rng.normal(0.0, sigma, size=(grid.n_pixels, 2))),
+        lambda e: off_kink(e, seg, margins),
     )
-    _, grad = pull_loss(emb, seg, margins)
-
-    def value(v: np.ndarray) -> float:
-        return pull_loss(EmbeddingMap(grid, v), seg, margins)[0]
-
-    return _rel_err(grad, central_difference(value, emb.values, h))
+    return lambda v: (EmbeddingMap(grid, v), seg, margins), emb.values
 
 
 def _pull_off_kink(
@@ -122,23 +118,6 @@ def _pull_off_kink(
     offsets -= inst.columns
     near = np.abs(_row_norms(offsets) - margins.delta_v) < KINK_MARGIN
     return not np.any(near & (inst.labels > 0))
-
-
-def _check_push(rng: np.random.Generator, h: float) -> float:
-    grid = ImageGrid(3, 4)
-    margins = Margins()
-    seg = _random_segmentation(rng, grid, 3)
-    emb = _off_kink_draw(
-        lambda: EmbeddingMap(grid, rng.normal(0.0, 1.0, size=(grid.n_pixels, 2))),
-        lambda e: _push_off_kink(e, seg, margins),
-        "push",
-    )
-    _, grad = push_loss(emb, seg, margins)
-
-    def value(v: np.ndarray) -> float:
-        return push_loss(EmbeddingMap(grid, v), seg, margins)[0]
-
-    return _rel_err(grad, central_difference(value, emb.values, h))
 
 
 def _push_off_kink(
@@ -155,7 +134,7 @@ def _push_off_kink(
     return not np.any(near)
 
 
-def _check_pixel_param(rng: np.random.Generator, h: float) -> float:
+def _pixel_param_case(rng: np.random.Generator):
     grid = ImageGrid(3, 4)
     mask_arr = rng.uniform(size=grid.n_pixels) < 0.7
     mask_arr[0] = True
@@ -164,17 +143,11 @@ def _check_pixel_param(rng: np.random.Generator, h: float) -> float:
     pred_arr = _off_kink_draw(
         lambda: gt.params + rng.normal(0.0, 1.0, size=(grid.n_pixels, 3)),
         lambda v: np.linalg.norm(v - gt.params, axis=1)[mask_arr].min() > KINK_MARGIN,
-        "parameter",
     )
-    _, grad = pixel_param_loss(PixelPlaneParams(grid, pred_arr), gt, mask)
-
-    def value(v: np.ndarray) -> float:
-        return pixel_param_loss(PixelPlaneParams(grid, v), gt, mask)[0]
-
-    return _rel_err(grad, central_difference(value, pred_arr, h))
+    return lambda v: (PixelPlaneParams(grid, v), gt, mask), pred_arr
 
 
-def _check_instance_param(rng: np.random.Generator, h: float) -> float:
+def _instance_param_case(rng: np.random.Generator):
     grid = ImageGrid(3, 4)
     n_clusters = 3
     weights = rng.uniform(0.1, 1.0, size=(grid.n_pixels, n_clusters))
@@ -187,47 +160,39 @@ def _check_instance_param(rng: np.random.Generator, h: float) -> float:
         lambda: rng.normal(0.0, 0.7, size=(n_clusters, 3)),
         lambda v: np.linalg.norm(v, axis=1).min() > 1e-2
         and np.abs(points.points @ v.T - 1.0).min() > KINK_MARGIN,
-        "residual",
     )
-    _, grad = instance_param_loss(PlaneInstanceParams(params), assignment, points)
-
-    def value(v: np.ndarray) -> float:
-        return instance_param_loss(
-            PlaneInstanceParams(v), assignment, points
-        )[0]
-
-    return _rel_err(grad, central_difference(value, params, h))
+    return lambda v: (PlaneInstanceParams(v), assignment, points), params
 
 
-_CHECKS: Dict[str, Callable[[np.random.Generator, float], float]] = {
-    "balanced_bce": _check_balanced_bce,
-    "pull_loss": _check_pull,
-    "push_loss": _check_push,
-    "pixel_param_loss": _check_pixel_param,
-    "instance_param_loss": _check_instance_param,
+# Each case draws one off-kink point x and returns (the map from a value
+# of x to the arguments of the loss the case is keyed by, x).
+_CASES: Dict[str, Callable] = {
+    "balanced_bce": _bce_case,
+    "pull_loss": partial(_embedding_case, 2.0, _pull_off_kink),
+    "push_loss": partial(_embedding_case, 1.0, _push_off_kink),
+    "pixel_param_loss": _pixel_param_case,
+    "instance_param_loss": _instance_param_case,
 }
 
-LOSS_NAMES = tuple(_CHECKS)
+LOSS_NAMES = tuple(_CASES)
 
 
-def run_gradient_checks(
-    samples: int = 100,
-    seed: int = 0,
-    h: float = 1e-5,
-    tolerance: float = 1e-4,
-) -> List[GradCheckResult]:
-    """Sweep every loss over ``samples`` (at least 1) random off-kink points."""
+def run_gradient_checks(samples: int = 100, seed: int = 0) -> List[GradCheckResult]:
+    """Sweep every loss over ``samples`` (an integer, at least 1) random
+    off-kink points, comparing its analytic gradient with central
+    differences of :func:`central_difference`'s default step."""
+    samples = _checked_int("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     results = []
-    for name, check in _CHECKS.items():
+    for name, case in _CASES.items():
+        loss = globals()[name]  # looked up per run, so a patched loss is checked
         worst = 0.0
         for _ in range(samples):
-            worst = max(worst, check(rng, h))
-        results.append(
-            GradCheckResult(
-                name=name, samples=samples, max_rel_err=worst, tolerance=tolerance
-            )
-        )
+            args_of, x = case(rng)
+            grad = loss(*args_of(x))[1]
+            numeric = central_difference(lambda v: loss(*args_of(v))[0], x)
+            worst = max(worst, _rel_err(grad, numeric))
+        results.append(GradCheckResult(name, samples, worst, TOLERANCE))
     return results

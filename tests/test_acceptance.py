@@ -154,10 +154,13 @@ class TestCriterion2Complexity:
 class TestCriterion3Gradients:
     def test_hundred_point_sweep_per_loss(self):
         start = time.perf_counter()
-        results = run_gradient_checks(samples=100, seed=0, h=1e-5, tolerance=1e-4)
+        results = run_gradient_checks(samples=100, seed=0)
         elapsed = time.perf_counter() - start
         worst = max(r.max_rel_err for r in results)
-        ok = all(r.passed for r in results) and elapsed < 60.0
+        ok = (
+            all(r.passed and r.tolerance == 1e-4 for r in results)
+            and elapsed < 60.0
+        )
         report(
             "criterion 3 (gradient correctness)",
             ok,

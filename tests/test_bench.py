@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from planarseg import MeanShiftConfig
+from planarseg import MeanShiftConfig, bench
 from planarseg.bench import (
     DEFAULT_SIZES,
     BenchResult,
@@ -13,6 +13,7 @@ from planarseg.bench import (
     bench_results_to_csv,
     fit_loglog_slope,
 )
+from planarseg.clustering import _seed_anchors
 
 
 class TestBenchResult:
@@ -58,6 +59,43 @@ class TestBenchClustering:
     def test_repeats_floor(self):
         with pytest.raises(ValueError, match="repeats"):
             bench_clustering(sizes=(256,), repeats=2)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"repeats": 3.0}, "repeats"),
+            ({"repeats": True}, "repeats"),
+            ({"vanilla_iters": 1.5}, "vanilla_iters"),
+            ({"sizes": (256, 2.5)}, "sizes"),
+            ({"sizes": (True,)}, "sizes"),
+        ],
+    )
+    def test_counts_must_be_integers(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            bench_clustering(**{"sizes": (256,), **kwargs})
+
+    def test_shift_timing_inputs(self, monkeypatch):
+        # The per-iteration time is N for fast (the filtered anchors
+        # against all pixels) and N^2 for vanilla (all pixels against
+        # all pixels); criterion 2 reads its slopes.
+        calls = []
+        shift = bench._gaussian_shift
+
+        def spy(seeds, points, bandwidth):
+            calls.append((seeds, points, bandwidth))
+            return shift(seeds, points, bandwidth)
+
+        monkeypatch.setattr(bench, "_gaussian_shift", spy)
+        config = MeanShiftConfig(bandwidth=0.4)
+        bench_clustering(sizes=(300,), config=config, repeats=3)
+        emb, mask = bench._mixture_input(300, 2, 0)
+        anchors = _seed_anchors(emb, mask, config)[0]
+        assert 0 < anchors.shape[0] < config.anchors_per_dim**2
+        assert len(calls) == 8  # a warm-up and three repeats per variant
+        for i, (seeds, points, bandwidth) in enumerate(calls):
+            np.testing.assert_array_equal(points, emb.values)
+            np.testing.assert_array_equal(seeds, anchors if i < 4 else emb.values)
+            assert bandwidth == 0.4
 
 
 class TestFitLoglogSlope:

@@ -1638,6 +1638,29 @@ class TestVanilla:
         with pytest.raises(ValueError):
             vanilla_mean_shift(emb, mask, bandwidth=0.5, max_iters=0)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 2.0, True, "3"])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        emb, mask = embedding_fixture([[0.0]])
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            vanilla_mean_shift(emb, mask, bandwidth=0.5, max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-5, -math.inf])
+    def test_tol_must_be_at_least_zero(self, tol):
+        emb, mask = embedding_fixture([[0.0]])
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            vanilla_mean_shift(emb, mask, bandwidth=0.5, tol=tol)
+
+    @pytest.mark.parametrize("tol, passes", [(0.0, 3), (math.inf, 1)])
+    def test_tol_stops_the_passes(self, tol, passes, monkeypatch):
+        calls = []
+        shift = clustering._gaussian_shift
+        monkeypatch.setattr(
+            clustering, "_gaussian_shift", lambda *a: calls.append(1) or shift(*a)
+        )
+        emb, mask = embedding_fixture([[0.0], [0.1], [0.3]])
+        vanilla_mean_shift(emb, mask, bandwidth=0.5, max_iters=np.int64(3), tol=tol)
+        assert len(calls) == passes
+
 
 class TestHardLabels:
     def grid_assignment(self, rows):

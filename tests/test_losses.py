@@ -35,7 +35,6 @@ from planarseg.losses import (
     total_loss,
 )
 from planarseg.geometry import pool_instance_params
-from planarseg.gradcheck import run_gradient_checks
 from planarseg.synth import (
     EmbeddingNoiseSpec,
     SceneSpec,
@@ -784,5 +783,3 @@ class TestCentralDifference:
         with pytest.raises(ValueError, match="h must be finite and > 0"):
             central_difference(lambda a: calls.append(a) or 0.0, np.ones(2), h)
         assert calls == []
-        with pytest.raises(ValueError, match="h must be finite and > 0"):
-            run_gradient_checks(samples=1, h=h)

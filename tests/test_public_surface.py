@@ -30,8 +30,6 @@ SETTABLE = [
     "total_loss.margins",
     "run_gradient_checks.samples",
     "run_gradient_checks.seed",
-    "run_gradient_checks.h",
-    "run_gradient_checks.tolerance",
     "recall_depth.thresholds",
     "recall_normal.thresholds",
     "EmbeddingNoiseSpec.center_min_gap",
